@@ -16,24 +16,20 @@ from .exactnum import (
     Ball,
     Constants,
     Dyadic,
-    Rat,
     const_e,
     const_sinh1,
     constants,
     exp_ball,
     ln_ball,
-    rat_reduce,
 )
 from .contfrac import (
     Convergent,
-    LegendreResult,
     OddConvergent,
     convergents,
     e_convergent,
     e_partial_quotient,
     exp_recip_partial_quotient,
     is_e_convergent,
-    legendre_test,
     odd_convergent,
 )
 from .harmonic import (
@@ -85,11 +81,9 @@ __all__ = [
     "Crossing",
     "Dyadic",
     "ETReport",
-    "LegendreResult",
     "OddConvergent",
     "PointSet",
     "PrecisionError",
-    "Rat",
     "RecordRow",
     "RecordTable",
     "__version__",
@@ -112,7 +106,6 @@ __all__ = [
     "is_e_convergent",
     "iter_crossings",
     "joint_search",
-    "legendre_test",
     "ln_ball",
     "odd_convergent",
     "pair_from",
@@ -120,7 +113,6 @@ __all__ = [
     "pick_multiplier",
     "predicted_overshoot",
     "quality_threshold",
-    "rat_reduce",
     "scan_records",
     "square_denominator_search",
     "weyl_sum_abs",

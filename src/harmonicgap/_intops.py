@@ -54,39 +54,23 @@ def harmonic_pair(lo: int, hi: int) -> tuple[int, int]:
     Balanced divide-and-conquer keeps the intermediate products near-minimal;
     a naive left fold is infeasible past ~1e6 terms.
     """
-    if HAVE_GMPY2:
-        n, d = _harmonic_pair_mpz(lo, hi)
-        return int(n), int(d)
-    return _harmonic_pair_int(lo, hi)
+    num, den = _harmonic_pair(lo, hi)
+    return int(num), int(den)
 
 
 _BASE_TERMS = 48  # accumulated with plain ints; small-operand churn dominates below this
 
 
-def _harmonic_base(lo: int, hi: int) -> tuple[int, int]:
-    num, den = 0, 1
-    for k in range(lo, hi + 1):
-        num = num * k + den
-        den *= k
-    return num, den
-
-
-def _harmonic_pair_int(lo: int, hi: int) -> tuple[int, int]:
+def _harmonic_pair(lo: int, hi: int):
     if hi - lo < _BASE_TERMS:
-        return _harmonic_base(lo, hi)
+        num, den = 0, 1
+        for k in range(lo, hi + 1):
+            num = num * k + den
+            den *= k
+        return (_g.mpz(num), _g.mpz(den)) if HAVE_GMPY2 else (num, den)
     mid = (lo + hi) >> 1
-    n1, d1 = _harmonic_pair_int(lo, mid)
-    n2, d2 = _harmonic_pair_int(mid + 1, hi)
-    return n1 * d2 + n2 * d1, d1 * d2
-
-
-def _harmonic_pair_mpz(lo: int, hi: int):
-    if hi - lo < _BASE_TERMS:
-        num, den = _harmonic_base(lo, hi)
-        return _g.mpz(num), _g.mpz(den)
-    mid = (lo + hi) >> 1
-    n1, d1 = _harmonic_pair_mpz(lo, mid)
-    n2, d2 = _harmonic_pair_mpz(mid + 1, hi)
+    n1, d1 = _harmonic_pair(lo, mid)
+    n2, d2 = _harmonic_pair(mid + 1, hi)
     return n1 * d2 + n2 * d1, d1 * d2
 
 

@@ -1,14 +1,13 @@
-"""Selects the record-scan screening kernel at import time.
+"""Selects the record-scan screening kernel for each block.
 
-The compiled kernel (`_screen_c`, Cython) is used when present and the
-fixed-point width fits its 128-bit accumulator; otherwise the pure-Python
-twin takes over.  Set HARMONICGAP_PURE=1 to force the pure kernel (used by
-the benchmark and the cross-validation tests).
+The compiled kernel (`_screen_c`, built from `_screen_c.pyx` when Cython
+and a C compiler are present) is used when it is importable and the block
+fits its 128-bit accumulator: `frac_bits` <= 126 and `n_end` <= 2^31.
+Otherwise the pure-Python twin (`_screen_py`) screens the block; both
+produce bit-identical candidate lists.
 """
 
 from __future__ import annotations
-
-import os
 
 from . import _screen_py
 
@@ -24,8 +23,6 @@ except ImportError:  # pragma: no cover
     _screen_c = None
     HAVE_COMPILED = False
 
-_FORCE_PURE = os.environ.get("HARMONICGAP_PURE", "") not in ("", "0")
-
 # the compiled accumulator is u128: frac_bits <= 126 keeps acc < 2^127
 _COMPILED_FRAC_LIMIT = 126
 
@@ -35,17 +32,10 @@ def frac_bits_for(n_max: int) -> int:
 
 
 def screen_block(n_start: int, n_end: int, frac_bits: int, tau_hi_fp: int):
-    if (
-        HAVE_COMPILED
-        and not _FORCE_PURE
-        and frac_bits <= _COMPILED_FRAC_LIMIT
-        and n_end <= 1 << 31
-    ):
+    if HAVE_COMPILED and frac_bits <= _COMPILED_FRAC_LIMIT and n_end <= 1 << 31:
         return _screen_c.screen_block(n_start, n_end, frac_bits, tau_hi_fp)
     return _screen_py.screen_block(n_start, n_end, frac_bits, tau_hi_fp)
 
 
 def kernel_name() -> str:
-    if HAVE_COMPILED and not _FORCE_PURE:
-        return "compiled"
-    return "pure-python"
+    return "compiled" if HAVE_COMPILED else "pure-python"

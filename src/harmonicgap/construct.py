@@ -14,6 +14,7 @@ only to force positivity), ranking pairs by |n^2 * overshoot|.
 
 from __future__ import annotations
 
+from contextlib import nullcontext
 from dataclasses import dataclass
 from fractions import Fraction
 from math import isqrt
@@ -234,24 +235,18 @@ def joint_search(
     undecidable entries."""
     if k_max < 2:
         raise ValueError("k_max must be >= 2")
-    ks = list(range(2, k_max + 1, 2))
-    if workers > 1:
+    items = [(k, window, center_shifted, exact_cap) for k in range(2, k_max + 1, 2)]
+    pool = None
+    if workers > 1 and len(items) > 1:
         from concurrent.futures import ProcessPoolExecutor
 
-        with ProcessPoolExecutor(max_workers=workers) as pool:
-            chunks = pool.map(
-                _joint_one_k,
-                [(k, window, center_shifted, exact_cap) for k in ks],
-            )
-            results = list(chunks)
-    else:
-        results = [_joint_one_k((k, window, center_shifted, exact_cap)) for k in ks]
-
+        pool = ProcessPoolExecutor(max_workers=workers)
     pairs: list[CandidatePair] = []
     skipped = 0
-    for chunk, skip in results:
-        pairs.extend(chunk)
-        skipped += skip
+    with pool or nullcontext():
+        for chunk, skip in (pool.map if pool else map)(_joint_one_k, items):
+            pairs.extend(chunk)
+            skipped += skip
     pairs.sort(key=_quality_sort_key)
     return pairs, skipped
 

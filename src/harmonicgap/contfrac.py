@@ -2,8 +2,8 @@
 
 Partial quotients, convergents through the standard recurrence, the
 odd-numerator/odd-denominator subsequence at indices 3k+2 with certified
-normalized remainders, Legendre's sufficient criterion for convergence,
-and the sharper remainder decomposition 1/r = c + w used for the
+normalized remainders, exact convergent membership, and the sharper
+remainder decomposition 1/r = c + w used for the
 r^(-1) = 2k + 3 + O(1/k) refinement.
 
 Indexing is 1-based with a_1 = 2, so the subsequence index k = 0 lands on
@@ -14,24 +14,21 @@ to a few thousand the practical range.
 
 from __future__ import annotations
 
-import enum
 from dataclasses import dataclass
 from fractions import Fraction
 from math import gcd
 
-from .exactnum import Ball, Dyadic, const_e, escalating
+from .exactnum import Ball, const_e, escalating
 from .errors import PrecisionError
 
 __all__ = [
     "Convergent",
     "OddConvergent",
-    "LegendreResult",
     "e_partial_quotient",
     "exp_recip_partial_quotient",
     "convergents",
     "e_convergent",
     "odd_convergent",
-    "legendre_test",
     "is_e_convergent",
     "denominator_ratio",
     "tail_enclosure",
@@ -159,25 +156,6 @@ def odd_convergent(k: int, prec: int = 0) -> OddConvergent:
         return OddConvergent(k, p, q, r, sign)
 
     return escalating(attempt, start=start, what=f"subsequence entry {k}")
-
-
-class LegendreResult(enum.Enum):
-    PASSES = "passes"
-    FAILS = "fails"
-    UNDECIDABLE = "undecidable"
-
-
-def legendre_test(p: int, q: int, alpha: Ball) -> LegendreResult:
-    """Is |alpha - p/q| <= 1/(2 q^2) decided?  Sufficient for p/q to be a
-    convergent of alpha; not necessary."""
-    if q < 1:
-        raise ValueError("legendre_test requires q >= 1")
-    diff = abs(alpha - Ball.from_fraction(Fraction(p, q), alpha.prec))
-    threshold = Fraction(1, 2 * q * q)
-    cmp = diff.cmp_fraction(threshold)
-    if cmp is None:
-        return LegendreResult.UNDECIDABLE
-    return LegendreResult.PASSES if cmp <= 0 else LegendreResult.FAILS
 
 
 def is_e_convergent(p: int, q: int, index_cap: int = 600) -> bool:

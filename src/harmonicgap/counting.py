@@ -20,7 +20,7 @@ from math import gcd
 from typing import Callable, Sequence
 
 from .errors import PrecisionError
-from .exactnum import Ball, Dyadic, ln_ball
+from .exactnum import Ball, Dyadic, escalating, ln_ball
 
 __all__ = [
     "PointSet",
@@ -314,16 +314,16 @@ def erdos_turan_check(
     count = sum(1 for x in ps.points if _in_interval_mod1(x, a, delta))
     lhs = abs(count - n * delta)
 
-    for attempt_bits in (bits, 2 * bits, 4 * bits):
+    def attempt(attempt_bits: int) -> ETReport | None:
         sums = _tree_sum([weyl_sum_abs(ps, m, attempt_bits) for m in range(1, order + 1)])
         rhs = (
             Ball.from_fraction(Fraction(n, order + 1), 128)
             + Ball.from_fraction(2 * (Fraction(1, order + 1) + delta), 128) * sums
         )
         decided = Ball.from_fraction(lhs, 128).decide_le(rhs)
-        if decided is not None:
-            return ETReport(n, count, delta, order, lhs, rhs, bool(decided))
-    raise PrecisionError("inequality comparison undecided after escalation")
+        return None if decided is None else ETReport(n, count, delta, order, lhs, rhs, bool(decided))
+
+    return escalating(attempt, start=bits, cap=4 * bits, what="inequality comparison")
 
 
 def random_et_instance(rng) -> tuple[PointSet, Fraction, Fraction, int]:

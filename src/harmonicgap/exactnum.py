@@ -6,7 +6,7 @@ outward rounding, so the true value of an operation on members of the input
 balls always lies in the output ball.  Dyadic endpoints make directed
 rounding exact integer work; no floating-point environment is involved.
 
-Exact quantities are Fractions (`Rat`): convergent ratios, harmonic sums,
+Exact quantities are Fractions: convergent ratios, harmonic sums,
 overshoots, denominator ratios.
 
 Precision policy: callers request a target width; computations start at 128
@@ -18,7 +18,6 @@ signs and bounds, never silent rounding.
 from __future__ import annotations
 
 import math
-import os
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache
@@ -26,18 +25,9 @@ from functools import lru_cache
 from ._intops import iroot
 from .errors import PrecisionError
 
-Rat = Fraction
-
-DEFAULT_PREC = int(os.environ.get("HARMONICGAP_PREC", "192"))
+DEFAULT_PREC = 192
 MAX_PREC = 1 << 16
 _MIN_PREC = 32
-
-
-def rat_reduce(num: int, den: int) -> Rat:
-    """Lowest-terms rational with positive denominator."""
-    if den == 0:
-        raise ZeroDivisionError("rational with zero denominator")
-    return Fraction(num, den)
 
 
 # ----------------------------------------------------------------------
@@ -302,9 +292,6 @@ class Ball:
             return self.lo <= v and v <= self.hi
         fr = Fraction(v)
         return self.lo.cmp_fraction(fr) <= 0 and self.hi.cmp_fraction(fr) >= 0
-
-    def contains_ball(self, other: "Ball") -> bool:
-        return self.lo <= other.lo and other.hi <= self.hi
 
     def overlaps(self, other: "Ball") -> bool:
         return self.lo <= other.hi and other.lo <= self.hi

@@ -122,32 +122,31 @@ def _crossing_bracket_ok(n: int, t: int, total: Fraction) -> bool:
     return total >= 1 and (t == n or total - Fraction(1, t) < 1)
 
 
-def crossing(n: int) -> Crossing:
-    """t(n) and the exact overshoot, with the minimality bracket verified."""
-    if n < 1:
-        raise ValueError("n must be >= 1")
-    if n == 1:
-        return Crossing(1, 1, Fraction(0))
-    if n <= 64:
-        total = Fraction(0)
-        t = n - 1
-        while total < 1:
-            t += 1
-            total += Fraction(1, t)
-        return Crossing(n, t, total - 1)
-    # jump near the asymptotic location, then walk exactly
-    e = const_e(64 + 2 * n.bit_length())
-    est = Ball.from_fraction(n, e.prec) * e - (Ball.from_fraction(1, e.prec) + e) / 2
-    t = max(n, int(est.midpoint().as_fraction()))
-    total = exact_sum(n, t)
+def _walk(n: int, t: int, total: Fraction) -> tuple[int, Fraction]:
+    """t(n) and its overshoot, from any t >= n with total = 1/n + ... + 1/t:
+    extend t until the sum reaches 1, then shrink it back while it stays there."""
     while total < 1:
         t += 1
         total += Fraction(1, t)
     while t > n and total - Fraction(1, t) >= 1:
         total -= Fraction(1, t)
         t -= 1
-    assert _crossing_bracket_ok(n, t, total)
-    return Crossing(n, t, total - 1)
+    return t, total - 1
+
+
+def crossing(n: int) -> Crossing:
+    """t(n) and the exact overshoot, with the minimality bracket verified."""
+    if n < 1:
+        raise ValueError("n must be >= 1")
+    if n == 1:
+        return Crossing(1, 1, Fraction(0))
+    # jump near the asymptotic location, then walk exactly
+    e = const_e(64 + 2 * n.bit_length())
+    est = Ball.from_fraction(n, e.prec) * e - (Ball.from_fraction(1, e.prec) + e) / 2
+    t = max(n, int(est.midpoint().as_fraction()))
+    t, overshoot = _walk(n, t, exact_sum(n, t))
+    assert _crossing_bracket_ok(n, t, overshoot + 1)
+    return Crossing(n, t, overshoot)
 
 
 def iter_crossings(n_lo: int, n_hi: int) -> Iterator[Crossing]:

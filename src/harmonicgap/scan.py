@@ -22,6 +22,7 @@ from __future__ import annotations
 import hashlib
 import json
 import time
+from contextlib import nullcontext
 from dataclasses import dataclass, field
 from fractions import Fraction
 from math import gcd
@@ -31,7 +32,7 @@ from ._screen import KIND_AMBIGUOUS, KIND_RECORD, KIND_TAU, frac_bits_for, kerne
 from .contfrac import is_e_convergent
 from .errors import CheckpointError, PrecisionError
 from .exactnum import Ball, constants, escalating
-from .harmonic import ball_sum, exact_sum, pair_offset
+from .harmonic import _walk, ball_sum, exact_sum, pair_offset
 
 __all__ = [
     "RecordRow",
@@ -166,15 +167,7 @@ def _confirm_exact(n: int, t_screen: int) -> tuple[int, Fraction]:
     Confirmation windows grow with the horizon (about 1.72 n terms), so the
     scanner overrides the segment-sum term cap with its own window size.
     """
-    total = exact_sum(n, t_screen, term_cap=t_screen - n + 64)
-    t = t_screen
-    while total < 1:
-        t += 1
-        total += Fraction(1, t)
-    while t > n and total - Fraction(1, t) >= 1:
-        total -= Fraction(1, t)
-        t -= 1
-    return t, total - 1
+    return _walk(n, t_screen, exact_sum(n, t_screen, term_cap=t_screen - n + 64))
 
 
 def _cheap_scaled_ball(n: int, t: int, resolution: Fraction) -> Ball | None:
@@ -410,28 +403,20 @@ def scan_records(
             start = payload["next_start"]
 
     args = list(_screen_args(n_max, block_size, start, frac_bits, tau_fp))
+    pool = None
     if threads > 1 and len(args) > 1:
         from concurrent.futures import ProcessPoolExecutor
 
-        with ProcessPoolExecutor(max_workers=threads) as pool:
-            screened = pool.map(_run_screen, args)
-            for (lo, hi, _, _), (flags, _m) in zip(args, screened):
-                for n, t, kind in flags:
-                    merger.feed(n, t, kind)
-                if checkpoint_path is not None:
-                    _save_checkpoint(
-                        checkpoint_path,
-                        _checkpoint_payload(n_max, block_size, hi, merger),
-                    )
-    else:
-        for block in args:
-            flags, _m = _run_screen(block)
+        pool = ProcessPoolExecutor(max_workers=threads)
+    with pool or nullcontext():
+        screened = (pool.map if pool else map)(_run_screen, args)
+        for (_lo, hi, _, _), (flags, _m) in zip(args, screened):
             for n, t, kind in flags:
                 merger.feed(n, t, kind)
             if checkpoint_path is not None:
                 _save_checkpoint(
                     checkpoint_path,
-                    _checkpoint_payload(n_max, block_size, block[1], merger),
+                    _checkpoint_payload(n_max, block_size, hi, merger),
                 )
 
     return RecordTable(

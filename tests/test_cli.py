@@ -1,6 +1,7 @@
 """Command-line surface: flags, exit codes, output contracts."""
 
 import json
+import os
 import subprocess
 import sys
 from fractions import Fraction
@@ -193,11 +194,25 @@ class TestEt:
         assert out1 == out2
 
 
-class TestBench:
-    def test_runs(self, capsys):
-        code, out, _ = run(capsys, "bench", "--n-max", "30000", "--repeats", "1")
-        assert code == 0
-        assert "pure-python" in out
+class TestRemovedSurface:
+    def test_bench_exit_2(self):
+        # the screen is measured by the benchmark suite, not by a subcommand
+        with pytest.raises(SystemExit) as exc:
+            main(["bench"])
+        assert exc.value.code == 2
+
+    def test_precision_only_where_read(self):
+        for argv in (["scan", "--n-max", "1000"], ["et", "--seed", "1", "--trials", "1"]):
+            with pytest.raises(SystemExit) as exc:
+                main(argv + ["--precision", "7"])
+            assert exc.value.code == 2
+
+    def test_precision_environment_ignored(self):
+        cmd = [sys.executable, "-m", "harmonicgap.cli", "convergents", "--count", "3"]
+        plain = subprocess.run(cmd, capture_output=True, text=True)
+        env = dict(os.environ, HARMONICGAP_PREC="abc")
+        bad = subprocess.run(cmd, capture_output=True, text=True, env=env)
+        assert (bad.returncode, bad.stdout) == (plain.returncode, plain.stdout) == (0, "2/1\n3/1\n8/3\n")
 
 
 class TestEntryPoint:

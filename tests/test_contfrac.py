@@ -6,14 +6,12 @@ from math import gcd
 import pytest
 
 from harmonicgap.contfrac import (
-    LegendreResult,
     convergents,
     denominator_ratio,
     e_convergent,
     e_partial_quotient,
     exp_recip_partial_quotient,
     is_e_convergent,
-    legendre_test,
     odd_convergent,
     tail_enclosure,
 )
@@ -188,22 +186,8 @@ class TestOddConvergents:
 
 
 class TestLegendre:
-    def test_passes_19_7(self):
-        assert legendre_test(19, 7, const_e(128)) is LegendreResult.PASSES
-
-    def test_fails_11_4_despite_convergent(self):
-        # |e - 11/4| ~ 0.0317 > 1/32: sufficiency, not necessity
-        assert legendre_test(11, 4, const_e(128)) is LegendreResult.FAILS
-        assert is_e_convergent(11, 4)
-
-    def test_passes_3_1(self):
-        assert legendre_test(3, 1, const_e(128)) is LegendreResult.PASSES
-
-    def test_undecidable_with_wide_ball(self):
-        wide = Ball.from_endpoints(Fraction(2), Fraction(3), 64)
-        assert legendre_test(19, 7, wide) is LegendreResult.UNDECIDABLE
-
     def test_membership(self):
+        assert is_e_convergent(11, 4)
         assert is_e_convergent(193, 71)
         assert not is_e_convergent(7, 3)
         assert not is_e_convergent(53, 19)

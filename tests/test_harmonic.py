@@ -4,10 +4,13 @@ import random
 from fractions import Fraction
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from harmonicgap.errors import CapacityError
 from harmonicgap.exactnum import Ball, constants
 from harmonicgap.harmonic import (
+    _walk,
     ball_sum,
     crossing,
     exact_sum,
@@ -123,6 +126,17 @@ class TestCrossing:
         for rec in (seq[0], seq[57], seq[-1]):
             solo = crossing(rec.n)
             assert (solo.t, solo.overshoot) == (rec.t, rec.overshoot)
+
+    @settings(max_examples=200, deadline=None)
+    @given(n=st.integers(2, 400), shift=st.integers(-1200, 1200))
+    def test_walk_from_any_hint(self, n, shift):
+        # a plain walk from n; hints above t(n) exercise the shrink step
+        total, t = Fraction(0), n - 1
+        while total < 1:
+            t += 1
+            total += Fraction(1, t)
+        hint = max(n, t + shift)
+        assert _walk(n, hint, exact_sum(n, hint)) == (t, total - 1)
 
     def test_crossing_location_envelope(self):
         # |t(n) - e n + (1+e)/2| <= 1.1 empirically on 10 <= n <= 10^4

@@ -7,12 +7,14 @@ from fractions import Fraction
 from harmonicgap import _intops
 
 
-def test_harmonic_pair_paths_agree():
-    n1, d1 = _intops._harmonic_pair_int(100, 1500)
-    if _intops.HAVE_GMPY2:
-        n2, d2 = _intops._harmonic_pair_mpz(100, 1500)
-        assert (n1, d1) == (int(n2), int(d2))
-    assert Fraction(n1, d1) == sum(Fraction(1, k) for k in range(100, 1501))
+def test_harmonic_pair_paths_agree(monkeypatch):
+    expected = sum(Fraction(1, k) for k in range(100, 1501))
+    n1, d1 = _intops.harmonic_pair(100, 1500)
+    assert type(n1) is int and type(d1) is int
+    monkeypatch.setattr(_intops, "HAVE_GMPY2", False)
+    n2, d2 = _intops.harmonic_pair(100, 1500)
+    assert (n1, d1) == (n2, d2)
+    assert Fraction(n1, d1) == expected
 
 
 def test_fraction_from_matches_constructor(monkeypatch):

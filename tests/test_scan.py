@@ -146,6 +146,13 @@ class TestCheckpoints:
         direct = scan_records(5000)
         assert resumed.csv_lines() == direct.csv_lines() == partial.csv_lines()
 
+    def test_parallel_checkpoints_match_serial(self, tmp_path):
+        ck1, ck2 = tmp_path / "serial.ckpt", tmp_path / "parallel.ckpt"
+        t1 = scan_records(20000, threads=1, checkpoint_path=str(ck1), block_size=4096)
+        t2 = scan_records(20000, threads=2, checkpoint_path=str(ck2), block_size=4096)
+        assert t1.csv_lines() == t2.csv_lines()
+        assert ck1.read_bytes() == ck2.read_bytes()
+
     def test_partial_then_longer_refused(self, tmp_path):
         ck = str(tmp_path / "scan.ckpt")
         scan_records(4000, checkpoint_path=ck, block_size=1024)
