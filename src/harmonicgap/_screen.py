@@ -13,7 +13,6 @@ from . import _screen_py
 
 KIND_RECORD = _screen_py.KIND_RECORD
 KIND_TAU = _screen_py.KIND_TAU
-KIND_AMBIGUOUS = _screen_py.KIND_AMBIGUOUS
 
 try:
     from . import _screen_c  # type: ignore[attr-defined]

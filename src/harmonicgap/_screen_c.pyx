@@ -19,7 +19,6 @@ cdef extern from *:
 
 KIND_RECORD = 1
 KIND_TAU = 2
-KIND_AMBIGUOUS = 4
 
 
 def screen_block(n_start, n_end, frac_bits, tau_hi_fp):
@@ -48,6 +47,7 @@ def screen_block(n_start, n_end, frac_bits, tau_hi_fp):
             acc += one / t
             cnt += 1
         kind = 0
+        scaled_lo = 0
         if acc >= one:
             es_lo = (acc - one) >> 32
             es_hi = ((acc + cnt - one) >> 32) + 1
@@ -60,13 +60,13 @@ def screen_block(n_start, n_end, frac_bits, tau_hi_fp):
             if scaled_hi < m_run:
                 m_run = scaled_hi
         else:
-            kind = 1 | 2 | 4
+            kind = 1 | 2
             es_hi = ((one / t) >> 32) + 1
             scaled_hi = n * n * es_hi
             if scaled_hi < m_run:
                 m_run = scaled_hi
         if kind != 0:
-            flags.append((int(n), int(t), kind))
+            flags.append((int(n), int(t), kind, int(scaled_lo)))
         acc -= one / n
         cnt -= 1
         n += 1

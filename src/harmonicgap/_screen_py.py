@@ -11,19 +11,27 @@ The screen maintains, for the sliding window [n, t],
 so the true partial sum S(n, t) satisfies acc <= S*2^F < acc + cnt.  The
 window is extended until the upper estimate crosses 1.  If the lower estimate
 has also crossed, the crossing index t and the overshoot bracket are certain;
-otherwise the n is flagged as ambiguous and left to exact confirmation.
+otherwise the crossing is ambiguous and n is flagged for every kind.
 
 Record screening compares against a running upper bound M on the minimum
 scaled overshoot seen so far; every true record is flagged (possibly along
-with a few false positives, discarded later by exact arithmetic).  All scaled
-comparisons drop 32 low bits first so the compiled kernel fits in 128 bits.
+with a few false positives).  All scaled comparisons drop 32 low bits first
+so the compiled kernel fits in 128 bits.
+
+Each flag is (n, t, kind, scaled_lo) with the certified lower bound
+
+    scaled_lo / 2^(F - 32) <= n^2 * (S(n, t(n)) - 1).
+
+When the crossing is certain, t = t(n): t only ever grows past a window
+whose upper estimate is below 1, so S(n, t - 1) < 1 <= acc / 2^F <= S(n, t).
+When it is ambiguous, scaled_lo = 0, since the overshoot at the true
+crossing is never negative.  The merger decides each flag from this bound.
 """
 
 from __future__ import annotations
 
 KIND_RECORD = 1
 KIND_TAU = 2
-KIND_AMBIGUOUS = 4
 
 _M_INIT = 1 << 126
 
@@ -33,11 +41,11 @@ def screen_block(
     n_end: int,
     frac_bits: int,
     tau_hi_fp: int,
-) -> tuple[list[tuple[int, int, int]], int]:
+) -> tuple[list[tuple[int, int, int, int]], int]:
     """Screen n in [n_start, n_end); returns (flags, final M).
 
-    flags entries are (n, t_screen, kind).  tau_hi_fp is an upper fixed-point
-    bound on the connection threshold, scaled by 2^(frac_bits - 32).
+    flags entries are (n, t_screen, kind, scaled_lo).  tau_hi_fp is an upper
+    fixed-point bound on the connection threshold, scaled by 2^(frac_bits - 32).
     """
     one = 1 << frac_bits
     n = n_start
@@ -45,7 +53,7 @@ def screen_block(
     acc = one // n
     cnt = 1
     m_run = _M_INIT
-    flags: list[tuple[int, int, int]] = []
+    flags: list[tuple[int, int, int, int]] = []
 
     while n < n_end:
         while acc + cnt < one:
@@ -53,6 +61,7 @@ def screen_block(
             acc += one // t
             cnt += 1
         kind = 0
+        scaled_lo = 0
         if acc >= one:
             # crossing certain: bracket the scaled overshoot
             es_lo = (acc - one) >> 32
@@ -67,13 +76,13 @@ def screen_block(
                 m_run = scaled_hi
         else:
             # upper estimate crossed but lower did not: ambiguous
-            kind = KIND_RECORD | KIND_TAU | KIND_AMBIGUOUS
+            kind = KIND_RECORD | KIND_TAU
             es_hi = ((one // t) >> 32) + 1  # overshoot < 1/t always
             scaled_hi = n * n * es_hi
             if scaled_hi < m_run:
                 m_run = scaled_hi
         if kind:
-            flags.append((n, t, kind))
+            flags.append((n, t, kind, scaled_lo))
         acc -= one // n
         cnt -= 1
         n += 1

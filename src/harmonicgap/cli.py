@@ -166,16 +166,15 @@ def cmd_construct(args) -> int:
     if args.k < 0 or args.k % 2:
         raise ValueError("--k must be even and >= 0")
     if args.window is not None:
-        pairs, skipped = construct.joint_search(
-            max(args.k, 2), window=args.window, center_shifted=args.center_shifted
+        pairs, skipped = construct._joint_one_k(
+            (args.k, args.window, args.center_shifted, construct.MAX_EXACT_TERMS)
         )
-        mine = [p for p in pairs if p.k == args.k]
         obj = {
             "mode": "window",
             "k": args.k,
             "window": args.window,
             "skipped_undecidable": skipped,
-            "pairs": [_pair_obj(p) for p in mine],
+            "pairs": [_pair_obj(p) for p in sorted(pairs, key=construct._quality_sort_key)],
         }
         _emit(_dump(obj), args.output)
         return 0

@@ -310,6 +310,9 @@ def erdos_turan_check(
         raise ValueError("need an interval of length strictly between 0 and 1")
     if order < 1:
         raise ValueError("order L must be >= 1")
+    if bits < 8:
+        # the cap 4*bits must reach the 32-bit minimum for any attempt to run
+        raise ValueError("bits must be >= 8")
     n = len(ps)
     count = sum(1 for x in ps.points if _in_interval_mod1(x, a, delta))
     lhs = abs(count - n * delta)

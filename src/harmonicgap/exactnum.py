@@ -194,24 +194,6 @@ def _dyadic_div(a: Dyadic, b: Dyadic, prec: int, up: bool) -> Dyadic:
     return Dyadic(d.man, d.exp + a.exp - b.exp)
 
 
-def _dyadic_sqrt(a: Dyadic, prec: int, up: bool) -> Dyadic:
-    if a.man < 0:
-        raise ValueError("sqrt of a negative dyadic")
-    if a.man == 0:
-        return ZERO
-    m, e = a.man, a.exp
-    # force even exponent and >= 2*prec+2 mantissa bits
-    shift = max(0, 2 * prec + 2 - m.bit_length())
-    if (e - shift) & 1:
-        shift += 1
-    m <<= shift
-    e -= shift
-    r = math.isqrt(m)
-    if up and r * r < m:
-        r += 1
-    return Dyadic(r, e >> 1)
-
-
 def _dyadic_root(a: Dyadic, n: int, prec: int, up: bool) -> Dyadic:
     if a.man < 0:
         raise ValueError("root of a negative dyadic")
@@ -428,7 +410,8 @@ class Ball:
         p = prec or self.prec
         if self.lo.man < 0:
             raise ValueError("sqrt of a ball with negative lower endpoint")
-        return Ball(_dyadic_sqrt(self.lo, p, up=False), _dyadic_sqrt(self.hi, p, up=True), p)
+        # the root at p - 1 keeps the 2p + 2 mantissa bits of a p-bit square root
+        return Ball(_dyadic_root(self.lo, 2, p - 1, up=False), _dyadic_root(self.hi, 2, p - 1, up=True), p)
 
     def root(self, n: int, prec: int | None = None) -> "Ball":
         p = prec or self.prec
@@ -500,11 +483,13 @@ def _ln2(prec: int) -> Ball:
     # ln 2 = 2 atanh(1/3); geometric tail bound with ratio 1/9
     w = prec + 16
     terms = w // 3 + 4  # each term gains log2(9) ~ 3.17 bits
-    s = Fraction(0)
-    p9 = Fraction(1, 3)
+    # s = sum_{j<terms} (1/3)^(2j+1)/(2j+1) over the common denominator
+    # lcm(1, 3, ..., 2 terms - 1) * 3^(2 terms - 1), summed by Horner in 9
+    lcm = math.lcm(*range(1, 2 * terms, 2))
+    num = 0
     for j in range(terms):
-        s += p9 / (2 * j + 1)
-        p9 /= 9
+        num = 9 * num + lcm // (2 * j + 1)
+    s = Fraction(num, lcm * 3 ** (2 * terms - 1))
     # tail: sum_{j>=terms} (1/3)^(2j+1)/(2j+1) <= (1/3)^(2*terms+1) * 9/8
     tail = Fraction(9, 8) / Fraction(3) ** (2 * terms + 1)
     return Ball.from_endpoints(2 * s, 2 * (s + tail), w).at(prec)

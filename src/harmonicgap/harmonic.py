@@ -72,7 +72,7 @@ def em_difference(first: int, last: int, prec: int = 128) -> Ball:
     return out + Ball.from_fraction(Fraction(1, 12 * n1 * n1) - Fraction(1, 12 * m * m), prec)
 
 
-def ball_sum(first: int, last: int, target_width: Fraction, prec_hint: int = 0) -> Ball:
+def ball_sum(first: int, last: int, target_width: Fraction) -> Ball:
     """Certified segment sum via the Euler-Maclaurin difference.
 
     Sound for first >= 2 at any segment length; the width target drives the
@@ -89,7 +89,7 @@ def ball_sum(first: int, last: int, target_width: Fraction, prec_hint: int = 0) 
             f"{float(2 * remainder):.3e} for this segment"
         )
     tw = Fraction(target_width) - 2 * remainder
-    bits = max(64, _width_bits(tw) + 16, prec_hint)
+    bits = max(64, _width_bits(tw) + 16)
 
     def attempt(w: int) -> Ball | None:
         out = em_difference(first, last, w).widen_by(remainder)

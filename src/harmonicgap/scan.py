@@ -2,9 +2,10 @@
 
 A fixed-point screen (compiled kernel when available) walks every n up to
 the horizon, flagging candidates that might improve the running record or
-fall below the connection threshold.  Every emitted record is re-verified
-with pure rational arithmetic; a cheap certified pre-filter discards the
-screen's false positives without exact work.
+fall below the connection threshold, each with a certified lower bound on
+its scaled overshoot.  The merge confirms in exact rationals only the flags
+whose bound still beats the running record or the threshold, and every
+emitted record is re-verified with pure rational arithmetic.
 
 The connection threshold tau = (3/e + 1/e^2 - 1)/24 is the scaled quality
 below which (asymptotically) the offset y must drop under 1/8, forcing the
@@ -28,11 +29,11 @@ from fractions import Fraction
 from math import gcd
 
 from . import __version__
-from ._screen import KIND_AMBIGUOUS, KIND_RECORD, KIND_TAU, frac_bits_for, kernel_name, screen_block
+from ._screen import KIND_RECORD, KIND_TAU, frac_bits_for, kernel_name, screen_block
 from .contfrac import is_e_convergent
-from .errors import CheckpointError, PrecisionError
+from .errors import CheckpointError
 from .exactnum import Ball, constants, escalating
-from .harmonic import _walk, ball_sum, exact_sum, pair_offset
+from .harmonic import _walk, exact_sum, pair_offset
 
 __all__ = [
     "RecordRow",
@@ -170,19 +171,6 @@ def _confirm_exact(n: int, t_screen: int) -> tuple[int, Fraction]:
     return _walk(n, t_screen, exact_sum(n, t_screen, term_cap=t_screen - n + 64))
 
 
-def _cheap_scaled_ball(n: int, t: int, resolution: Fraction) -> Ball | None:
-    """Certified n^2 * overshoot enclosure from the Euler-Maclaurin route."""
-    if n < 8:
-        return None
-    floor = 2 * (Fraction(1, 120 * (n - 1) ** 4) + Fraction(1, 120 * t**4))
-    width = max(4 * floor, resolution / (n * n))
-    try:
-        eps = ball_sum(n, t, width) - 1
-    except (ValueError, PrecisionError):  # pragma: no cover
-        return None
-    return eps.mul(Ball.from_fraction(n * n, eps.prec))
-
-
 def _tau_compare_exact(scaled: Fraction, n: int) -> bool:
     """Decide n^2 eps < tau (1 - 10/n) for exact scaled, escalating tau."""
     if n <= 10:
@@ -220,37 +208,12 @@ class _Merger:
             is_convergent=rep.is_convergent,
         )
 
-    def feed(self, n: int, t_screen: int, kind: int) -> None:
-        want_record = bool(kind & KIND_RECORD)
-        want_tau = bool(kind & KIND_TAU) and n > 10
-        ambiguous = bool(kind & KIND_AMBIGUOUS)
-        if not (want_record or want_tau or ambiguous):
-            return
-
-        need_exact = ambiguous
-        if not need_exact:
-            resolution = Fraction(1, 50)
-            if want_record and self.min_scaled is not None:
-                resolution = min(resolution, self.min_scaled / 4)
-            if want_tau:
-                resolution = min(resolution, Fraction(1, 400))
-            ball = _cheap_scaled_ball(n, t_screen, resolution)
-            if ball is None:
-                need_exact = True
-            else:
-                if want_record:
-                    cmp = (
-                        None
-                        if self.min_scaled is None
-                        else ball.cmp_fraction(self.min_scaled)
-                    )
-                    if cmp is None or cmp < 0:
-                        need_exact = True
-                if want_tau and not need_exact:
-                    thr = self.tau_hi * Fraction(n - 10, n)
-                    if ball.cmp_fraction(thr) != 1:
-                        need_exact = True
-        if not need_exact:
+    def feed(self, n: int, t_screen: int, kind: int, lo: Fraction) -> None:
+        """Confirm a flag whose certified lower bound lo on n^2 eps can still
+        set a record or fall below the connection threshold."""
+        want_record = kind & KIND_RECORD and (self.min_scaled is None or lo < self.min_scaled)
+        want_tau = kind & KIND_TAU and n > 10 and lo < self.tau_hi * Fraction(n - 10, n)
+        if not (want_record or want_tau):
             return
 
         t, eps = _confirm_exact(n, t_screen)
@@ -388,6 +351,7 @@ def scan_records(
     started = time.monotonic()
     frac_bits = frac_bits_for(n_max)
     tau_fp = _tau_fp_bound(frac_bits)
+    unit = 1 << (frac_bits - 32)
 
     start = 2
     merger = _Merger(index_cap)
@@ -411,8 +375,8 @@ def scan_records(
     with pool or nullcontext():
         screened = (pool.map if pool else map)(_run_screen, args)
         for (_lo, hi, _, _), (flags, _m) in zip(args, screened):
-            for n, t, kind in flags:
-                merger.feed(n, t, kind)
+            for n, t, kind, scaled_lo in flags:
+                merger.feed(n, t, kind, Fraction(scaled_lo, unit))
             if checkpoint_path is not None:
                 _save_checkpoint(
                     checkpoint_path,

@@ -76,6 +76,22 @@ class TestConstruct:
         ds = [p["d"] for p in obj["pairs"]]
         assert 3 in ds and 5 in ds
 
+    def test_window_mode_k0(self, capsys):
+        code, out, _ = run(capsys, "construct", "--k", "0", "--window", "3")
+        assert code == 0
+        obj = json.loads(out)
+        assert [p["d"] for p in obj["pairs"]] == [1, 3]
+        assert obj["skipped_undecidable"] == 0
+
+    def test_window_mode_matches_joint_search(self, capsys):
+        from harmonicgap.cli import _pair_obj
+        from harmonicgap.construct import joint_search
+
+        code, out, _ = run(capsys, "construct", "--k", "4", "--window", "3")
+        assert code == 0
+        pairs, _ = joint_search(4, window=3)
+        assert json.loads(out)["pairs"] == [_pair_obj(p) for p in pairs if p.k == 4]
+
 
 class TestScan:
     def test_csv_contract(self, capsys):
@@ -192,6 +208,18 @@ class TestEt:
         _, out1, _ = run(capsys, "et", "--seed", "3", "--trials", "5")
         _, out2, _ = run(capsys, "et", "--seed", "3", "--trials", "5")
         assert out1 == out2
+
+    @pytest.mark.parametrize("bits", ["-5", "0"])
+    def test_bits_without_attempt_exit_2(self, capsys, bits):
+        # below 8 bits the precision cap 4*bits leaves no 32-bit attempt
+        code, _, err = run(capsys, "et", "--seed", "1", "--trials", "2", "--bits", bits)
+        assert code == 2
+        assert "bits must be >= 8" in err
+
+    def test_smallest_bits(self, capsys):
+        code, out, _ = run(capsys, "et", "--seed", "1", "--trials", "2", "--bits", "8")
+        assert code == 0
+        assert out.strip() == "2/2 hold"
 
 
 class TestRemovedSurface:

@@ -12,6 +12,7 @@ from harmonicgap.exactnum import (
     const_e,
     const_sinh1,
     constants,
+    _ln2,
     exp_ball,
     ln_ball,
 )
@@ -210,6 +211,32 @@ class TestLn:
         slack = tail + s * l2t + Fraction(1, 10**20)
         assert b.lo.cmp_fraction(approx - slack) >= 0
         assert b.hi.cmp_fraction(approx + slack) <= 0
+
+
+class TestLn2:
+    @staticmethod
+    def _term_by_term(prec: int) -> Ball:
+        # the same partial series of 2 atanh(1/3), one Fraction op per step
+        w = prec + 16
+        terms = w // 3 + 4
+        s = Fraction(0)
+        p9 = Fraction(1, 3)
+        for j in range(terms):
+            s += p9 / (2 * j + 1)
+            p9 /= 9
+        tail = Fraction(9, 8) / Fraction(3) ** (2 * terms + 1)
+        return Ball.from_endpoints(2 * s, 2 * (s + tail), w).at(prec)
+
+    @pytest.mark.parametrize("prec", [32, 128, 256, 1024, 4096])
+    def test_matches_term_by_term_sum(self, prec):
+        fast, slow = _ln2(prec), self._term_by_term(prec)
+        assert (fast.lo.man, fast.lo.exp, fast.hi.man, fast.hi.exp, fast.prec) == (
+            slow.lo.man,
+            slow.lo.exp,
+            slow.hi.man,
+            slow.hi.exp,
+            slow.prec,
+        )
 
 
 class TestConstants:

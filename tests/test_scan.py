@@ -4,9 +4,12 @@ import json
 from fractions import Fraction
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
+from harmonicgap import _screen_py, scan
 from harmonicgap.errors import CheckpointError
-from harmonicgap.harmonic import exact_sum, iter_crossings
+from harmonicgap.harmonic import crossing, exact_sum, iter_crossings
 from harmonicgap.scan import (
     connection_report,
     quality_threshold,
@@ -135,6 +138,40 @@ class TestScan:
         table = scan_records(1000)
         prof = table.profile(Fraction(1, 10))
         assert len(prof) == len(table.records)
+
+
+    def test_confirms_only_emitted_records(self, monkeypatch):
+        confirm = scan._confirm_exact
+        confirmed = []
+
+        def spy(n, t_screen):
+            confirmed.append(n)
+            return confirm(n, t_screen)
+
+        monkeypatch.setattr(scan, "_confirm_exact", spy)
+        table = scan_records(20000, block_size=1024)
+        assert confirmed == [r.n for r in table.records]
+
+
+class TestScreenBound:
+    @settings(max_examples=60, deadline=None)
+    @given(
+        lo=st.integers(2, 6000),
+        length=st.integers(1, 120),
+        coarse=st.integers(0, 30),
+        tau_bits=st.integers(0, 52),
+    )
+    def test_flag_bounds_are_certified(self, lo, length, coarse, tau_bits):
+        # coarse < frac_bits_for lowers the resolution so ambiguous
+        # crossings (scaled_lo = 0) occur too
+        fb = max(40, scan.frac_bits_for(lo + length) - coarse)
+        tau = 1 << max(0, fb - 32 - 40 + tau_bits)
+        flags, _ = _screen_py.screen_block(lo, lo + length, fb, tau)
+        for n, t, _kind, scaled_lo in flags:
+            rec = crossing(n)
+            assert Fraction(scaled_lo, 1 << (fb - 32)) <= rec.scaled
+            if scaled_lo > 0:
+                assert t == rec.t
 
 
 class TestCheckpoints:
