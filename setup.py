@@ -1,28 +1,20 @@
 """Build hook for the optional compiled screening kernel.
 
-The package is pure Python; `harmonicgap._screen_c` is a Cython extension
-that accelerates the record-scan inner loop.  If Cython or a C compiler is
-unavailable the build proceeds without it and the pure-Python kernel is
-selected at import time.
+The package is pure Python; `harmonicgap._screen_c` is a hand-written C
+extension that accelerates the record-scan inner loop.  Without a C compiler
+the build proceeds without it and the pure-Python kernel is selected at
+import time.
 """
 
 from setuptools import Extension, setup
 
-try:
-    from Cython.Build import cythonize
-
-    ext_modules = cythonize(
-        [
-            Extension(
-                "harmonicgap._screen_c",
-                ["src/harmonicgap/_screen_c.pyx"],
-                extra_compile_args=["-O2"],
-                optional=True,
-            )
-        ],
-        compiler_directives={"language_level": "3"},
-    )
-except ImportError:
-    ext_modules = []
-
-setup(ext_modules=ext_modules)
+setup(
+    ext_modules=[
+        Extension(
+            "harmonicgap._screen_c",
+            ["src/harmonicgap/_screen_c.c"],
+            extra_compile_args=["-O2"],
+            optional=True,
+        )
+    ]
+)

@@ -1,9 +1,9 @@
 """Selects the record-scan screening kernel for each block.
 
-The compiled kernel (`_screen_c`, built from `_screen_c.pyx` when Cython
-and a C compiler are present) is used when it is importable and the block
-fits its 128-bit accumulator: `frac_bits` <= 126 and `n_end` <= 2^31.
-Otherwise the pure-Python twin (`_screen_py`) screens the block; both
+The compiled kernel (`_screen_c`, the hand-written C file `_screen_c.c`,
+built whenever a C compiler is present) is used when it is importable and
+the block fits its 128-bit accumulator: `frac_bits` <= 126 and `n_end` <=
+2^31.  Otherwise the pure-Python twin (`_screen_py`) screens the block; both
 produce bit-identical candidate lists.
 """
 

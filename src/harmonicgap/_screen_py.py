@@ -1,8 +1,10 @@
 """Pure-Python screening kernel for the record scan.
 
-Mirrors `_screen_c` operation for operation: both kernels must produce
-bit-identical candidate lists for the same arguments (the compiled kernel is
-cross-validated against this one in the test suite).
+Mirrors the hand-written C kernel `_screen_c` operation for operation: both
+kernels must produce bit-identical candidate lists for the same arguments.
+This one is the reference: the test suite builds the C kernel with the C
+compiler and cross-validates it against this one.  It is also the only
+kernel past the C kernel's range (horizons of 2^31 and more).
 
 The screen maintains, for the sliding window [n, t],
 
@@ -16,7 +18,7 @@ otherwise the crossing is ambiguous and n is flagged for every kind.
 Record screening compares against a running upper bound M on the minimum
 scaled overshoot seen so far; every true record is flagged (possibly along
 with a few false positives).  All scaled comparisons drop 32 low bits first
-so the compiled kernel fits in 128 bits.
+so the C kernel fits in 128 bits.
 
 Each flag is (n, t, kind, scaled_lo) with the certified lower bound
 
@@ -67,20 +69,17 @@ def screen_block(
             es_lo = (acc - one) >> 32
             es_hi = ((acc + cnt - one) >> 32) + 1
             scaled_lo = n * n * es_lo
-            scaled_hi = n * n * es_hi
             if scaled_lo < m_run:
                 kind |= KIND_RECORD
             if n > 10 and scaled_lo < tau_hi_fp * (n - 10) // n + 1:
                 kind |= KIND_TAU
-            if scaled_hi < m_run:
-                m_run = scaled_hi
         else:
             # upper estimate crossed but lower did not: ambiguous
             kind = KIND_RECORD | KIND_TAU
             es_hi = ((one // t) >> 32) + 1  # overshoot < 1/t always
-            scaled_hi = n * n * es_hi
-            if scaled_hi < m_run:
-                m_run = scaled_hi
+        scaled_hi = n * n * es_hi
+        if scaled_hi < m_run:
+            m_run = scaled_hi
         if kind:
             flags.append((n, t, kind, scaled_lo))
         acc -= one // n

@@ -22,8 +22,9 @@ from __future__ import annotations
 
 import hashlib
 import json
+import os
 import time
-from contextlib import nullcontext
+from contextlib import nullcontext, suppress
 from dataclasses import dataclass, field
 from fractions import Fraction
 from math import gcd
@@ -272,10 +273,42 @@ def _checkpoint_payload(n_max, block_size, next_start, merger: _Merger) -> dict:
 
 
 def _save_checkpoint(path: str, payload: dict) -> None:
+    """Replace the checkpoint atomically: a crash mid-save leaves the previous one."""
     body = json.dumps(payload, sort_keys=True, separators=(",", ":"))
     digest = hashlib.sha256(body.encode()).hexdigest()
-    with open(path, "w", encoding="utf-8") as fh:
-        fh.write(json.dumps({"payload": payload, "sha256": digest}, sort_keys=True))
+    tmp = f"{path}.tmp"
+    try:
+        with open(tmp, "w", encoding="utf-8") as fh:
+            fh.write(json.dumps({"payload": payload, "sha256": digest}, sort_keys=True))
+            fh.flush()
+            os.fsync(fh.fileno())
+        os.replace(tmp, path)
+    except BaseException:
+        with suppress(OSError):
+            os.remove(tmp)
+        raise
+
+
+def _check_cursors(path: str, payload: dict, n_max: int) -> None:
+    """Refuse hash-valid cursors that resuming could not use."""
+    next_start = payload.get("next_start")
+    # type() rather than isinstance: JSON true and false are bools, a subclass of int
+    if type(next_start) is not int or not 2 <= next_start <= n_max + 1:
+        raise CheckpointError(f"checkpoint {path} has an invalid next_start {next_start!r}")
+    for key in ("records", "below_threshold", "exact_hits"):
+        entries = payload.get(key)
+        if not isinstance(entries, list):
+            raise CheckpointError(f"checkpoint {path} has no {key} list")
+        for entry in entries:
+            # n < next_start and n <= t(n) < 3n bound the exact re-verification
+            if not (
+                isinstance(entry, list)
+                and len(entry) == 2
+                and all(type(v) is int for v in entry)
+                and 2 <= entry[0] < next_start
+                and entry[0] <= entry[1] <= 3 * entry[0]
+            ):
+                raise CheckpointError(f"checkpoint {path} has a malformed {key} entry {entry!r}")
 
 
 def _load_checkpoint(path: str, n_max: int, block_size: int) -> dict:
@@ -291,13 +324,14 @@ def _load_checkpoint(path: str, n_max: int, block_size: int) -> dict:
     body = json.dumps(payload, sort_keys=True, separators=(",", ":"))
     if hashlib.sha256(body.encode()).hexdigest() != digest:
         raise CheckpointError(f"checkpoint {path} failed its integrity hash")
-    if payload.get("format") != _CKPT_FORMAT:
+    if not isinstance(payload, dict) or payload.get("format") != _CKPT_FORMAT:
         raise CheckpointError(f"checkpoint {path} has an unsupported format")
     if payload.get("horizon") != n_max or payload.get("block_size") != block_size:
         raise CheckpointError(
             f"checkpoint {path} was taken for a different scan "
             f"(horizon {payload.get('horizon')}, block {payload.get('block_size')})"
         )
+    _check_cursors(path, payload, n_max)
     return payload
 
 

@@ -131,6 +131,29 @@ class TestScan:
         assert code == 4
         assert "checkpoint" in err.lower()
 
+    @pytest.mark.parametrize(
+        "edit",
+        [
+            lambda p: {**p, "next_start": "x"},
+            lambda p: {**p, "next_start": 0},
+            lambda p: [p],
+            lambda p: {**p, "records": [[1]]},
+            lambda p: {**p, "records": [[2, 10**9]]},
+        ],
+        ids=["next_start=x", "next_start=0", "list-payload", "records=[[1]]", "records-t-too-far"],
+    )
+    def test_malformed_checkpoint_exit_4(self, capsys, tmp_path, edit):
+        from harmonicgap import scan
+
+        ck = tmp_path / "scan.ckpt"
+        argv = ("scan", "--n-max", "5000", "--block-size", "1024", "--checkpoint", str(ck))
+        assert run(capsys, *argv)[0] == 0
+        payload = json.loads(ck.read_text())["payload"]
+        scan._save_checkpoint(str(ck), edit(payload))  # re-hashed: passes the integrity check
+        code, _, err = run(capsys, *argv)
+        assert code == 4
+        assert "checkpoint" in err.lower()
+
     def test_output_file(self, capsys, tmp_path):
         dest = tmp_path / "records.csv"
         code, out, _ = run(capsys, "scan", "--n-max", "200", "--output", str(dest))

@@ -4,10 +4,10 @@ import json
 from fractions import Fraction
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from harmonicgap import _screen_py, scan
+from harmonicgap import _screen, _screen_py, scan
 from harmonicgap.errors import CheckpointError
 from harmonicgap.harmonic import crossing, exact_sum, iter_crossings
 from harmonicgap.scan import (
@@ -190,6 +190,46 @@ class TestCheckpoints:
         assert t1.csv_lines() == t2.csv_lines()
         assert ck1.read_bytes() == ck2.read_bytes()
 
+    def test_failed_save_keeps_previous(self, tmp_path, monkeypatch):
+        ck = tmp_path / "scan.ckpt"
+        real_open = open
+        writes = []
+
+        class Torn:
+            """A file whose write stops halfway with an I/O error."""
+
+            def __init__(self, fh):
+                self.fh = fh
+
+            def __enter__(self):
+                return self
+
+            def __exit__(self, *exc):
+                self.fh.close()
+
+            def write(self, text):
+                self.fh.write(text[: len(text) // 2])
+                self.fh.flush()
+                raise OSError("disk full")
+
+        def open_tearing_third_save(path, mode="r", **kwargs):
+            fh = real_open(path, mode, **kwargs)
+            if "w" in mode:
+                writes.append(path)
+                if len(writes) == 3:
+                    return Torn(fh)
+            return fh
+
+        monkeypatch.setattr(scan, "open", open_tearing_third_save, raising=False)
+        with pytest.raises(OSError, match="disk full"):
+            scan_records(5000, checkpoint_path=str(ck), block_size=1024)
+        monkeypatch.undo()
+        # blocks end at 1026, 2050, 3074, ...: the second save survives
+        assert scan._load_checkpoint(str(ck), 5000, 1024)["next_start"] == 2050
+        assert [p.name for p in tmp_path.iterdir()] == ["scan.ckpt"]
+        resumed = scan_records(5000, checkpoint_path=str(ck), block_size=1024)
+        assert "\n".join(resumed.csv_lines()) == "\n".join(scan_records(5000).csv_lines())
+
     def test_partial_then_longer_refused(self, tmp_path):
         ck = str(tmp_path / "scan.ckpt")
         scan_records(4000, checkpoint_path=ck, block_size=1024)
@@ -212,30 +252,91 @@ class TestCheckpoints:
 
 
 class TestKernelCrossValidation:
-    def test_compiled_matches_pure(self):
-        from harmonicgap import _screen, _screen_py
+    """The C kernel (built by the `screen_c` fixture) against the pure one."""
 
-        if not _screen.HAVE_COMPILED:
-            pytest.skip("compiled kernel unavailable")
+    def test_compiled_matches_pure(self, screen_c):
         fb = _screen.frac_bits_for(50000)
         tau = 1 << (fb - 39)
-        c = _screen._screen_c.screen_block(2, 50001, fb, tau)
+        c = screen_c.screen_block(2, 50001, fb, tau)
         p = _screen_py.screen_block(2, 50001, fb, tau)
         assert c == p
 
-    def test_random_windows(self):
+    def test_random_windows(self, screen_c):
         import random
 
-        from harmonicgap import _screen, _screen_py
-
-        if not _screen.HAVE_COMPILED:
-            pytest.skip("compiled kernel unavailable")
         rng = random.Random(42)
         for _ in range(8):
             lo = rng.randint(2, 200000)
             hi = lo + rng.randint(1, 5000)
             fb = _screen.frac_bits_for(hi)
             tau = rng.randint(0, 1 << (fb - 32))
-            assert _screen._screen_c.screen_block(lo, hi, fb, tau) == _screen_py.screen_block(
+            assert screen_c.screen_block(lo, hi, fb, tau) == _screen_py.screen_block(
                 lo, hi, fb, tau
             )
+
+    @settings(max_examples=80, deadline=None)
+    @given(
+        lo=st.integers(1, 60000),
+        length=st.integers(0, 400),
+        fb=st.integers(40, 126),
+        data=st.data(),
+    )
+    @example(lo=1, length=400, fb=126, data=None)
+    def test_windows_property(self, screen_c, lo, length, fb, data):
+        # the example is the top of the range: fb = 126 and tau = 2^(fb - 32)
+        cap = 1 << (fb - 32)
+        tau = cap if data is None else data.draw(st.integers(0, cap))
+        assert screen_c.screen_block(lo, lo + length, fb, tau) == _screen_py.screen_block(
+            lo, lo + length, fb, tau
+        )
+
+    def test_low_resolution_windows(self, screen_c):
+        # at low frac_bits most crossings are ambiguous (acc < 2^fb <= acc + cnt);
+        # in a one-n window m_run is that n's upper bound, so a changed bound shows
+        for n in (2, 10, 11, 107, 1000, 27134):
+            for fb in (0, 8, 16, 24, 32):
+                for hi in (n + 1, n + 64):
+                    assert screen_c.screen_block(n, hi, fb, 0) == _screen_py.screen_block(n, hi, fb, 0)
+
+    @pytest.mark.parametrize("n", [11, 107, 1000, 27134])
+    def test_threshold_edge(self, screen_c, n):
+        fb = scan.frac_bits_for(n)
+        [(_, _, _, lo)], _ = _screen_py.screen_block(n, n + 1, fb, 0)
+        assert lo > 1
+        edge = -(-(lo - 1) * n // (n - 10))  # tau * (n - 10) // n + 1 == lo
+        for tau in (edge - 1, edge, edge + 1):
+            assert screen_c.screen_block(n, n + 1, fb, tau) == _screen_py.screen_block(
+                n, n + 1, fb, tau
+            )
+
+    @pytest.mark.parametrize(
+        "args",
+        [
+            (2, 100, 127, 0),
+            (2, (1 << 31) + 1, 126, 0),
+            (2, 100, 126, 1 << 96),
+            (0, 100, 126, 0),
+            (-1, 100, 126, 0),
+        ],
+        ids=["frac_bits=127", "n_end=2^31+1", "tau=2^96", "n_start=0", "n_start=-1"],
+    )
+    def test_out_of_range_raises(self, screen_c, args):
+        with pytest.raises((ValueError, OverflowError)):
+            screen_c.screen_block(*args)
+
+    def test_selector_sends_out_of_range_blocks_to_pure(self, monkeypatch):
+        # stubs stand in for both kernels, so nothing near 2^31 is screened
+        calls = []
+
+        class StubC:
+            @staticmethod
+            def screen_block(*args):
+                calls.append(("compiled", args))
+
+        monkeypatch.setattr(_screen, "HAVE_COMPILED", True)
+        monkeypatch.setattr(_screen, "_screen_c", StubC)
+        monkeypatch.setattr(_screen_py, "screen_block", lambda *args: calls.append(("pure", args)))
+        edge = 1 << 31
+        for args in [(2, 100, 126, 0), (2, 100, 127, 0), (edge - 1, edge, 126, 0), (edge, edge + 1, 126, 0)]:
+            _screen.screen_block(*args)
+        assert [kind for kind, _ in calls] == ["compiled", "pure", "compiled", "pure"]
