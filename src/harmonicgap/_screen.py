@@ -30,11 +30,12 @@ def frac_bits_for(n_max: int) -> int:
     return 64 + 2 * max(1, n_max.bit_length())
 
 
+def kernel_name(frac_bits: int = 0, n_end: int = 0) -> str:
+    """The kernel that screens a block with these bounds (with none: whether C is importable)."""
+    fits = HAVE_COMPILED and frac_bits <= _COMPILED_FRAC_LIMIT and n_end <= 1 << 31
+    return "compiled" if fits else "pure-python"
+
+
 def screen_block(n_start: int, n_end: int, frac_bits: int, tau_hi_fp: int):
-    if HAVE_COMPILED and frac_bits <= _COMPILED_FRAC_LIMIT and n_end <= 1 << 31:
-        return _screen_c.screen_block(n_start, n_end, frac_bits, tau_hi_fp)
-    return _screen_py.screen_block(n_start, n_end, frac_bits, tau_hi_fp)
-
-
-def kernel_name() -> str:
-    return "compiled" if HAVE_COMPILED else "pure-python"
+    kernel = _screen_c if kernel_name(frac_bits, n_end) == "compiled" else _screen_py
+    return kernel.screen_block(n_start, n_end, frac_bits, tau_hi_fp)

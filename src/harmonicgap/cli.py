@@ -7,7 +7,8 @@ certified lo/hi decimal intervals; no bare floating point appears in
 machine formats.
 
 Exit codes: 0 success, 2 usage or domain violation, 3 undecidable at the
-precision cap, 4 I/O or checkpoint failure.
+precision cap, 4 I/O or checkpoint failure, 5 a worker process died, 130
+interrupted.  A scan stopped by 5 or 130 keeps its last complete checkpoint.
 """
 
 from __future__ import annotations
@@ -142,6 +143,8 @@ def cmd_construct(args) -> int:
     if args.k_max is not None:
         if args.k_max < 2 or args.k_max % 2:
             raise ValueError("--k-max must be even and >= 2")
+        if args.window is None:
+            args.window = 5  # joint_search's default
         pairs, skipped = construct.joint_search(
             args.k_max,
             window=args.window,
@@ -381,6 +384,13 @@ def build_parser() -> argparse.ArgumentParser:
     return ap
 
 
+def _broken_pool():
+    # a worker can die only after a pool has imported concurrent.futures, which
+    # the CLI leaves unimported so that runs without a pool do not pay for it
+    process = sys.modules.get("concurrent.futures.process")
+    return process.BrokenProcessPool if process else ()
+
+
 def main(argv: list[str] | None = None) -> int:
     ap = build_parser()
     args = ap.parse_args(argv)
@@ -398,6 +408,12 @@ def main(argv: list[str] | None = None) -> int:
     except ValueError as exc:
         print(f"invalid arguments: {exc}", file=sys.stderr)
         return 2
+    except _broken_pool() as exc:
+        print(f"worker process died: {exc}", file=sys.stderr)
+        return 5
+    except KeyboardInterrupt:
+        print("interrupted", file=sys.stderr)
+        return 130
 
 
 if __name__ == "__main__":

@@ -14,11 +14,11 @@ only to force positivity), ranking pairs by |n^2 * overshoot|.
 
 from __future__ import annotations
 
-from contextlib import nullcontext
 from dataclasses import dataclass
 from fractions import Fraction
 from math import isqrt
 
+from ._pool import ordered_map
 from .contfrac import odd_convergent
 from .errors import PrecisionError
 from .exactnum import Ball, constants, escalating, ln_ball
@@ -236,19 +236,10 @@ def joint_search(
     if k_max < 2:
         raise ValueError("k_max must be >= 2")
     items = [(k, window, center_shifted, exact_cap) for k in range(2, k_max + 1, 2)]
-    pool = None
-    if workers > 1 and len(items) > 1:
-        from concurrent.futures import ProcessPoolExecutor
-
-        pool = ProcessPoolExecutor(max_workers=workers)
-    pairs: list[CandidatePair] = []
-    skipped = 0
-    with pool or nullcontext():
-        for chunk, skip in (pool.map if pool else map)(_joint_one_k, items):
-            pairs.extend(chunk)
-            skipped += skip
-    pairs.sort(key=_quality_sort_key)
-    return pairs, skipped
+    with ordered_map(_joint_one_k, items, workers) as results:
+        chunks, skips = zip(*results)
+    pairs = sorted((p for chunk in chunks for p in chunk), key=_quality_sort_key)
+    return pairs, sum(skips)
 
 
 def _joint_one_k(args) -> tuple[list[CandidatePair], int]:

@@ -24,12 +24,13 @@ import hashlib
 import json
 import os
 import time
-from contextlib import nullcontext, suppress
+from contextlib import suppress
 from dataclasses import dataclass, field
 from fractions import Fraction
 from math import gcd
 
 from . import __version__
+from ._pool import ordered_map
 from ._screen import KIND_RECORD, KIND_TAU, frac_bits_for, kernel_name, screen_block
 from .contfrac import is_e_convergent
 from .errors import CheckpointError
@@ -173,9 +174,7 @@ def _confirm_exact(n: int, t_screen: int) -> tuple[int, Fraction]:
 
 
 def _tau_compare_exact(scaled: Fraction, n: int) -> bool:
-    """Decide n^2 eps < tau (1 - 10/n) for exact scaled, escalating tau."""
-    if n <= 10:
-        return False
+    """Decide n^2 eps < tau (1 - 10/n) for exact scaled and n > 10, escalating tau."""
     target = scaled * Fraction(n, n - 10)
 
     def attempt(w: int) -> bool | None:
@@ -192,7 +191,7 @@ class _Merger:
         self.index_cap = index_cap
         self.records: list[RecordRow] = []
         self.below: list[RecordRow] = []
-        self.exact_hits: list[int] = []
+        self.exact_hits: list[tuple[int, int]] = []
         self.min_scaled: Fraction | None = None
         self.tau_hi: Fraction = quality_threshold(128).hi.as_fraction()
 
@@ -311,14 +310,15 @@ def _check_cursors(path: str, payload: dict, n_max: int) -> None:
                 raise CheckpointError(f"checkpoint {path} has a malformed {key} entry {entry!r}")
 
 
-def _load_checkpoint(path: str, n_max: int, block_size: int) -> dict:
+def _load_checkpoint(path: str, n_max: int, block_size: int) -> dict | None:
+    """The checkpoint's payload, or None when there is no checkpoint yet."""
     try:
         with open(path, encoding="utf-8") as fh:
             wrapper = json.load(fh)
         payload = wrapper["payload"]
         digest = wrapper["sha256"]
     except FileNotFoundError:
-        raise
+        return None
     except (OSError, ValueError, KeyError, TypeError) as exc:
         raise CheckpointError(f"unreadable checkpoint {path}: {exc}") from exc
     body = json.dumps(payload, sort_keys=True, separators=(",", ":"))
@@ -336,26 +336,14 @@ def _load_checkpoint(path: str, n_max: int, block_size: int) -> dict:
 
 
 def _replay_merger(payload: dict, index_cap: int) -> _Merger:
+    """Feed every stored row through the merge, which must rebuild the stored
+    lists exactly; a record left out of them cannot be seen without re-screening."""
     merger = _Merger(index_cap)
-    for n, t in payload["records"]:
-        t_exact, eps = _confirm_exact(n, t)
-        if t_exact != t:
-            raise CheckpointError("checkpoint record cursor does not re-verify")
-        scaled = n * n * eps
-        if merger.min_scaled is not None and scaled >= merger.min_scaled:
-            raise CheckpointError("checkpoint records are not strictly decreasing")
-        merger.records.append(merger._row(n, t, eps, scaled))
-        merger.min_scaled = scaled
-    for n, t in payload["below_threshold"]:
-        t_exact, eps = _confirm_exact(n, t)
-        if t_exact != t:
-            raise CheckpointError("checkpoint connection cursor does not re-verify")
-        merger.below.append(merger._row(n, t, eps, n * n * eps))
-    for n, t in payload["exact_hits"]:
-        t_exact, eps = _confirm_exact(n, t)
-        if t_exact != t or eps != 0:
-            raise CheckpointError("checkpoint exact-hit entry does not re-verify")
-        merger.exact_hits.append((n, t))
+    rows = {tuple(row) for key in ("records", "below_threshold", "exact_hits") for row in payload[key]}
+    for n, t in sorted(rows):
+        merger.feed(n, t, KIND_RECORD | KIND_TAU, Fraction(0))
+    if _checkpoint_payload(payload["horizon"], payload["block_size"], payload["next_start"], merger) != payload:
+        raise CheckpointError("checkpoint rows do not re-verify")
     return merger
 
 
@@ -389,25 +377,13 @@ def scan_records(
 
     start = 2
     merger = _Merger(index_cap)
-    if checkpoint_path is not None:
-        try:
-            payload = _load_checkpoint(checkpoint_path, n_max, block_size)
-        except FileNotFoundError:
-            payload = None
-        except CheckpointError:
-            raise
-        if payload is not None:
-            merger = _replay_merger(payload, index_cap)
-            start = payload["next_start"]
+    payload = None if checkpoint_path is None else _load_checkpoint(checkpoint_path, n_max, block_size)
+    if payload is not None:
+        merger = _replay_merger(payload, index_cap)
+        start = payload["next_start"]
 
     args = list(_screen_args(n_max, block_size, start, frac_bits, tau_fp))
-    pool = None
-    if threads > 1 and len(args) > 1:
-        from concurrent.futures import ProcessPoolExecutor
-
-        pool = ProcessPoolExecutor(max_workers=threads)
-    with pool or nullcontext():
-        screened = (pool.map if pool else map)(_run_screen, args)
+    with ordered_map(_run_screen, args, threads) as screened:
         for (_lo, hi, _, _), (flags, _m) in zip(args, screened):
             for n, t, kind, scaled_lo in flags:
                 merger.feed(n, t, kind, Fraction(scaled_lo, unit))
@@ -422,6 +398,6 @@ def scan_records(
         records=merger.records,
         below_threshold=merger.below,
         exact_hits=merger.exact_hits,
-        kernel=kernel_name(),
+        kernel=kernel_name(frac_bits, n_max + 1),
         wall_time_s=time.monotonic() - started,
     )

@@ -2,12 +2,16 @@
 
 import json
 import os
+import signal
 import subprocess
 import sys
+import time
 from fractions import Fraction
 
 import pytest
 
+from harmonicgap import construct, scan
+from harmonicgap._pool import ordered_map
 from harmonicgap.cli import main
 
 
@@ -15,6 +19,46 @@ def run(capsys, *argv):
     code = main(list(argv))
     out = capsys.readouterr()
     return code, out.out, out.err
+
+
+# stand-ins for pool workers live at module level: a pool sends functions by name
+_run_screen = scan._run_screen
+_joint_one_k = construct._joint_one_k
+DYING_BLOCK = 8194  # the ninth block at --block-size 1024
+
+
+def _screen_dying_at_block(args):
+    if args[0] == DYING_BLOCK:
+        time.sleep(0.5)  # lets the other worker finish the block before this one
+        os._exit(1)
+    return _run_screen(args)
+
+
+def _joint_dying_at_k4(args):
+    if args[0] == 4:
+        os._exit(1)
+    return _joint_one_k(args)
+
+
+def _ignores_sigint(_):
+    return signal.getsignal(signal.SIGINT) == signal.SIG_IGN
+
+
+# a scan whose blocks take 0.5 s each, so that a signal lands mid-scan
+SLOW_SCAN = """
+import sys, time
+from harmonicgap import cli, scan
+
+run_screen = scan._run_screen
+
+def slow_screen(args):
+    time.sleep(0.5)
+    return run_screen(args)
+
+if __name__ == "__main__":
+    scan._run_screen = slow_screen
+    sys.exit(cli.main(sys.argv[1:]))
+"""
 
 
 class TestConvergents:
@@ -83,6 +127,12 @@ class TestConstruct:
         assert [p["d"] for p in obj["pairs"]] == [1, 3]
         assert obj["skipped_undecidable"] == 0
 
+    def test_joint_search_default_window(self, capsys):
+        code, out, _ = run(capsys, "construct", "--k-max", "2")
+        assert code == 0
+        assert out == run(capsys, "construct", "--k-max", "2", "--window", "5")[1]
+        assert json.loads(out)["window"] == 5
+
     def test_window_mode_matches_joint_search(self, capsys):
         from harmonicgap.cli import _pair_obj
         from harmonicgap.construct import joint_search
@@ -139,12 +189,28 @@ class TestScan:
             lambda p: [p],
             lambda p: {**p, "records": [[1]]},
             lambda p: {**p, "records": [[2, 10**9]]},
+            lambda p: {**p, "below_threshold": [[100, 270]]},
+            lambda p: {**p, "below_threshold": [[100, 270]], "records": p["records"][1:]},
+            lambda p: {**p, "records": [[n, t + 1 if n == 29 else t] for n, t in p["records"]]},
+            lambda p: {**p, "records": [p["records"][1], p["records"][0], *p["records"][2:]]},
+            lambda p: {**p, "exact_hits": [[2, 4]]},
+            lambda p: {**p, "extra": 0},
         ],
-        ids=["next_start=x", "next_start=0", "list-payload", "records=[[1]]", "records-t-too-far"],
+        ids=[
+            "next_start=x",
+            "next_start=0",
+            "list-payload",
+            "records=[[1]]",
+            "records-t-too-far",
+            "below_threshold=[[100,270]]",
+            "below_threshold=[[100,270]]-first-record-dropped",
+            "records-wrong-t",
+            "records-swapped",
+            "exact_hits=[[2,4]]",
+            "extra-key",
+        ],
     )
     def test_malformed_checkpoint_exit_4(self, capsys, tmp_path, edit):
-        from harmonicgap import scan
-
         ck = tmp_path / "scan.ckpt"
         argv = ("scan", "--n-max", "5000", "--block-size", "1024", "--checkpoint", str(ck))
         assert run(capsys, *argv)[0] == 0
@@ -172,6 +238,62 @@ class TestScan:
         assert obj["profile_delta"] == "1/10"
         assert len(obj["profile"]) == len(obj["records"])
         assert Fraction(obj["profile"][0]["lo"]) > 0
+
+
+class TestWorkerFailures:
+    """Worker death exits 5 and Ctrl-C exits 130; both keep the last complete checkpoint."""
+
+    N_MAX = 12000
+    SCAN = ("scan", "--n-max", str(N_MAX), "--block-size", "1024", "--threads", "2")
+
+    def assert_resume_matches_uninterrupted(self, capfd, tmp_path, ck):
+        direct_ck = tmp_path / "direct.ckpt"
+        code, direct_out, _ = run(capfd, *self.SCAN, "--checkpoint", str(direct_ck))
+        assert code == 0
+        assert run(capfd, *self.SCAN, "--checkpoint", str(ck))[:2] == (0, direct_out)
+        assert ck.read_bytes() == direct_ck.read_bytes()
+
+    def test_scan_worker_death_exit_5(self, capfd, tmp_path, monkeypatch):
+        ck = tmp_path / "scan.ckpt"
+        monkeypatch.setattr(scan, "_run_screen", _screen_dying_at_block)
+        code, out, err = run(capfd, *self.SCAN, "--checkpoint", str(ck))
+        monkeypatch.undo()
+        assert (code, out) == (5, "")
+        assert "worker process died" in err and "Traceback" not in err
+        assert scan._load_checkpoint(str(ck), self.N_MAX, 1024)["next_start"] == DYING_BLOCK
+        self.assert_resume_matches_uninterrupted(capfd, tmp_path, ck)
+
+    def test_construct_worker_death_exit_5(self, capfd, monkeypatch):
+        monkeypatch.setattr(construct, "_joint_one_k", _joint_dying_at_k4)
+        code, out, err = run(capfd, "construct", "--k-max", "6", "--threads", "2")
+        assert (code, out) == (5, "")
+        assert "worker process died" in err and "Traceback" not in err
+
+    def test_pool_workers_ignore_sigint(self):
+        # Ctrl-C signals the whole process group; only the parent may act on it
+        with ordered_map(_ignores_sigint, [0, 1], 2) as results:
+            assert list(results) == [True, True]
+
+    def test_interrupt_exit_130(self, capfd, tmp_path):
+        ck, script = tmp_path / "scan.ckpt", tmp_path / "slow_scan.py"
+        script.write_text(SLOW_SCAN)
+        proc = subprocess.Popen(
+            [sys.executable, str(script), *self.SCAN, "--checkpoint", str(ck)],
+            stdout=subprocess.PIPE,
+            stderr=subprocess.PIPE,
+            text=True,
+            start_new_session=True,
+        )
+        deadline = time.monotonic() + 60
+        while not ck.exists():
+            assert proc.poll() is None and time.monotonic() < deadline
+            time.sleep(0.01)
+        os.killpg(proc.pid, signal.SIGINT)  # as Ctrl-C does: the scan and its workers
+        out, err = proc.communicate(timeout=60)
+        assert (proc.returncode, out) == (130, "")
+        assert "interrupted" in err and "Traceback" not in err
+        assert scan._load_checkpoint(str(ck), self.N_MAX, 1024)["next_start"] <= self.N_MAX
+        self.assert_resume_matches_uninterrupted(capfd, tmp_path, ck)
 
 
 class TestCount:

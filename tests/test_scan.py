@@ -175,13 +175,25 @@ class TestScreenBound:
 
 
 class TestCheckpoints:
-    def test_resume_identical(self, tmp_path):
-        ck = str(tmp_path / "scan.ckpt")
-        partial = scan_records(5000, checkpoint_path=ck, block_size=1024)
-        # simulate interruption: reload from the saved cursor and continue
-        resumed = scan_records(5000, checkpoint_path=ck, block_size=1024)
-        direct = scan_records(5000)
-        assert resumed.csv_lines() == direct.csv_lines() == partial.csv_lines()
+    def test_resume_identical(self, tmp_path, monkeypatch):
+        ck, direct_ck = tmp_path / "scan.ckpt", tmp_path / "direct.ckpt"
+        screen = scan._run_screen
+
+        def interrupted_at_3074(args):
+            if args[0] == 3074:
+                raise KeyboardInterrupt
+            return screen(args)
+
+        monkeypatch.setattr(scan, "_run_screen", interrupted_at_3074)
+        with pytest.raises(KeyboardInterrupt):
+            scan_records(5000, checkpoint_path=str(ck), block_size=1024)
+        monkeypatch.undo()
+        # the cursor is mid-scan, after the records at 2, 8, 29 and 107
+        assert scan._load_checkpoint(str(ck), 5000, 1024)["next_start"] == 3074
+        resumed = scan_records(5000, checkpoint_path=str(ck), block_size=1024)
+        direct = scan_records(5000, checkpoint_path=str(direct_ck), block_size=1024)
+        assert resumed.csv_lines() == direct.csv_lines()
+        assert ck.read_bytes() == direct_ck.read_bytes()
 
     def test_parallel_checkpoints_match_serial(self, tmp_path):
         ck1, ck2 = tmp_path / "serial.ckpt", tmp_path / "parallel.ckpt"
@@ -340,3 +352,21 @@ class TestKernelCrossValidation:
         for args in [(2, 100, 126, 0), (2, 100, 127, 0), (edge - 1, edge, 126, 0), (edge, edge + 1, 126, 0)]:
             _screen.screen_block(*args)
         assert [kind for kind, _ in calls] == ["compiled", "pure", "compiled", "pure"]
+
+    @pytest.mark.parametrize("n_max, kernel", [((1 << 31) - 1, "compiled"), (1 << 31, "pure-python")])
+    def test_kernel_field_names_the_kernel_that_ran(self, monkeypatch, n_max, kernel):
+        # stub kernels flag nothing, so a scan to 2^31 takes milliseconds
+        ran = []
+
+        class StubC:
+            @staticmethod
+            def screen_block(*args):
+                ran.append("compiled")
+                return [], 0
+
+        monkeypatch.setattr(_screen, "HAVE_COMPILED", True)
+        monkeypatch.setattr(_screen, "_screen_c", StubC)
+        monkeypatch.setattr(_screen_py, "screen_block", lambda *args: ran.append("pure-python") or ([], 0))
+        assert scan_records(n_max).kernel == kernel
+        assert set(ran) == {kernel}
+        assert _screen.kernel_name() == "compiled"
