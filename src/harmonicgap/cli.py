@@ -75,6 +75,8 @@ def cmd_convergents(args) -> int:
     if args.subseq:
         if args.k_max is None or args.k_max < 0:
             raise ValueError("--subseq requires --k-max >= 0")
+        if args.precision < 32:
+            raise ValueError("--precision must be >= 32")
         entries = [contfrac.odd_convergent(k, prec=args.precision) for k in range(args.k_max + 1)]
         if args.format == "json":
             obj = [
@@ -148,7 +150,6 @@ def cmd_construct(args) -> int:
         pairs, skipped = construct.joint_search(
             args.k_max,
             window=args.window,
-            center_shifted=args.center_shifted,
             workers=args.threads,
         )
         obj = {
@@ -169,15 +170,13 @@ def cmd_construct(args) -> int:
     if args.k < 0 or args.k % 2:
         raise ValueError("--k must be even and >= 0")
     if args.window is not None:
-        pairs, skipped = construct._joint_one_k(
-            (args.k, args.window, args.center_shifted, construct.MAX_EXACT_TERMS)
-        )
+        pairs, skipped = construct._joint_one_k((args.k, args.window))
         obj = {
             "mode": "window",
             "k": args.k,
             "window": args.window,
             "skipped_undecidable": skipped,
-            "pairs": [_pair_obj(p) for p in sorted(pairs, key=construct._quality_sort_key)],
+            "pairs": [_pair_obj(p) for p in pairs],
         }
         _emit(_dump(obj), args.output)
         return 0
@@ -259,7 +258,10 @@ def cmd_count(args) -> int:
 def _alpha_source(spec: str):
     if spec == "3-over-sinh1":
         return lambda prec: constants(prec).three_over_sinh1, spec
-    fr = _frac(spec)
+    try:
+        fr = Fraction(spec)
+    except (ValueError, ZeroDivisionError):
+        raise ValueError(f"alpha is neither a rational nor 3-over-sinh1: {spec!r}") from None
     if fr <= 0:
         raise ValueError("alpha must be positive")
     return (lambda prec: Ball.from_fraction(fr, prec)), _frac_str(fr)
@@ -295,6 +297,8 @@ def cmd_approx(args) -> int:
 
 
 def cmd_et(args) -> int:
+    if args.trials < 1:
+        raise ValueError("--trials must be >= 1")
     rng = random.Random(args.seed)
     held = 0
     for _ in range(args.trials):
@@ -336,7 +340,6 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--d", type=int, help="odd multiplier (default: canonical choice)")
     p.add_argument("--window", type=int, help="search all odd d within this window of ideal")
     p.add_argument("--k-max", type=int, help="joint search over even k up to this")
-    p.add_argument("--center-shifted", action="store_true", help="center windows at ideal+2")
     p.add_argument("--threads", type=int, default=1)
     p.set_defaults(fn=cmd_construct)
 

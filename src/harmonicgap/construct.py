@@ -38,22 +38,17 @@ __all__ = [
 QUALITY_BOUND = 1001  # certified: n^2 * overshoot * sqrt(k) <= this
 
 
-def _nearest_odd(fr: Fraction, tie_up: bool = True) -> int:
+def _nearest_odd(fr: Fraction) -> int:
     o = 2 * ((fr - 1) // 2) + 1
-    gap = fr - (o + 1)
-    if gap > 0:
-        return o + 2
-    if gap < 0:
-        return o
-    return o + 2 if tie_up else o
+    return o if fr < o + 1 else o + 2
 
 
-def closest_odd(z: Ball, tie_up: bool = True) -> int | None:
+def closest_odd(z: Ball) -> int | None:
     """Closest odd integer to every point of z, or None if z straddles a
     midpoint (escalate and retry).  An exact even-integer point ball is a
     tie, broken upward."""
-    a = _nearest_odd(z.lo.as_fraction(), tie_up)
-    b = _nearest_odd(z.hi.as_fraction(), tie_up)
+    a = _nearest_odd(z.lo.as_fraction())
+    b = _nearest_odd(z.hi.as_fraction())
     return a if a == b else None
 
 
@@ -225,17 +220,16 @@ def gap_bracket(k: int, prec: int = 128) -> tuple[Ball, Ball, Ball]:
 def joint_search(
     k_max: int,
     window: int = 5,
-    center_shifted: bool = False,
-    exact_cap: int = MAX_EXACT_TERMS,
     workers: int = 1,
 ) -> tuple[list[CandidatePair], int]:
-    """All odd multipliers within +-window of the ideal (or of ideal+2 with
-    center_shifted) for every even k in [2, k_max], certified and sorted by
-    |quality| ascending.  Returns (pairs, skipped) where skipped counts
-    undecidable entries."""
+    """All odd multipliers within +-window of the ideal for every even k in
+    [2, k_max], certified and sorted by |quality| ascending.  Returns
+    (pairs, skipped) where skipped counts undecidable entries."""
     if k_max < 2:
         raise ValueError("k_max must be >= 2")
-    items = [(k, window, center_shifted, exact_cap) for k in range(2, k_max + 1, 2)]
+    if workers < 1:
+        raise ValueError("workers must be >= 1")
+    items = [(k, window) for k in range(2, k_max + 1, 2)]
     with ordered_map(_joint_one_k, items, workers) as results:
         chunks, skips = zip(*results)
     pairs = sorted((p for chunk in chunks for p in chunk), key=_quality_sort_key)
@@ -243,11 +237,13 @@ def joint_search(
 
 
 def _joint_one_k(args) -> tuple[list[CandidatePair], int]:
-    k, window, center_shifted, exact_cap = args
+    """The window search at one index: (pairs sorted by |quality|, skipped)."""
+    k, window = args
+    if window < 0:
+        raise ValueError("window must be >= 0")
     ideal = ideal_multiplier(k, 96)
-    center = ideal + 2 if center_shifted else ideal
-    lo = center.lo.as_fraction() - window
-    hi = center.hi.as_fraction() + window
+    lo = ideal.lo.as_fraction() - window
+    hi = ideal.hi.as_fraction() + window
     d_lo = max(1, int(lo) - 1)
     if d_lo % 2 == 0:
         d_lo += 1
@@ -256,11 +252,11 @@ def _joint_one_k(args) -> tuple[list[CandidatePair], int]:
     d = d_lo
     while d <= hi:
         try:
-            out.append(certify(k, d, exact_cap=exact_cap, strict=False))
+            out.append(certify(k, d, strict=False))
         except PrecisionError:
             skipped += 1
         d += 2
-    return out, skipped
+    return sorted(out, key=_quality_sort_key), skipped
 
 
 def _quality_sort_key(pair: CandidatePair):

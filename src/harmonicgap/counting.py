@@ -17,7 +17,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache
 from math import gcd
-from typing import Callable, Sequence
+from typing import Callable
 
 from .errors import PrecisionError
 from .exactnum import Ball, Dyadic, escalating, ln_ball
@@ -206,26 +206,11 @@ class PointSet:
         return PointSet(tuple(values))
 
 
-def _tree_sum(balls: Sequence[Ball]) -> Ball:
-    # fixed pairwise order: reproducible regardless of any partitioning
-    items = list(balls)
-    if not items:
-        return Ball.point(0, 64)
-    while len(items) > 1:
-        items = [
-            items[i] + items[i + 1] if i + 1 < len(items) else items[i]
-            for i in range(0, len(items), 2)
-        ]
-    return items[0]
-
-
 def weyl_sum_abs(ps: PointSet, m: int, bits: int = 72) -> Ball:
     """Certified |S_m| where S_m = sum of e(m x) over the point set.
 
     The real and imaginary parts accumulate as exact integer fixed-point
-    sums (addition is associative here, so any partitioning of the points
-    reproduces the same result bit for bit); only the final magnitude is
-    ball arithmetic.
+    sums; only the final magnitude is ball arithmetic.
     """
     if m < 1:
         raise ValueError("frequency m must be >= 1")
@@ -318,7 +303,7 @@ def erdos_turan_check(
     lhs = abs(count - n * delta)
 
     def attempt(attempt_bits: int) -> ETReport | None:
-        sums = _tree_sum([weyl_sum_abs(ps, m, attempt_bits) for m in range(1, order + 1)])
+        sums = sum(weyl_sum_abs(ps, m, attempt_bits) for m in range(1, order + 1))
         rhs = (
             Ball.from_fraction(Fraction(n, order + 1), 128)
             + Ball.from_fraction(2 * (Fraction(1, order + 1) + delta), 128) * sums
@@ -388,6 +373,8 @@ def count_quadratic(
         raise ValueError("need q >= 1 and p coprime to q")
     if not 0 < delta < Fraction(1, 2):
         raise ValueError("need 0 < delta < 1/2")
+    if n_max < 1:
+        raise ValueError("n_max must be >= 1")
     if modulus < 1:
         raise ValueError("modulus must be >= 1")
     shift = Fraction(shift)
@@ -446,6 +433,8 @@ def count_quadratic_modular(
         raise ValueError("need q >= 1 and p coprime to q")
     if not 0 < delta < Fraction(1, 2):
         raise ValueError("need 0 < delta < 1/2")
+    if n_max < 1:
+        raise ValueError("n_max must be >= 1")
     rn, rd = shift.numerator, shift.denominator
     dn, dd = delta.numerator, delta.denominator
     big_q = q * rd
@@ -477,15 +466,8 @@ class ApproxHit:
     error: Ball  # |alpha - m/n^2|
 
 
-AlphaSource = Callable[[int], Ball]
-
-
-def _alpha_at(alpha: Ball | AlphaSource, prec: int) -> Ball:
-    return alpha(prec) if callable(alpha) else alpha
-
-
 def square_denominator_search(
-    alpha: Ball | AlphaSource,
+    alpha: Callable[[int], Ball],
     exponent: Fraction,
     n_max: int,
     n_mod: tuple[int, int] = (0, 1),
@@ -494,8 +476,9 @@ def square_denominator_search(
 ) -> tuple[list[ApproxHit], int]:
     """All (m, n) with n <= n_max in the given residue classes such that
     |alpha - m/n^2| < n^(-exponent), where m is the nearest integer to
-    alpha n^2 within its class.  Returns (hits, skipped): undecidable
-    candidates are skipped with a warning count."""
+    alpha n^2 within its class.  alpha maps a precision to a ball
+    enclosing the target at that precision.  Returns (hits, skipped):
+    undecidable candidates are skipped with a warning count."""
     exponent = Fraction(exponent)
     if exponent > Fraction(5, 2):
         raise ValueError("exponent must be <= 5/2")
@@ -505,7 +488,7 @@ def square_denominator_search(
     a_m, b_m = m_mod
     if b_n < 1 or b_m < 1:
         raise ValueError("moduli must be >= 1")
-    av = _alpha_at(alpha, prec)
+    av = alpha(prec)
     if av.sign() != 1:
         raise ValueError("alpha must be decidedly positive")
     hits: list[ApproxHit] = []
@@ -549,9 +532,9 @@ def _attempt_hit(av: Ball, exponent: Fraction, n: int, a_m: int, b_m: int):
     return ApproxHit(m, n, err)
 
 
-def verify_hit(alpha: Ball | AlphaSource, exponent: Fraction, hit: ApproxHit, prec: int) -> bool:
-    """Re-verify an accepted pair at the given (typically doubled) precision."""
-    av = _alpha_at(alpha, prec)
+def verify_hit(alpha: Callable[[int], Ball], exponent: Fraction, hit: ApproxHit, prec: int) -> bool:
+    """Re-verify an accepted pair at alpha(prec), typically at doubled precision."""
+    av = alpha(prec)
     err = abs(av * Ball.from_fraction(hit.n * hit.n, prec) - Ball.from_fraction(hit.m, prec))
     threshold = Ball.from_fraction(hit.n, prec).pow_frac(2 - Fraction(exponent), prec)
     return err.decide_lt(threshold) is True

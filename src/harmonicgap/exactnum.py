@@ -48,10 +48,6 @@ class Dyadic:
             self.man = man >> s
             self.exp = exp + s
 
-    @staticmethod
-    def from_int(v: int) -> "Dyadic":
-        return Dyadic(v, 0)
-
     def is_zero(self) -> bool:
         return self.man == 0
 
@@ -232,7 +228,7 @@ class Ball:
 
     @staticmethod
     def point(v: Dyadic | int, prec: int = DEFAULT_PREC) -> "Ball":
-        d = Dyadic.from_int(v) if isinstance(v, int) else v
+        d = Dyadic(v) if isinstance(v, int) else v
         return Ball(d, d, prec)
 
     @staticmethod
@@ -253,10 +249,10 @@ class Ball:
         return Ball(
             _div_directed(lo.numerator, lo.denominator, prec, up=False)
             if lo.denominator != 1
-            else Dyadic.from_int(lo.numerator),
+            else Dyadic(lo.numerator),
             _div_directed(hi.numerator, hi.denominator, prec, up=True)
             if hi.denominator != 1
-            else Dyadic.from_int(hi.numerator),
+            else Dyadic(hi.numerator),
             prec,
         )
 

@@ -75,7 +75,7 @@ class ConnectionReport:
     offset: Ball
 
     @staticmethod
-    def build(n: int, m: int, index_cap: int = CONVERGENT_INDEX_CAP, prec: int = 128) -> "ConnectionReport":
+    def build(n: int, m: int) -> "ConnectionReport":
         a, b = 2 * m + 1, 2 * n - 1
         d = gcd(a, b)
         p, q = a // d, b // d
@@ -85,15 +85,15 @@ class ConnectionReport:
             d=d,
             reduced_p=p,
             reduced_q=q,
-            is_convergent=is_e_convergent(p, q, index_cap),
-            offset=pair_offset(n, m, prec),
+            is_convergent=is_e_convergent(p, q, CONVERGENT_INDEX_CAP),
+            offset=pair_offset(n, m, 128),
         )
 
 
-def connection_report(n: int, m: int, index_cap: int = CONVERGENT_INDEX_CAP, prec: int = 128) -> ConnectionReport:
+def connection_report(n: int, m: int) -> ConnectionReport:
     if not 2 <= n <= m:
         raise ValueError("need 2 <= n <= m")
-    return ConnectionReport.build(n, m, index_cap, prec)
+    return ConnectionReport.build(n, m)
 
 
 @dataclass(frozen=True)
@@ -187,8 +187,7 @@ def _tau_compare_exact(scaled: Fraction, n: int) -> bool:
 class _Merger:
     """Sequential, deterministic confirmation of screened candidates."""
 
-    def __init__(self, index_cap: int = CONVERGENT_INDEX_CAP):
-        self.index_cap = index_cap
+    def __init__(self):
         self.records: list[RecordRow] = []
         self.below: list[RecordRow] = []
         self.exact_hits: list[tuple[int, int]] = []
@@ -196,7 +195,7 @@ class _Merger:
         self.tau_hi: Fraction = quality_threshold(128).hi.as_fraction()
 
     def _row(self, n: int, t: int, eps: Fraction, scaled: Fraction) -> RecordRow:
-        rep = ConnectionReport.build(n, t, self.index_cap)
+        rep = ConnectionReport.build(n, t)
         return RecordRow(
             n=n,
             t=t,
@@ -335,10 +334,10 @@ def _load_checkpoint(path: str, n_max: int, block_size: int) -> dict | None:
     return payload
 
 
-def _replay_merger(payload: dict, index_cap: int) -> _Merger:
+def _replay_merger(payload: dict) -> _Merger:
     """Feed every stored row through the merge, which must rebuild the stored
     lists exactly; a record left out of them cannot be seen without re-screening."""
-    merger = _Merger(index_cap)
+    merger = _Merger()
     rows = {tuple(row) for key in ("records", "below_threshold", "exact_hits") for row in payload[key]}
     for n, t in sorted(rows):
         merger.feed(n, t, KIND_RECORD | KIND_TAU, Fraction(0))
@@ -356,11 +355,10 @@ def scan_records(
     threads: int = 1,
     checkpoint_path: str | None = None,
     block_size: int = DEFAULT_BLOCK_SIZE,
-    index_cap: int = CONVERGENT_INDEX_CAP,
 ) -> RecordTable:
     """Complete record table for 2 <= n <= n_max.
 
-    The output is a pure function of n_max (and index_cap): thread count,
+    The output is a pure function of n_max: thread count,
     block size and checkpoint placement never change it.  Records are
     emitted only after exact rational re-verification.
     """
@@ -376,10 +374,10 @@ def scan_records(
     unit = 1 << (frac_bits - 32)
 
     start = 2
-    merger = _Merger(index_cap)
+    merger = _Merger()
     payload = None if checkpoint_path is None else _load_checkpoint(checkpoint_path, n_max, block_size)
     if payload is not None:
-        merger = _replay_merger(payload, index_cap)
+        merger = _replay_merger(payload)
         start = payload["next_start"]
 
     args = list(_screen_args(n_max, block_size, start, frac_bits, tau_fp))

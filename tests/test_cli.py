@@ -367,11 +367,41 @@ class TestEt:
         assert out.strip() == "2/2 hold"
 
 
+class TestUsageErrors:
+    COUNT = ("count", "--p", "1", "--q", "2", "--delta", "0.3")
+
+    @pytest.mark.parametrize(
+        "argv",
+        [
+            ("approx", "--alpha", "x", "--exponent", "2", "--n-max", "10"),
+            (*COUNT, "--n-max", "0"),
+            (*COUNT, "--n-max", "-5"),
+            ("et", "--seed", "1", "--trials", "-1"),
+            ("construct", "--k", "2", "--window", "-1"),
+            ("construct", "--k-max", "4", "--window", "-1"),
+            ("construct", "--k-max", "4", "--threads", "0"),
+            ("convergents", "--subseq", "--k-max", "3", "--precision", "5"),
+            ("convergents", "--subseq", "--k-max", "3", "--precision", "-5"),
+        ],
+        ids=" ".join,
+    )
+    def test_bad_value_exit_2(self, capsys, argv):
+        code, out, err = run(capsys, *argv)
+        assert (code, out) == (2, "")
+        assert len(err.splitlines()) == 1 and "Traceback" not in err
+
+
 class TestRemovedSurface:
     def test_bench_exit_2(self):
         # the screen is measured by the benchmark suite, not by a subcommand
         with pytest.raises(SystemExit) as exc:
             main(["bench"])
+        assert exc.value.code == 2
+
+    def test_center_shifted_exit_2(self):
+        # the joint search centres its windows on the ideal multiplier only
+        with pytest.raises(SystemExit) as exc:
+            main(["construct", "--k-max", "2", "--center-shifted"])
         assert exc.value.code == 2
 
     def test_precision_only_where_read(self):

@@ -160,6 +160,12 @@ class TestCountQuadratic:
         with pytest.raises(ValueError):
             count_quadratic(1, 2, Fraction(0), Fraction(1, 2), 10)
 
+    @pytest.mark.parametrize("count", [count_quadratic, count_quadratic_modular])
+    @pytest.mark.parametrize("n_max", [0, -5])
+    def test_n_max_domain(self, count, n_max):
+        with pytest.raises(ValueError):
+            count(1, 2, Fraction(0), Fraction(1, 4), n_max)
+
     def test_big_prime_modulus(self):
         rep = count_quadratic(3, 10007, Fraction(0), Fraction(1, 20), 2000)
         assert rep.count == 204  # frozen by direct enumeration
@@ -198,7 +204,7 @@ class TestCountQuadratic:
 class TestSquareDenominatorSearch:
     def test_alpha_four_exact(self):
         hits, skipped = square_denominator_search(
-            Ball.from_fraction(4, 96), Fraction(2), 30
+            lambda prec: Ball.from_fraction(4, prec), Fraction(2), 30
         )
         assert skipped == 0
         assert [(h.m, h.n) for h in hits] == [(4 * n * n, n) for n in range(2, 31)]
@@ -222,7 +228,7 @@ class TestSquareDenominatorSearch:
 
     def test_exponent_cap(self):
         with pytest.raises(ValueError):
-            square_denominator_search(Ball.from_fraction(4, 96), Fraction(3), 10)
+            square_denominator_search(lambda prec: Ball.from_fraction(4, prec), Fraction(3), 10)
 
     def test_hits_connect_to_subsequence_remainders(self):
         # accepted (m, n) with m = 3 (mod 4), n odd translate to even
