@@ -491,59 +491,88 @@ def _ln2(prec: int) -> Ball:
     return Ball.from_endpoints(2 * s, 2 * (s + tail), w).at(prec)
 
 
+def _two_atanh(u: Ball, ell: int, w: int) -> Ball:
+    """2*atanh(u) for every u in the ball, given |u| < 2^-ell with ell >= 1:
+    the series sum 2 u^(2j+1)/(2j+1) at w + 16 bits, with its remainder."""
+    terms = (w + 8) // (2 * ell) + 2
+    u2 = u.mul(u)
+    term = u
+    acc = u
+    for j in range(1, terms):
+        term = term.mul(u2)
+        acc = acc.add(term.div(Ball.from_fraction(2 * j + 1, w + 16)))
+    # tail <= |u|^(2T+1)/((2T+1)(1-u^2)) < 2^(-(2T+1)*ell), doubled
+    return (acc + acc).widen_by(Dyadic(1, -(2 * terms + 1) * ell + 1))
+
+
+def _ln_by_powers_of_two(r: Fraction, w: int) -> Ball:
+    """ln r at working precision w: r = x * 2^s with x in [2/3, 4/3], then
+    ln x = 2*atanh((x-1)/(x+1)) and s * ln 2."""
+    num, den = r.numerator, r.denominator
+    s = num.bit_length() - den.bit_length()
+    # shift so that num/(den*2^s) lies in [2/3, 4/3]
+    def scaled(sv):
+        return (num, den << sv) if sv >= 0 else (num << -sv, den)
+
+    a, b = scaled(s)
+    while 3 * a > 4 * b:
+        s += 1
+        a, b = scaled(s)
+    while 3 * a < 2 * b:
+        s -= 1
+        a, b = scaled(s)
+    if a == b:
+        out = Ball.point(0, w)
+    else:
+        unum, uden = a - b, a + b
+        # |u| <= 1/5 after reduction, and |u| < 2^(1-ell)
+        ell = uden.bit_length() - abs(unum).bit_length()
+        if ell < 2:
+            ell = 2
+        out = _two_atanh(Ball.from_fraction(Fraction(unum, uden), w + 16), ell - 1, w)
+    if s != 0:
+        sb = Ball.from_fraction(s, w)
+        out = out.add(_ln2(_bucket(w + s.bit_length() + 8)).mul(sb))
+    return out.at(w)
+
+
+# ln_ball reduces around e when a 64-bit ball shows |(r-e)/(r+e)| < 2^-8:
+# no integer gets there, and the series then needs at most about w/14 terms
+# against w/4 to w/2 after the power-of-two reduction
+_NEAR_E_BITS = 8
+
+
 def ln_ball(r: Fraction | int, prec: int = DEFAULT_PREC) -> Ball:
     """Sound enclosure of ln(r) for rational r > 0, width <= 2**(4-prec).
 
-    Argument reduction to [2/3, 4/3] by powers of two, then the atanh series
-    ln(x) = 2*atanh((x-1)/(x+1)) with an explicit geometric remainder.
+    Two argument reductions, each followed by the atanh series
+    ln(x) = 2*atanh((x-1)/(x+1)) with an explicit geometric remainder:
+
+    - near e, where a cheap 64-bit ball shows |u| < 2^-8 for
+      u = (r-e)/(r+e): ln r = 1 + 2*atanh(u), with u a ball from the cached
+      const_e and the term count from the bound |u| < 2^-ell certified at
+      the working precision.  The convergent ratios m/(n-1) of the paper's
+      pairs have |u| about 1/n, so a handful of terms suffice;
+    - everywhere else: r = x * 2^s with x in [2/3, 4/3], and s * ln 2 from
+      the cached _ln2.
     """
     r = Fraction(r)
     if r <= 0:
         raise ValueError("ln of a non-positive rational")
     if r == 1:
         return Ball.point(0, prec)
+    e64 = const_e(64)
+    x64 = Ball.from_fraction(r, 64)
+    near_e = abs(x64.sub(e64).div(x64.add(e64))).hi.bit_magnitude() <= -_NEAR_E_BITS
 
     def attempt(w: int) -> Ball | None:
-        num, den = r.numerator, r.denominator
-        s = num.bit_length() - den.bit_length()
-        # shift so that num/(den*2^s) lies in [2/3, 4/3]
-        def scaled(sv):
-            return (num, den << sv) if sv >= 0 else (num << -sv, den)
-
-        a, b = scaled(s)
-        while 3 * a > 4 * b:
-            s += 1
-            a, b = scaled(s)
-        while 3 * a < 2 * b:
-            s -= 1
-            a, b = scaled(s)
-        if a == b:
-            series = Ball.point(0, w)
-            tail_exp = None
+        if near_e:
+            e = const_e(w + 16)
+            x = Ball.from_fraction(r, w + 16)
+            u = x.sub(e).div(x.add(e))
+            out = _two_atanh(u, -abs(u).hi.bit_magnitude(), w).add(Ball.point(1, w + 16)).at(w)
         else:
-            unum, uden = a - b, a + b
-            # |u| <= 1/5 after reduction, and |u| < 2^(1-ell)
-            ell = uden.bit_length() - abs(unum).bit_length()
-            if ell < 2:
-                ell = 2
-            terms = (w + 8) // (2 * (ell - 1)) + 2
-            u = Ball.from_fraction(Fraction(unum, uden), w + 16)
-            u2 = u.mul(u)
-            term = u
-            acc = u
-            for j in range(1, terms):
-                term = term.mul(u2)
-                acc = acc.add(term.div(Ball.from_fraction(2 * j + 1, w + 16)))
-            series = acc
-            # tail <= |u|^(2T+1)/(2T+1) * 25/24 < 2^(-(2T+1)*(ell-1)+1)
-            tail_exp = -(2 * terms + 1) * (ell - 1) + 1
-        out = series + series
-        if tail_exp is not None:
-            out = out.widen_by(Dyadic(1, tail_exp))
-        if s != 0:
-            sb = Ball.from_fraction(s, w)
-            out = out.add(_ln2(_bucket(w + s.bit_length() + 8)).mul(sb))
-        out = out.at(w)
+            out = _ln_by_powers_of_two(r, w)
         # keep the working precision: re-rounding to prec bits would break
         # the absolute width contract once |ln r| exceeds 2^4
         return out if out.width_leq(4 - prec) else None

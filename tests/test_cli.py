@@ -113,6 +113,23 @@ class TestConstruct:
         code, _, err = run(capsys, "construct", "--k", "3")
         assert code == 2
 
+    def test_past_exact_cap_takes_ball_route(self, capsys):
+        # m = 9,650,096 would be an exact sum of 6.1 million terms
+        code, out, _ = run(capsys, "construct", "--k", "2", "--d", "100001")
+        assert code == 0
+        obj = json.loads(out)
+        assert obj["m"] == "9650096" and obj["overshoot_exact"] is None
+        # the largest exact pair of the k <= 60 joint search stays exact
+        assert construct.pair_from(4, 7)[0] <= construct.EXACT_ROUTE_CAP
+
+    def test_index_limit(self, capsys):
+        # 1474 is the last even index whose odd convergent fits in MAX_PREC bits
+        code, out, _ = run(capsys, "construct", "--k", "1474")
+        assert code == 0 and json.loads(out)["bound_ok"] is True
+        code, out, err = run(capsys, "construct", "--k", "1476")
+        assert (code, out) == (3, "")
+        assert len(err.splitlines()) == 1 and "precision cap 65536" in err
+
     def test_window_mode(self, capsys):
         code, out, _ = run(capsys, "construct", "--k", "4", "--window", "3")
         assert code == 0

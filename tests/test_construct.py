@@ -131,6 +131,11 @@ class TestCertify:
         assert pair.overshoot.contains(exact.overshoot_exact)
         assert pair.bound_ok and exact.bound_ok
 
+    def test_k1000_certified(self):
+        pair = certify(1000)
+        assert pair.bound_ok is True
+        assert pair.overshoot_exact is None
+
     def test_even_k_sweep_certified(self):
         for k in range(2, 41, 2):
             pair = certify(k)
