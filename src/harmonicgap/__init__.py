@@ -11,7 +11,7 @@ __version__ = "0.1.0"
 if hasattr(_sys, "set_int_max_str_digits"):
     _sys.set_int_max_str_digits(max(_sys.get_int_max_str_digits(), 50_000_000))
 
-from .errors import CapacityError, CheckpointError, PrecisionError
+from .errors import CheckpointError, PrecisionError
 from .exactnum import (
     Ball,
     Constants,
@@ -72,7 +72,6 @@ __all__ = [
     "ApproxHit",
     "Ball",
     "CandidatePair",
-    "CapacityError",
     "CheckpointError",
     "ConnectionReport",
     "Constants",

@@ -16,7 +16,6 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
-from math import isqrt
 
 from ._pool import ordered_map
 from .contfrac import odd_convergent
@@ -137,41 +136,31 @@ class CandidatePair:
         return abs(self.quality).mul(logn.pow_frac(Fraction(5, 4), prec))
 
 
-def _overshoot_ball(k: int, m: int, n: int, exact_cap: int) -> tuple[Ball, Fraction | None]:
-    if m <= exact_cap:
+def _overshoot_ball(k: int, m: int, n: int) -> tuple[Ball, Fraction | None]:
+    if m <= EXACT_ROUTE_CAP:
         eps = exact_sum(n, m) - 1
         return Ball.from_fraction(eps, 192), eps
-    # interval route: quarter of the predicted magnitude decides the sign
+    # ball route: a width of a quarter of the predicted magnitude decides the
+    # sign; ball_sum escalates the precision until it meets that width
     pred = predicted_overshoot(n, pair_offset(n, m), prec=64)
     mag = max(abs(pred.lo.as_fraction()), abs(pred.hi.as_fraction()))
-    if mag == 0:
-        mag = Fraction(1, 1000 * max(1, isqrt(k)) * n * n)
     floor = Fraction(1, 15 * (n - 1) ** 4)
-    target = mag / 4 + 2 * floor
-    for _ in range(8):
-        b = ball_sum(n, m, target) - 1
-        if b.sign() is not None:
-            return b, None
-        if target <= 2 * floor:
-            break
-        target = max(target / 64, 2 * floor)
-    raise PrecisionError(f"overshoot sign undecided for pair k={k} (m={m})")
+    b = ball_sum(n, m, mag / 4 + 2 * floor) - 1
+    if b.sign() is None:
+        raise PrecisionError(f"overshoot sign undecided for pair k={k} (m={m})")
+    return b, None
 
 
-def certify(
-    k: int,
-    d: int | None = None,
-    exact_cap: int = EXACT_ROUTE_CAP,
-    strict: bool = True,
-) -> CandidatePair:
+def certify(k: int, d: int | None = None, strict: bool = True) -> CandidatePair:
     """Build and certify the pair for (k, d).
 
     With the canonical multiplier the overshoot is decided strictly positive
     and quality * sqrt(k) <= 1001 is decided (k even >= 2); any other d gets
     its measured quality reported without asserting the bound.  k = 0 is
     constructible for demonstration but excluded from certification claims.
-    The overshoot is summed exactly (overshoot_exact) when m <= exact_cap,
-    and enclosed by the Euler-Maclaurin ball otherwise.
+    The overshoot is summed exactly (overshoot_exact) when m <= EXACT_ROUTE_CAP,
+    and enclosed by one Euler-Maclaurin ball_sum otherwise (PrecisionError if
+    that ball leaves its sign undecided).
     """
     if k < 0 or k % 2:
         raise ValueError("certification is defined for even k >= 0")
@@ -179,7 +168,7 @@ def certify(
     if d is None:
         d = canonical_d
     m, n = pair_from(k, d)
-    overshoot, overshoot_exact = _overshoot_ball(k, m, n, exact_cap)
+    overshoot, overshoot_exact = _overshoot_ball(k, m, n)
     quality = overshoot.mul(Ball.from_fraction(n * n, overshoot.prec))
     offset = pair_offset(n, m)
     canonical = d == canonical_d

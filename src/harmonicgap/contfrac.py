@@ -34,6 +34,10 @@ __all__ = [
     "tail_enclosure",
 ]
 
+# is_e_convergent compares against convergents up to this index; q_600 has
+# 1,649 bits, far beyond any denominator 2n - 1 a scan reaches
+CONVERGENT_INDEX_CAP = 600
+
 
 def e_partial_quotient(i: int) -> int:
     """i-th partial quotient of e = [2; 1, 2, 1, 1, 4, 1, 1, 6, ...] (1-based)."""
@@ -158,11 +162,11 @@ def odd_convergent(k: int, prec: int = 0) -> OddConvergent:
     return escalating(attempt, start=start, what=f"subsequence entry {k}")
 
 
-def is_e_convergent(p: int, q: int, index_cap: int = 600) -> bool:
-    """True iff p/q equals a convergent p_i/q_i of e with i <= index_cap."""
+def is_e_convergent(p: int, q: int) -> bool:
+    """True iff p/q equals a convergent p_i/q_i of e with i <= CONVERGENT_INDEX_CAP."""
     if gcd(p, q) != 1:
         raise ValueError("is_e_convergent expects p/q in lowest terms")
-    for i in range(1, index_cap + 1):
+    for i in range(1, CONVERGENT_INDEX_CAP + 1):
         c = e_convergent(i)
         if c.q > q:
             return False

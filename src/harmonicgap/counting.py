@@ -19,7 +19,6 @@ from functools import lru_cache
 from math import gcd
 from typing import Callable
 
-from .errors import PrecisionError
 from .exactnum import Ball, Dyadic, escalating, ln_ball
 
 __all__ = [
@@ -152,28 +151,17 @@ def _cos_sin_fp(num: int, den: int, bits: int) -> tuple[int, int, int]:
     return s_fp, -c_fp, radius
 
 
-def cos_sin_2pi(t: Fraction | Ball, bits: int = 72) -> tuple[Ball, Ball]:
-    """Certified (cos 2 pi t, sin 2 pi t).
+def cos_sin_2pi(t: Fraction, bits: int = 72) -> tuple[Ball, Ball]:
+    """Certified (cos 2 pi t, sin 2 pi t) for a rational t.
 
     Fixed-point Taylor evaluation after quadrant reduction, wrapped into
-    balls.  Ball inputs are evaluated at the midpoint and widened by
-    7 * halfwidth (|d cos(2 pi t)/dt| <= 2 pi < 7).
+    balls.
     """
-    extra_radius = Fraction(0)
-    if isinstance(t, Ball):
-        halfwidth = Fraction(t.width().as_fraction(), 2)
-        extra_radius = 7 * halfwidth
-        t = t.midpoint().as_fraction()
-    else:
-        t = Fraction(t)
-
+    t = Fraction(t)
     cos_fp, sin_fp, radius = _cos_sin_fp(t.numerator, t.denominator, bits)
 
     def ball(v: int) -> Ball:
-        b = Ball(Dyadic(v - radius, -bits), Dyadic(v + radius, -bits), max(64, bits))
-        if extra_radius:
-            b = b.widen_by(extra_radius)
-        return b
+        return Ball(Dyadic(v - radius, -bits), Dyadic(v + radius, -bits), max(64, bits))
 
     return ball(cos_fp), ball(sin_fp)
 
@@ -184,19 +172,12 @@ def cos_sin_2pi(t: Fraction | Ball, bits: int = 72) -> tuple[Ball, Ball]:
 
 @dataclass(frozen=True)
 class PointSet:
-    """Finite list of reals mod 1, each a Fraction or a Ball."""
+    """Finite list of rationals mod 1, each stored as a Fraction in [0, 1)."""
 
     points: tuple
 
     def __post_init__(self):
-        reduced = []
-        for x in self.points:
-            if isinstance(x, Ball):
-                reduced.append(x)
-            else:
-                x = Fraction(x)
-                reduced.append(x - (x // 1))
-        object.__setattr__(self, "points", tuple(reduced))
+        object.__setattr__(self, "points", tuple(Fraction(x) % 1 for x in self.points))
 
     def __len__(self) -> int:
         return len(self.points)
@@ -207,7 +188,7 @@ class PointSet:
 
 
 def weyl_sum_abs(ps: PointSet, m: int, bits: int = 72) -> Ball:
-    """Certified |S_m| where S_m = sum of e(m x) over the point set.
+    """Certified |S_m| where S_m = sum of e(m x) over the rational point set.
 
     The real and imaginary parts accumulate as exact integer fixed-point
     sums; only the final magnitude is ball arithmetic.
@@ -216,21 +197,11 @@ def weyl_sum_abs(ps: PointSet, m: int, bits: int = 72) -> Ball:
         raise ValueError("frequency m must be >= 1")
     re_fp = im_fp = 0
     rad = 0
-    extra = Fraction(0)
     for x in ps.points:
-        if isinstance(x, Ball):
-            arg = x * m
-            halfwidth = Fraction(arg.width().as_fraction(), 2)
-            extra += 7 * halfwidth
-            mid = arg.midpoint().as_fraction()
-            c, s, r = _cos_sin_fp(mid.numerator, mid.denominator, bits)
-        else:
-            c, s, r = _cos_sin_fp(m * x.numerator, x.denominator, bits)
+        c, s, r = _cos_sin_fp(m * x.numerator, x.denominator, bits)
         re_fp += c
         im_fp += s
         rad += r
-    if extra:
-        rad += (extra.numerator << bits) // extra.denominator + 1
     re = Ball(Dyadic(re_fp - rad, -bits), Dyadic(re_fp + rad, -bits), max(64, bits))
     im = Ball(Dyadic(im_fp - rad, -bits), Dyadic(im_fp + rad, -bits), max(64, bits))
     sq = re.mul(re).add(im.mul(im))
@@ -259,27 +230,6 @@ class ETReport:
     holds: bool
 
 
-def _in_interval_mod1(x, a: Fraction, delta: Fraction) -> bool:
-    """x in [a, a + delta] mod 1; exact for Fractions, decided for Balls."""
-    if isinstance(x, Ball):
-        shifted = x - Ball.from_fraction(a, x.prec)
-        f = shifted.lo.as_fraction() // 1
-        pos = shifted - Ball.from_fraction(f, x.prec)
-        if pos.hi.cmp_fraction(Fraction(1)) > 0 and pos.lo.cmp_fraction(Fraction(1)) < 0:
-            raise PrecisionError("point position mod 1 undecided at this precision")
-        if pos.lo.cmp_fraction(Fraction(1)) >= 0:
-            pos = pos - Ball.from_fraction(1, x.prec)
-        c_hi = pos.hi.cmp_fraction(delta)
-        c_lo = pos.lo.cmp_fraction(Fraction(0))
-        if c_hi <= 0 and c_lo >= 0:
-            return True
-        if pos.lo.cmp_fraction(delta) > 0 or pos.hi.cmp_fraction(Fraction(0)) < 0:
-            return False
-        raise PrecisionError("interval membership undecided at this precision")
-    pos = (x - a) % 1
-    return pos <= delta
-
-
 def erdos_turan_check(
     ps: PointSet,
     a: Fraction,
@@ -299,7 +249,7 @@ def erdos_turan_check(
         # the cap 4*bits must reach the 32-bit minimum for any attempt to run
         raise ValueError("bits must be >= 8")
     n = len(ps)
-    count = sum(1 for x in ps.points if _in_interval_mod1(x, a, delta))
+    count = sum(1 for x in ps.points if (x - a) % 1 <= delta)
     lhs = abs(count - n * delta)
 
     def attempt(attempt_bits: int) -> ETReport | None:
@@ -345,9 +295,6 @@ class CountReport:
     error_bound: Ball        # the displayed error expression, constant 1
     multiplier: int
     within_bound: bool | None
-
-    def deviation(self) -> Fraction:
-        return abs(self.count - self.main_term)
 
 
 def _dist_to_nearest_int(v: Fraction) -> Fraction:

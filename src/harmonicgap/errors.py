@@ -9,9 +9,5 @@ class PrecisionError(ArithmeticError):
     """
 
 
-class CapacityError(ValueError):
-    """A requested computation exceeds a configured size cap."""
-
-
 class CheckpointError(OSError):
     """A scan checkpoint is unreadable, corrupt, or inconsistent."""

@@ -19,7 +19,6 @@ from fractions import Fraction
 from typing import Iterator
 
 from ._intops import fraction_from, harmonic_pair
-from .errors import CapacityError
 from .exactnum import Ball, const_e, escalating, exp_ball
 
 __all__ = [
@@ -31,18 +30,13 @@ __all__ = [
     "iter_crossings",
     "pair_offset",
     "predicted_overshoot",
-    "MAX_EXACT_TERMS",
 ]
 
-MAX_EXACT_TERMS = 10**7
 
-
-def exact_sum(first: int, last: int, term_cap: int = MAX_EXACT_TERMS) -> Fraction:
+def exact_sum(first: int, last: int) -> Fraction:
     """Exact segment sum 1/first + ... + 1/last via balanced combination."""
     if not 1 <= first <= last:
         raise ValueError("need 1 <= first <= last")
-    if last - first > term_cap:
-        raise CapacityError(f"segment of {last - first + 1} terms exceeds cap {term_cap}")
     num, den = harmonic_pair(first, last)
     return fraction_from(num, den)
 

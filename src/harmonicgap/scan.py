@@ -48,7 +48,6 @@ __all__ = [
 ]
 
 DEFAULT_BLOCK_SIZE = 1 << 16
-CONVERGENT_INDEX_CAP = 600
 CSV_HEADER = "n,t,eps_num,eps_den,scaled_num,scaled_den,reduced_p,reduced_q,d,is_convergent"
 
 
@@ -85,7 +84,7 @@ class ConnectionReport:
             d=d,
             reduced_p=p,
             reduced_q=q,
-            is_convergent=is_e_convergent(p, q, CONVERGENT_INDEX_CAP),
+            is_convergent=is_e_convergent(p, q),
             offset=pair_offset(n, m, 128),
         )
 
@@ -165,12 +164,11 @@ class RecordTable:
 
 
 def _confirm_exact(n: int, t_screen: int) -> tuple[int, Fraction]:
-    """Exact crossing and overshoot near the screen's estimate.
+    """Exact crossing and overshoot, walked from the screen's estimate.
 
-    Confirmation windows grow with the horizon (about 1.72 n terms), so the
-    scanner overrides the segment-sum term cap with its own window size.
+    The window holds about 1.72 n terms, summed exactly at any size.
     """
-    return _walk(n, t_screen, exact_sum(n, t_screen, term_cap=t_screen - n + 64))
+    return _walk(n, t_screen, exact_sum(n, t_screen))
 
 
 def _tau_compare_exact(scaled: Fraction, n: int) -> bool:

@@ -4,6 +4,7 @@ from fractions import Fraction
 
 import pytest
 
+from harmonicgap import construct
 from harmonicgap.construct import (
     certify,
     closest_odd,
@@ -122,10 +123,11 @@ class TestCertify:
         assert pair.overshoot.sign() == -1
         assert pair.bound_ok is False
 
-    def test_interval_route_matches_exact(self):
-        # force the interval route by shrinking the exact cap
-        pair = certify(4, exact_cap=1)
+    def test_interval_route_matches_exact(self, monkeypatch):
         exact = certify(4)
+        # force the ball route by shrinking the exact-route cap
+        monkeypatch.setattr(construct, "EXACT_ROUTE_CAP", 1)
+        pair = certify(4)
         assert pair.overshoot_exact is None
         assert exact.overshoot_exact is not None
         assert pair.overshoot.contains(exact.overshoot_exact)

@@ -17,7 +17,6 @@ from harmonicgap.counting import (
     verify_hit,
     weyl_sum_abs,
 )
-from harmonicgap.errors import PrecisionError
 from harmonicgap.exactnum import Ball, constants
 
 
@@ -52,13 +51,6 @@ class TestTrig:
             c, s = cos_sin_2pi(t)
             assert (c * c + s * s).contains(1)
 
-    def test_ball_argument(self):
-        phi = (1 + Ball.from_fraction(5, 128).sqrt()) / 2
-        c, s = cos_sin_2pi(phi)
-        fc = math.cos(2 * math.pi * ((1 + math.sqrt(5)) / 2))
-        assert abs(float(c.midpoint()) - fc) < 1e-9
-        assert float(s.midpoint()) != 0
-
 
 class TestWeylSum:
     def test_all_zero_points(self):
@@ -72,16 +64,6 @@ class TestWeylSum:
         b = weyl_sum_abs(ps, 1)
         assert b.contains(0)
         assert b.width_leq(-40)
-
-    def test_golden_ratio_bounded(self):
-        phi = (1 + Ball.from_fraction(5, 192).sqrt()) / 2
-        pts = []
-        for k in range(1, 101):
-            pts.append(phi * Ball.from_fraction(k, 192))
-        ps = PointSet.of(pts)
-        b = weyl_sum_abs(ps, 1)
-        # |S_1| ~ 0.6213; certified below the 2/||phi||-type bound 3
-        assert b.hi.cmp_fraction(Fraction(3)) < 0
 
     def test_magnitude_capped_at_n(self):
         ps = PointSet.of([Fraction(0)] * 3)

@@ -1,5 +1,6 @@
 """Tests for exact rationals and the certified ball arithmetic."""
 
+import math
 import random
 from fractions import Fraction
 
@@ -25,9 +26,11 @@ from harmonicgap.exactnum import (
 )
 
 # independent oracle: ln via exact-rational atanh series with geometric tail
-def _ln_oracle(x: Fraction, terms: int = 200) -> tuple[Fraction, Fraction]:
+def _ln_oracle(x: Fraction) -> tuple[Fraction, Fraction]:
     u = (x - 1) / (x + 1)
-    assert abs(u) < Fraction(9, 10)
+    assert 0 < abs(u) < Fraction(9, 10)
+    # enough terms for |u|^(2 terms) <= 2^-200; the tail below is exact either way
+    terms = math.ceil(100 / -math.log2(abs(u))) + 1
     s = Fraction(0)
     p = u
     u2 = u * u

@@ -7,7 +7,6 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from harmonicgap.errors import CapacityError
 from harmonicgap.exactnum import Ball, constants
 from harmonicgap.harmonic import (
     _walk,
@@ -43,10 +42,6 @@ class TestExactSum:
             a = rng.randint(1, 400)
             b = a + rng.randint(0, 300)
             assert exact_sum(a, b) == _naive_sum(a, b)
-
-    def test_capacity(self):
-        with pytest.raises(CapacityError):
-            exact_sum(1, 100, term_cap=10)
 
     def test_validation(self):
         with pytest.raises(ValueError):
