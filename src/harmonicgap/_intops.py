@@ -1,9 +1,11 @@
-"""Big-integer helpers, optionally accelerated by gmpy2.
+"""Big-integer helpers: exact segment sums, gcd reduction and integer roots.
 
-CPython's math.gcd is quadratic-ish and becomes the bottleneck when record
-candidates at n ~ 1e5 produce million-bit numerators.  gmpy2 (GMP) reduces
-those gcds from seconds to milliseconds.  Everything here falls back to the
-standard library when gmpy2 is missing, with identical results.
+The segment sum 1/lo + ... + 1/hi is built by balanced splitting whose nodes
+combine over the lcm of their halves' denominators, so no intermediate grows
+much past lcm(lo..hi), about 7 times shorter than the product of the terms.
+The one reduction at the end then works on numbers of that size.  gmpy2 is
+used for the big-integer arithmetic when it is installed; every path falls
+back to the standard library with identical results.
 """
 
 from __future__ import annotations
@@ -27,11 +29,11 @@ def big_gcd(a: int, b: int) -> int:
 
 
 def fraction_from(num: int, den: int) -> Fraction:
-    """Lowest-terms Fraction, reducing with the fast gcd.
+    """Lowest-terms Fraction, reducing once with big_gcd.
 
-    Fraction(num, den) would re-run the slow stdlib gcd; building the reduced
-    pair through the private constructor skips that.  Falls back to the public
-    constructor if the internals ever change.
+    Fraction(num, den) would reduce again with the stdlib gcd; building the
+    reduced pair through the private constructor skips that.  Falls back to
+    the public constructor if the internals ever change.
     """
     if den < 0:
         num, den = -num, -den
@@ -49,10 +51,13 @@ def fraction_from(num: int, den: int) -> Fraction:
 
 
 def harmonic_pair(lo: int, hi: int) -> tuple[int, int]:
-    """(num, den) with num/den = sum of 1/k for lo <= k <= hi, unreduced.
+    """(num, den) with num/den = sum of 1/k for lo <= k <= hi, not reduced.
 
-    Balanced divide-and-conquer keeps the intermediate products near-minimal;
-    a naive left fold is infeasible past ~1e6 terms.
+    Balanced splitting: each node adds its halves over lcm(d1, d2), so every
+    node's denominator stays near the lcm of its own range.  den is a multiple
+    of lcm(lo..hi) that divides lcm(lo..hi) * _BASE_TERMS!, the slack of the
+    base cases' plain products.  num and den may still share a factor;
+    fraction_from reduces it.
     """
     num, den = _harmonic_pair(lo, hi)
     return int(num), int(den)
@@ -71,7 +76,9 @@ def _harmonic_pair(lo: int, hi: int):
     mid = (lo + hi) >> 1
     n1, d1 = _harmonic_pair(lo, mid)
     n2, d2 = _harmonic_pair(mid + 1, hi)
-    return n1 * d2 + n2 * d1, d1 * d2
+    g = _g.gcd(d1, d2) if HAVE_GMPY2 else math.gcd(d1, d2)
+    c1, c2 = d1 // g, d2 // g
+    return n1 * c2 + n2 * c1, c1 * d2
 
 
 def iroot(x: int, n: int) -> int:

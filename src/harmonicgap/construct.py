@@ -37,10 +37,11 @@ __all__ = [
 QUALITY_BOUND = 1001  # certified: n^2 * overshoot * sqrt(k) <= this
 
 # certify sums the overshoot exactly up to this m, by balls beyond.  Measured
-# on one 2-core machine (Python 3.11, no gmpy2): the exact sum takes 5 s at
+# on one 2-core machine (Python 3.11, no gmpy2): the exact sum takes 0.65 s at
 # m = 172,098 (k = 4, d = 7, the largest exact pair of the k <= 60 joint
-# search) and 10.5 s at m = 2^18, growing superlinearly; the ball route
-# takes milliseconds at any m.
+# search) and 1.4 s at m = 2^18, growing superlinearly; the ball route takes
+# milliseconds at any m.  Raising the cap turns overshoot_exact from null into
+# a fraction for the pairs it admits, so it is an output change.
 EXACT_ROUTE_CAP = 1 << 18
 
 
