@@ -16,7 +16,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache
-from math import gcd
+from math import gcd, isqrt
 from typing import Callable
 
 from .exactnum import Ball, Dyadic, escalating, ln_ball
@@ -172,7 +172,11 @@ def cos_sin_2pi(t: Fraction, bits: int = 72) -> tuple[Ball, Ball]:
 
 @dataclass(frozen=True)
 class PointSet:
-    """Finite list of rationals mod 1, each stored as a Fraction in [0, 1)."""
+    """Finite list of rationals mod 1, each stored as a Fraction in [0, 1).
+
+    `weyl_sum_abs` keeps a memo in the instance's `__dict__`; it is not a
+    field, so equality, hash and repr ignore it.
+    """
 
     points: tuple
 
@@ -187,32 +191,83 @@ class PointSet:
         return PointSet(tuple(values))
 
 
+def _magnitude(re: int, im: int, err: int, n: int, w: int, prec: int) -> Ball:
+    """Ball on |S| from a fixed-point sum re + i im at 2^-w with
+    |S 2^w - (re + i im)| <= err, intersected with [0, n]."""
+    r = isqrt(re * re + im * im)  # r <= |re + i im| < r + 1
+    return Ball(Dyadic(max(r - err, 0), -w), Dyadic(min(r + 1 + err, n << w), -w), prec)
+
+
+_WEYL_GUARD = 16  # extra bits carried by the power recurrence
+_MEMO = "_power_sums"  # weyl_sum_abs's key in a PointSet's __dict__
+
+
+class _PowerSums:
+    """S_m = sum of e(m x) over a point set for m = 1, 2, ..., extended on demand.
+
+    Each point gets one evaluation z_1 = e(x) by `_cos_sin_fp` at width
+    w = bits + _WEYL_GUARD; every later power is one complex fixed-point product
+    z_{m+1} = floor(z_m z_1 / 2^w), floored componentwise.  E_m bounds the
+    complex modulus |z_m - e(m x) 2^w| in ulp, the same for every point:
+
+    - E_1 = 2 r_0 >= sqrt(2) r_0, with r_0 the per-component radius of
+      `_series_plan(w)`;
+    - z_m z_1 - e((m+1) x) 2^2w = e(m x) eps_1 + eps_m e(x) + eps_m eps_1
+      with |eps_m| <= E_m 2^w, and the two floors add less than sqrt(2) ulp,
+      so E_{m+1} <= E_m (1 + E_1 2^-w) + E_1 + 2.
+
+    `err` takes this step with E_m E_1 2^-w rounded up, which is 1 ulp
+    while E_m E_1 <= 2^w and at most 4 ulp for m <= 50 at the narrowest
+    width, w = 24.  So E_m grows linearly, about m (E_1 + 3): E_50 is
+    51,401 ulp at w = 24 and 96,147 ulp at w = 88.  Componentwise radii
+    would grow like sqrt(2)^m instead.  The sum over N points is within
+    N E_m of S_m 2^w.
+    """
+
+    def __init__(self, points: tuple, bits: int):
+        self.w = bits + _WEYL_GUARD
+        self.n = len(points)
+        self.prec = max(64, bits)
+        self.base = [_cos_sin_fp(x.numerator, x.denominator, self.w)[:2] for x in points]
+        self.base_err = 2 * _series_plan(self.w)[1]
+        self.powers = self.base
+        self.err = self.base_err
+        self.balls = [self._sum_ball()]
+
+    def _sum_ball(self) -> Ball:
+        re = sum(c for c, _ in self.powers)
+        im = sum(s for _, s in self.powers)
+        return _magnitude(re, im, self.n * self.err, self.n, self.w, self.prec)
+
+    def get(self, m: int) -> Ball:
+        w = self.w
+        while len(self.balls) < m:
+            self.powers = [
+                ((a * c - b * s) >> w, (a * s + b * c) >> w)
+                for (a, b), (c, s) in zip(self.powers, self.base)
+            ]
+            # E_m E_1 / 2^w, rounded up
+            self.err += -(-self.err * self.base_err >> w) + self.base_err + 2
+            self.balls.append(self._sum_ball())
+        return self.balls[m - 1]
+
+
 def weyl_sum_abs(ps: PointSet, m: int, bits: int = 72) -> Ball:
     """Certified |S_m| where S_m = sum of e(m x) over the rational point set.
 
-    The real and imaginary parts accumulate as exact integer fixed-point
-    sums; only the final magnitude is ball arithmetic.
+    The sums come from `_PowerSums`: one Taylor evaluation per point, then
+    powers, all in integer fixed point; only the magnitude is a ball.  Each
+    instance keeps its sums per `bits` in its own `__dict__`, so the calls
+    for m = 1..L share the powers and the memo is freed with the instance
+    (`erdos_turan_check` drops it as soon as it has decided).
     """
     if m < 1:
         raise ValueError("frequency m must be >= 1")
-    re_fp = im_fp = 0
-    rad = 0
-    for x in ps.points:
-        c, s, r = _cos_sin_fp(m * x.numerator, x.denominator, bits)
-        re_fp += c
-        im_fp += s
-        rad += r
-    re = Ball(Dyadic(re_fp - rad, -bits), Dyadic(re_fp + rad, -bits), max(64, bits))
-    im = Ball(Dyadic(im_fp - rad, -bits), Dyadic(im_fp + rad, -bits), max(64, bits))
-    sq = re.mul(re).add(im.mul(im))
-    # |S|^2 >= 0: clamp the outward-rounded lower endpoint
-    if sq.lo.man < 0:
-        sq = Ball(Dyadic(0), sq.hi, sq.prec)
-    mag = sq.sqrt()
-    n_dy = Dyadic(len(ps))
-    if mag.hi > n_dy:  # |S_m| <= N always: intersect with [0, N]
-        mag = Ball(n_dy if mag.lo > n_dy else mag.lo, n_dy, mag.prec)
-    return mag
+    memo = ps.__dict__.setdefault(_MEMO, {})
+    sums = memo.get(bits)
+    if sums is None:
+        sums = memo[bits] = _PowerSums(ps.points, bits)
+    return sums.get(m)
 
 
 # ----------------------------------------------------------------------
@@ -261,7 +316,11 @@ def erdos_turan_check(
         decided = Ball.from_fraction(lhs, 128).decide_le(rhs)
         return None if decided is None else ETReport(n, count, delta, order, lhs, rhs, bool(decided))
 
-    return escalating(attempt, start=bits, cap=4 * bits, what="inequality comparison")
+    try:
+        return escalating(attempt, start=bits, cap=4 * bits, what="inequality comparison")
+    finally:
+        # the powers take about 0.3 KB per point, and no later check needs them
+        ps.__dict__.pop(_MEMO, None)
 
 
 def random_et_instance(rng) -> tuple[PointSet, Fraction, Fraction, int]:

@@ -75,9 +75,7 @@ class ConnectionReport:
 
     @staticmethod
     def build(n: int, m: int) -> "ConnectionReport":
-        a, b = 2 * m + 1, 2 * n - 1
-        d = gcd(a, b)
-        p, q = a // d, b // d
+        d, p, q = _reduced(n, m)
         return ConnectionReport(
             n=n,
             m=m,
@@ -87,6 +85,13 @@ class ConnectionReport:
             is_convergent=is_e_convergent(p, q),
             offset=pair_offset(n, m, 128),
         )
+
+
+def _reduced(n: int, m: int) -> tuple[int, int, int]:
+    """(d, p, q) with d = gcd(2m+1, 2n-1) and p/q = (2m+1)/(2n-1) in lowest terms."""
+    a, b = 2 * m + 1, 2 * n - 1
+    d = gcd(a, b)
+    return d, a // d, b // d
 
 
 def connection_report(n: int, m: int) -> ConnectionReport:
@@ -195,16 +200,16 @@ class _Merger:
         self.tau_hi: Fraction = quality_threshold(128).hi.as_fraction()
 
     def _row(self, n: int, t: int, eps: Fraction, scaled: Fraction) -> RecordRow:
-        rep = ConnectionReport.build(n, t)
+        d, p, q = _reduced(n, t)
         return RecordRow(
             n=n,
             t=t,
             overshoot=eps,
             scaled=scaled,
-            reduced_p=rep.reduced_p,
-            reduced_q=rep.reduced_q,
-            d=rep.d,
-            is_convergent=rep.is_convergent,
+            reduced_p=p,
+            reduced_q=q,
+            d=d,
+            is_convergent=is_e_convergent(p, q),
         )
 
     def feed(self, n: int, t_screen: int, kind: int, lo: Fraction) -> None:

@@ -4,10 +4,16 @@ import math
 import random
 from fractions import Fraction
 
+import mpmath
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
 from harmonicgap.counting import (
     PointSet,
+    _cos_sin_fp,
+    _magnitude,
+    _PowerSums,
     cos_sin_2pi,
     count_quadratic,
     count_quadratic_modular,
@@ -83,6 +89,89 @@ class TestWeylSum:
     def test_validation(self):
         with pytest.raises(ValueError):
             weyl_sum_abs(PointSet.of([Fraction(0)]), 0)
+
+    @settings(max_examples=60, deadline=None)
+    @given(
+        points=st.lists(
+            st.builds(Fraction, st.integers(-(1 << 20), 1 << 20), st.integers(1, 1 << 16)),
+            min_size=1,
+            max_size=30,
+        ),
+        bits=st.sampled_from([8, 72, 144]),
+        ms=st.lists(st.integers(1, 50), min_size=1, max_size=12),
+    )
+    @example(points=[Fraction(k, 97) for k in range(30)], bits=8, ms=[50, 1, 50, 17, 2, 17])
+    @example(points=[Fraction(3, 7), Fraction(1, 2), Fraction(0)], bits=72, ms=[49, 7, 14, 1, 7])
+    @example(points=[Fraction(k * k, 1009) for k in range(30)], bits=144, ms=[33, 50, 1, 33])
+    def test_power_route_matches_slow_twin(self, points, bits, ms):
+        # ms come in any order and may repeat, so the memo is read and
+        # extended out of order
+        ps = PointSet.of(points)
+        for m in ms:
+            fast = weyl_sum_abs(ps, m, bits)
+            assert fast.overlaps(_direct_weyl(ps, m, bits)), (m, bits)
+            ref = _mp_weyl(ps.points, m)
+            assert fast.lo.cmp_fraction(ref + MP_SLACK) <= 0 <= fast.hi.cmp_fraction(ref - MP_SLACK), (m, bits)
+
+    def test_power_bound_at_narrowest_width(self):
+        # bits = 8 gives the narrowest width w = 24, where E_m E_1 passes
+        # 2^w before m = 50: every power must stay within E_m of e(m x)
+        rng = random.Random(8)
+        points = tuple(Fraction(rng.randrange(1 << 16), 1 << 16) for _ in range(60))
+        sums = _PowerSums(points, 8)
+        assert sums.w == 24
+        one = 1 << sums.w
+        with mpmath.workprec(200):
+            for m in range(1, 51):
+                sums.get(m)
+                for x, (c, s) in zip(points, sums.powers):
+                    u = mpmath.expjpi(2 * m * mpmath.mpf(x.numerator) / x.denominator)
+                    assert abs(mpmath.mpc(c, s) - u * one) <= sums.err, (m, x)
+        assert sums.err == 51401  # the figure in the _PowerSums docstring
+
+    def test_inequality_at_smallest_bits(self):
+        # L = 50 at bits = 8: one attempt at 32 bits, the largest radii
+        # erdos_turan_check can meet
+        rng = random.Random(7)
+        for _ in range(20):
+            ps, a, b, _ = random_et_instance(rng)
+            assert erdos_turan_check(ps, a, b, 50, bits=8).holds
+
+    def test_memo_leaves_identity_alone(self):
+        pts = [Fraction(k * k % 101, 101) for k in range(50)]
+        ps, twin = PointSet.of(pts), PointSet.of(pts)
+        before = (hash(ps), repr(ps))
+        calls = [(9, 72), (2, 72), (9, 144), (30, 72)]
+        balls = {c: weyl_sum_abs(ps, *c) for c in calls}
+        assert (hash(ps), repr(ps)) == before
+        assert ps == twin and hash(ps) == hash(twin) and repr(ps) == repr(twin)
+        again = {c: weyl_sum_abs(twin, *c) for c in reversed(calls)}
+        for c in calls:
+            assert (balls[c].lo, balls[c].hi, balls[c].prec) == (again[c].lo, again[c].hi, again[c].prec)
+        # each width keeps its own sums
+        assert balls[(9, 144)].width_leq(-100) and not balls[(9, 72)].width_leq(-100)
+
+
+MP_SLACK = Fraction(1, 1 << 300)
+
+
+def _direct_weyl(ps, m, bits):
+    """Slow twin of weyl_sum_abs: one Taylor evaluation per point and frequency."""
+    re = im = rad = 0
+    for x in ps.points:
+        c, s, r = _cos_sin_fp(m * x.numerator, x.denominator, bits)
+        re += c
+        im += s
+        rad += r
+    # componentwise radius rad, so complex radius sqrt(2) rad <= 2 rad
+    return _magnitude(re, im, 2 * rad, len(ps), bits, max(64, bits))
+
+
+def _mp_weyl(points, m) -> Fraction:
+    with mpmath.workprec(400):
+        total = mpmath.fsum(mpmath.expjpi(2 * m * mpmath.mpf(x.numerator) / x.denominator) for x in points)
+        man, exp = mpmath.mpf(abs(total)).man_exp
+        return Fraction(man) * Fraction(2) ** exp
 
 
 class TestErdosTuran:

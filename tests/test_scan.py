@@ -102,6 +102,15 @@ class TestScan:
             assert s - 1 == row.overshoot
             assert s - Fraction(1, row.t) < 1 <= s
 
+    def test_rows_match_connection_reports(self):
+        table = scan_records(30000, block_size=4096)
+        assert [(r.n, r.t) for r in table.records] == RECORDS_TO_100000
+        for row in table.records:
+            rep = connection_report(row.n, row.t)
+            assert (row.d, row.reduced_p, row.reduced_q, row.is_convergent) == (
+                rep.d, rep.reduced_p, rep.reduced_q, rep.is_convergent
+            )
+
     def test_validation(self):
         with pytest.raises(ValueError):
             scan_records(1)
