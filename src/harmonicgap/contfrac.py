@@ -1,25 +1,28 @@
 """Continued-fraction engine for e and e^(1/k).
 
-Partial quotients, convergents through the standard recurrence, the
-odd-numerator/odd-denominator subsequence at indices 3k+2 with certified
-normalized remainders, exact convergent membership, and the sharper
-remainder decomposition 1/r = c + w used for the
+Partial quotients; convergents from one three-term recurrence, walked from
+the start on every call; the odd-numerator/odd-denominator subsequence at
+indices 3k+2 with certified normalized remainders; exact convergent
+membership; and the remainder identity 1/r = c + w behind the
 r^(-1) = 2k + 3 + O(1/k) refinement.
 
 Indexing is 1-based with a_1 = 2, so the subsequence index k = 0 lands on
-the convergent 3/1.  Convergents are materialized with memoization; the
-denominators grow super-exponentially, which makes subsequence indices up
-to a few thousand the practical range.
+the convergent 3/1.  The remainder of entry k comes from that identity: c
+is a ratio of two consecutive denominators and w the tail
+[2k+2; 1, 1, 2k+4, ...], enclosed by its own convergents.  Neither needs e
+or a precision that grows with q, so entry k costs the walk to index 3k+2,
+which holds two convergents at a time.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
+from functools import lru_cache, partial
+from itertools import islice
 from math import gcd
 
-from .exactnum import Ball, const_e, escalating
-from .errors import PrecisionError
+from .exactnum import Ball
 
 __all__ = [
     "Convergent",
@@ -33,10 +36,6 @@ __all__ = [
     "denominator_ratio",
     "tail_enclosure",
 ]
-
-# is_e_convergent compares against convergents up to this index; q_600 has
-# 1,649 bits, far beyond any denominator 2n - 1 a scan reaches
-CONVERGENT_INDEX_CAP = 600
 
 
 def e_partial_quotient(i: int) -> int:
@@ -74,49 +73,36 @@ class Convergent:
         return Fraction(self.p, self.q)
 
 
-class _ConvergentTable:
-    """Memoized p, q sequences for a partial-quotient source."""
-
-    def __init__(self, quotient):
-        self._a = quotient
-        self._p = [0, 1]  # p_{-1}, p_0
-        self._q = [1, 0]  # q_{-1}, q_0
-
-    def _ensure(self, i: int) -> None:
-        while len(self._p) - 2 < i:
-            j = len(self._p) - 1  # next 1-based index
-            a = self._a(j)
-            self._p.append(a * self._p[-1] + self._p[-2])
-            self._q.append(a * self._q[-1] + self._q[-2])
-
-    def p(self, i: int) -> int:
-        self._ensure(i)
-        return self._p[i + 1]
-
-    def q(self, i: int) -> int:
-        self._ensure(i)
-        return self._q[i + 1]
-
-    def convergent(self, i: int) -> Convergent:
-        if i < 1:
-            raise IndexError("convergent index starts at 1")
-        self._ensure(i)
-        return Convergent(i, self._a(i), self._p[i + 1], self._q[i + 1])
+def _walk(quotient):
+    """Yield (convergent i, q_{i-1}) for i = 1, 2, ... by the three-term
+    recurrence, starting from p_0/q_0 = 1/0 and p_{-1}/q_{-1} = 0/1."""
+    p_prev, q_prev, p, q = 0, 1, 1, 0
+    i = 0
+    while True:
+        i += 1
+        a = quotient(i)
+        p_prev, q_prev, p, q = p, q, a * p + p_prev, a * q + q_prev
+        yield Convergent(i, a, p, q), q_prev
 
 
-_E_TABLE = _ConvergentTable(e_partial_quotient)
+@lru_cache(maxsize=64)
+def _e_entry(i: int) -> tuple[Convergent, int]:
+    """Convergent i of e with q_{i-1}, walked from the start; the cache only
+    spares repeated calls at the same index."""
+    if i < 1:
+        raise IndexError("convergent index starts at 1")
+    return next(islice(_walk(e_partial_quotient), i - 1, None))
 
 
 def convergents(quotient, count: int) -> list[Convergent]:
     """First `count` convergents of the continued fraction given by `quotient`."""
     if count < 1:
         raise ValueError("count must be >= 1")
-    table = _E_TABLE if quotient is e_partial_quotient else _ConvergentTable(quotient)
-    return [table.convergent(i) for i in range(1, count + 1)]
+    return [c for c, _ in islice(_walk(quotient), count)]
 
 
 def e_convergent(i: int) -> Convergent:
-    return _E_TABLE.convergent(i)
+    return _e_entry(i)[0]
 
 
 @dataclass(frozen=True)
@@ -136,80 +122,71 @@ class OddConvergent:
 
 
 def odd_convergent(k: int, prec: int = 0) -> OddConvergent:
-    """Certified subsequence entry; all invariants decided before returning."""
+    """Certified subsequence entry; all invariants decided before returning.
+
+    The remainder is r = 1/(w_k + c_k) at a fixed working precision: its
+    width is at most 2^(4 - prec), or 2^-32 for prec = 0, at any k.
+    """
     if k < 0:
         raise IndexError("subsequence index starts at 0")
-    c = e_convergent(3 * k + 2)
+    c, q_prev = _e_entry(3 * k + 2)
     p, q = c.p, c.q
     if not (p & 1 and q & 1):
         raise AssertionError(f"parity violated at subsequence index {k}")
+    # e - p/q = (p_prev q - p q_prev) / (q^2 (w_k + c_k)), and the numerator
+    # is -(-1)^(3k+2) by the determinant identity, so p q_prev = -sign mod q
     sign = -1 if k % 2 == 0 else 1
+    if (p * q_prev + sign) % q:
+        raise AssertionError(f"determinant sign violated at subsequence index {k}")
+    # x = w_k + c_k exceeds 2^(b-2) for b = bits(2k+4), and its enclosure at
+    # w significant bits is under 2^(b+3-w) wide, so 1/x is under 2^(5-w) wide
+    w = max(prec, 36) + 8
+    r = 1 / (tail_enclosure(k, w) + denominator_ratio(k))
+    if not r.width_leq(4 - prec if prec else -32):
+        raise AssertionError(f"remainder width missed at subsequence index {k}")
     lo_bound, hi_bound = Fraction(1, 2 * k + 4), Fraction(1, 2 * k + 2)
-    start = max(prec, 2 * q.bit_length() + max(k, 1).bit_length() + 32, 64)
-
-    def attempt(w: int) -> OddConvergent | None:
-        e = const_e(w)
-        diff = e - Ball.from_fraction(Fraction(p, q), w)
-        if diff.sign() != sign:
-            return None  # undecided (or wrong, caught by the bound check)
-        r = abs(diff) * Ball.from_fraction(q * q, w)
-        if not r.width_leq(4 - prec if prec else -32):
-            return None
-        if r.lo.cmp_fraction(lo_bound) < 0 or r.hi.cmp_fraction(hi_bound) > 0:
-            return None
-        return OddConvergent(k, p, q, r, sign)
-
-    return escalating(attempt, start=start, what=f"subsequence entry {k}")
+    if r.lo.cmp_fraction(lo_bound) < 0 or r.hi.cmp_fraction(hi_bound) > 0:
+        raise AssertionError(f"remainder bounds violated at subsequence index {k}")
+    return OddConvergent(k, p, q, r, sign)
 
 
 def is_e_convergent(p: int, q: int) -> bool:
-    """True iff p/q equals a convergent p_i/q_i of e with i <= CONVERGENT_INDEX_CAP."""
+    """True iff p/q equals a convergent p_i/q_i of e."""
     if gcd(p, q) != 1:
         raise ValueError("is_e_convergent expects p/q in lowest terms")
-    for i in range(1, CONVERGENT_INDEX_CAP + 1):
-        c = e_convergent(i)
+    for c, _ in _walk(e_partial_quotient):
         if c.q > q:
             return False
         if c.q == q and c.p == p:
             return True
-    return False
 
 
 def denominator_ratio(k: int) -> Fraction:
     """c_k = q_{3k+1}/q_{3k+2}, exactly."""
     if k < 0:
         raise IndexError("subsequence index starts at 0")
-    return Fraction(_E_TABLE.q(3 * k + 1), _E_TABLE.q(3 * k + 2))
+    c, q_prev = _e_entry(3 * k + 2)
+    return Fraction(q_prev, c.q)
 
 
 def _tail_quotient(k: int, j: int) -> int:
-    # tail after index 3k+2: [2k+2; 1, 1, 2k+4, 1, 1, 2k+6, ...], 0-based j
-    m, pos = divmod(j, 3)
+    # tail after index 3k+2: [2k+2; 1, 1, 2k+4, 1, 1, 2k+6, ...], 1-based j
+    m, pos = divmod(j - 1, 3)
     return 2 * (k + 1 + m) if pos == 0 else 1
-
-
-def _tail_truncation(k: int, depth: int) -> Fraction:
-    v = Fraction(_tail_quotient(k, depth - 1))
-    for j in range(depth - 2, -1, -1):
-        v = _tail_quotient(k, j) + 1 / v
-    return v
 
 
 def tail_enclosure(k: int, prec: int = 64) -> Ball:
     """Enclosure of the continued-fraction tail w_k = [2k+2; 1, 1, 2k+4, ...].
 
-    Even- and odd-length truncations of a simple continued fraction bracket
-    its value; the depth doubles until the bracket meets the target width.
+    Consecutive convergents x_{j-1}, x_j of a simple continued fraction
+    bracket its value and lie 1/(q_{j-1} q_j) apart; the walk stops at the
+    first j with q_{j-1} q_j >= 2^(prec+2).
     """
     if k < 0:
         raise IndexError("subsequence index starts at 0")
-    depth = 8
-    while True:
-        lo, hi = _tail_truncation(k, depth), _tail_truncation(k, depth + 1)
-        if lo > hi:
-            lo, hi = hi, lo
-        if (hi - lo) * (1 << (prec + 2)) <= 1:
+    prev = None
+    for c, q_prev in _walk(partial(_tail_quotient, k)):
+        if c.q * q_prev >= 1 << (prec + 2):
+            lo, hi = sorted((prev.as_fraction(), c.as_fraction()))
             return Ball.from_endpoints(lo, hi, max(prec, 64))
-        depth *= 2
-        if depth > 1 << 20:  # pragma: no cover
-            raise PrecisionError(f"tail enclosure for k={k} did not converge")
+        prev = c

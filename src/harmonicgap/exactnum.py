@@ -446,6 +446,15 @@ class Ball:
         return self.lo.decimal_str(digits, round_up=False), self.hi.decimal_str(digits, round_up=True)
 
 
+def _operand(x: int | Fraction) -> str:
+    """x for the `what` of an escalation: in decimal up to 64 bits, else by
+    its bit length, so that the one-line exit-3 message stays short."""
+    if isinstance(x, Fraction) and x.denominator != 1:
+        return f"{_operand(x.numerator)}/{_operand(x.denominator)}"
+    x = int(x)
+    return str(x) if x.bit_length() <= 64 else f"<{x.bit_length()}-bit integer>"
+
+
 def escalating(compute, start: int = 128, cap: int | None = None, what: str = "value"):
     """Run compute(prec) at doubling precision until it returns non-None.
 
@@ -577,7 +586,7 @@ def ln_ball(r: Fraction | int, prec: int = DEFAULT_PREC) -> Ball:
         # the absolute width contract once |ln r| exceeds 2^4
         return out if out.width_leq(4 - prec) else None
 
-    return escalating(attempt, start=_bucket(prec + 16), what=f"ln({r})")
+    return escalating(attempt, start=_bucket(prec + 16), what=f"ln({_operand(r)})")
 
 
 # ----------------------------------------------------------------------

@@ -19,7 +19,7 @@ from fractions import Fraction
 from typing import Iterator
 
 from ._intops import fraction_from, harmonic_pair
-from .exactnum import Ball, const_e, escalating, exp_ball
+from .exactnum import Ball, _operand, const_e, escalating, exp_ball
 
 __all__ = [
     "Crossing",
@@ -91,7 +91,7 @@ def ball_sum(first: int, last: int, target_width: Fraction) -> Ball:
             return out
         return None
 
-    return escalating(attempt, start=bits, what=f"segment sum [{first}, {last}]")
+    return escalating(attempt, start=bits, what=f"segment sum [{_operand(first)}, {_operand(last)}]")
 
 
 def _width_bits(w: Fraction) -> int:
@@ -176,7 +176,7 @@ def pair_offset(n: int, m: int, prec: int = 0) -> Ball:
         out = nn * inner
         return out if out.width_leq(-max(prec, 32)) else None
 
-    return escalating(attempt, start=start, what=f"pair offset ({n}, {m})")
+    return escalating(attempt, start=start, what=f"pair offset ({_operand(n)}, {_operand(m)})")
 
 
 def predicted_overshoot(n: int, offset: Ball, x: Fraction | int = 1, prec: int = 128) -> Ball:

@@ -7,11 +7,35 @@ import shutil
 import subprocess
 import sys
 import sysconfig
+from fractions import Fraction
 from pathlib import Path
 
 import pytest
 
+from harmonicgap.contfrac import e_convergent
+from harmonicgap.exactnum import Ball, const_e, escalating
+
 ROOT = Path(__file__).resolve().parents[1]
+
+
+def remainder_from_e(k: int, prec: int = 0) -> Ball:
+    """Slow twin of odd_convergent's remainder: r = |e - p/q| * q^2 for
+    p/q = p_{3k+2}/q_{3k+2}, from e itself at about 2 log2(q) bits and
+    escalating until the sign of e - p/q is decided and the width is at
+    most 2^(4 - prec) (2^-32 for prec = 0)."""
+    c = e_convergent(3 * k + 2)
+    p, q = c.p, c.q
+    sign = -1 if k % 2 == 0 else 1
+
+    def attempt(w: int) -> Ball | None:
+        diff = const_e(w) - Ball.from_fraction(Fraction(p, q), w)
+        if diff.sign() != sign:
+            return None
+        r = abs(diff) * Ball.from_fraction(q * q, w)
+        return r if r.width_leq(4 - prec if prec else -32) else None
+
+    start = max(prec, 2 * q.bit_length() + max(k, 1).bit_length() + 32, 64)
+    return escalating(attempt, start=start, what=f"e-based remainder {k}")
 
 
 @pytest.fixture(scope="session")

@@ -22,7 +22,6 @@ from harmonicgap.contfrac import (
     denominator_ratio,
     e_partial_quotient,
     odd_convergent,
-    tail_enclosure,
 )
 from harmonicgap.counting import (
     count_quadratic,
@@ -35,6 +34,8 @@ from harmonicgap.counting import (
 from harmonicgap.exactnum import Ball, constants
 from harmonicgap.harmonic import iter_crossings, pair_offset, predicted_overshoot
 from harmonicgap.scan import scan_records
+
+from conftest import remainder_from_e
 
 
 def _report(num: int, name: str, ok: bool, detail: str = "") -> None:
@@ -85,9 +86,8 @@ def test_criterion_03_remainder_refinement():
         dev = abs(inv - Ball.from_fraction(2 * k + 3, 256))
         assert dev.hi.cmp_fraction(Fraction(2, k)) <= 0, k
         worst = max(worst, k * dev.hi.as_fraction())
-        # identity 1/r = c_k + w_k as overlapping enclosures
-        rhs = Ball.from_fraction(denominator_ratio(k), 256) + tail_enclosure(k, 96)
-        assert inv.overlaps(rhs), k
+        # r from the identity 1/r = c_k + w_k against the slow twin |e - p/q| q^2
+        assert s.remainder.overlaps(remainder_from_e(k, 96)), k
     for k in range(100):
         ck = denominator_ratio(k)
         assert denominator_ratio(k + 1) == Fraction(1, 2) + Fraction(1, 2 * (4 * k + 5 + 2 * ck))

@@ -123,12 +123,14 @@ class TestConstruct:
         assert construct.pair_from(4, 7)[0] <= construct.EXACT_ROUTE_CAP
 
     def test_index_limit(self, capsys):
-        # 1474 is the last even index whose odd convergent fits in MAX_PREC bits
-        code, out, _ = run(capsys, "construct", "--k", "1474")
+        # 1904 is the last even index that certifies: from 1906 the pair
+        # offset, at about 3 log2(n) bits, needs more than MAX_PREC
+        code, out, _ = run(capsys, "construct", "--k", "1904")
         assert code == 0 and json.loads(out)["bound_ok"] is True
-        code, out, err = run(capsys, "construct", "--k", "1476")
+        code, out, err = run(capsys, "construct", "--k", "1906")
         assert (code, out) == (3, "")
         assert len(err.splitlines()) == 1 and "precision cap 65536" in err
+        assert len(err.encode()) < 300
 
     def test_window_mode(self, capsys):
         code, out, _ = run(capsys, "construct", "--k", "4", "--window", "3")

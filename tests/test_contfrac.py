@@ -1,9 +1,15 @@
 """Continued-fraction engine tests, including the subsequence lemma suite."""
 
+import os
+import subprocess
+import sys
 from fractions import Fraction
 from math import gcd
+from pathlib import Path
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from harmonicgap.contfrac import (
     convergents,
@@ -16,6 +22,10 @@ from harmonicgap.contfrac import (
     tail_enclosure,
 )
 from harmonicgap.exactnum import Ball, const_e
+
+from conftest import remainder_from_e
+
+SRC = Path(__file__).resolve().parents[1] / "src"
 
 E_FIRST_EIGHT = [(2, 1), (3, 1), (8, 3), (11, 4), (19, 7), (87, 32), (106, 39), (193, 71)]
 SUBSEQ_FIRST_FOUR = [(3, 1), (19, 7), (193, 71), (2721, 1001)]
@@ -95,52 +105,52 @@ class TestConvergents:
         assert root_e.hi.cmp_fraction(hi) < 0
 
     def test_determinant_identity_to_3000(self):
-        prev = e_convergent(1)
+        cs = convergents(e_partial_quotient, 3000)
         sign = -1  # (-1)^1
-        for i in range(2, 3001):
-            cur = e_convergent(i)
+        for prev, cur in zip(cs, cs[1:]):
             sign = -sign
             assert cur.p * prev.q - prev.p * cur.q == sign
-            prev = cur
+
+    @settings(max_examples=40, deadline=None)
+    @given(i=st.integers(1, 3000))
+    def test_e_convergent_matches_enumeration(self, i):
+        assert e_convergent(i) == convergents(e_partial_quotient, i)[-1]
 
     def test_coprime(self):
-        for i in range(1, 200):
-            c = e_convergent(i)
+        for c in convergents(e_partial_quotient, 199):
             assert gcd(c.p, c.q) == 1
 
     def test_parity_table_to_1800(self):
         # p odd at residues {2,4,5,6} of i mod 6, even at {1,3};
         # q odd at {1,2,3,5}, even at {4,6}; residue 0 stands for i = 6k+6
-        for i in range(1, 1801):
-            c = e_convergent(i)
-            r = i % 6
+        for c in convergents(e_partial_quotient, 1800):
+            r = c.i % 6
             expect_p_odd = r in {2, 4, 5, 0}
             expect_q_odd = r in {1, 2, 3, 5}
-            assert (c.p % 2 == 1) == expect_p_odd, (i, c.p)
-            assert (c.q % 2 == 1) == expect_q_odd, (i, c.q)
+            assert (c.p % 2 == 1) == expect_p_odd, (c.i, c.p)
+            assert (c.q % 2 == 1) == expect_q_odd, (c.i, c.q)
 
     def test_enclosure_inequality_to_300(self):
         # 1/(q_i (q_{i+1} + q_i)) < |e - p_i/q_i| < 1/(q_i q_{i+1})
-        q300 = e_convergent(301).q
-        prec = 2 * q300.bit_length() + 64
+        cs = convergents(e_partial_quotient, 301)
+        prec = 2 * cs[-1].q.bit_length() + 64
         e = const_e(prec)
-        for i in range(1, 301):
-            c, nxt = e_convergent(i), e_convergent(i + 1)
+        for c, nxt in zip(cs, cs[1:]):
             diff = abs(e - Ball.from_fraction(c.as_fraction(), prec))
             low = Fraction(1, c.q * (nxt.q + c.q))
             high = Fraction(1, c.q * nxt.q)
-            assert diff.lo.cmp_fraction(low) > 0, i
-            assert diff.hi.cmp_fraction(high) < 0, i
+            assert diff.lo.cmp_fraction(low) > 0, c.i
+            assert diff.hi.cmp_fraction(high) < 0, c.i
 
     def test_telescoping_partial_sums(self):
         # 2 + sum_{j<=K} (-1)^(j+1)/(q_j q_{j+1}) = p_{K+1}/q_{K+1} -> e
         prec = 512
         e = const_e(prec)
         total = Fraction(2)
-        for j in range(1, 60):
-            qj, qj1 = e_convergent(j).q, e_convergent(j + 1).q
+        cs = convergents(e_partial_quotient, 60)
+        for j, (cj, cK) in enumerate(zip(cs, cs[1:]), start=1):
+            qj, qj1 = cj.q, cK.q
             total += Fraction((-1) ** (j + 1), qj * qj1)
-            cK = e_convergent(j + 1)
             assert total == cK.as_fraction()
             gap = abs(e - Ball.from_fraction(total, prec))
             assert gap.hi.cmp_fraction(Fraction(1, qj * qj1)) < 0
@@ -210,12 +220,23 @@ class TestRefinement:
             assert w.hi.cmp_fraction(Fraction(2 * k + 3)) < 0
 
     def test_inverse_remainder_identity(self):
-        # 1/r = c_k + w_k as overlapping tight enclosures
+        # r from 1/r = c_k + w_k against the slow twin |e - p/q| q^2
         for k in range(0, 40, 3):
             s = odd_convergent(k, prec=96)
-            inv = Ball.from_fraction(1, 256).div(s.remainder)
-            rhs = Ball.from_fraction(denominator_ratio(k), 256) + tail_enclosure(k, 96)
-            assert inv.overlaps(rhs), k
+            assert s.remainder.overlaps(remainder_from_e(k, 96)), k
+
+    @settings(max_examples=40, deadline=None)
+    @given(k=st.integers(0, 300), prec=st.sampled_from([32, 96, 192, 1024]))
+    def test_remainder_matches_slow_twin(self, k, prec):
+        s = odd_convergent(k, prec)
+        assert s.remainder.overlaps(remainder_from_e(k, prec))
+        assert s.remainder.width_leq(4 - prec)
+        # 1/r_e - c_k encloses w_k; the twin runs 3 * bits(2k+4) bits finer,
+        # so it is narrower than the distance from w_k to the tail bracket's ends
+        finer = prec + 3 * (2 * k + 4).bit_length() + 16
+        w_e = 1 / remainder_from_e(k, finer) - denominator_ratio(k)
+        w = tail_enclosure(k, prec)
+        assert w.lo <= w_e.lo and w_e.hi <= w.hi, k
 
     def test_refined_envelope_prefix(self):
         # |1/r - (2k+3)| <= 2/k on a prefix (acceptance covers k <= 300)
@@ -224,3 +245,23 @@ class TestRefinement:
             inv = Ball.from_fraction(1, 256).div(s.remainder)
             dev = abs(inv - Ball.from_fraction(2 * k + 3, 256))
             assert dev.hi.cmp_fraction(Fraction(2, k)) <= 0, k
+
+
+class TestMemory:
+    def test_walk_keeps_no_table(self):
+        # the walk to index 15,002 holds two convergents at a time, not
+        # every p_i, q_i (a table of them peaks at 117 MB of allocations);
+        # a fresh interpreter keeps earlier tests' caches out of the count
+        script = (
+            "import tracemalloc\n"
+            "from harmonicgap.contfrac import denominator_ratio\n"
+            "tracemalloc.start()\n"
+            "denominator_ratio(5000)\n"
+            "print(tracemalloc.get_traced_memory()[1])\n"
+        )
+        proc = subprocess.run(
+            [sys.executable, "-c", script], capture_output=True, text=True, timeout=120,
+            env=dict(os.environ, PYTHONPATH=str(SRC)),
+        )
+        assert proc.returncode == 0, proc.stderr
+        assert int(proc.stdout) < 16 << 20
