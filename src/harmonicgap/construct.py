@@ -18,7 +18,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 
 from ._pool import ordered_map
-from .contfrac import odd_convergent
+from .contfrac import e_convergent, odd_convergent
 from .errors import PrecisionError
 from .exactnum import Ball, constants, escalating, ln_ball
 from .harmonic import ball_sum, exact_sum, pair_offset, predicted_overshoot
@@ -37,11 +37,12 @@ __all__ = [
 QUALITY_BOUND = 1001  # certified: n^2 * overshoot * sqrt(k) <= this
 
 # certify sums the overshoot exactly up to this m, by balls beyond.  Measured
-# on one 2-core machine (Python 3.11, no gmpy2): the exact sum takes 0.65 s at
+# on one 2-core machine (Python 3.11, no gmpy2): the exact sum takes 0.15 s at
 # m = 172,098 (k = 4, d = 7, the largest exact pair of the k <= 60 joint
-# search) and 1.4 s at m = 2^18, growing superlinearly; the ball route takes
-# milliseconds at any m.  Raising the cap turns overshoot_exact from null into
-# a fraction for the pairs it admits, so it is an output change.
+# search) and 0.27 s at m = 2^18 (n = 96,437), growing superlinearly; the
+# ball route takes milliseconds at any m.  Raising the cap turns
+# overshoot_exact from null into a fraction for the pairs it admits, so it is
+# an output change.
 EXACT_ROUTE_CAP = 1 << 18
 
 
@@ -65,8 +66,10 @@ def pair_from(k: int, d: int) -> tuple[int, int]:
         raise ValueError("subsequence index must be >= 0")
     if d < 1 or d % 2 == 0:
         raise ValueError("multiplier must be a positive odd integer")
-    s = odd_convergent(k)
-    return (d * s.p - 1) // 2, (d * s.q + 1) // 2
+    c = e_convergent(3 * k + 2)
+    if not (c.p & 1 and c.q & 1):
+        raise AssertionError(f"parity violated at subsequence index {k}")
+    return (d * c.p - 1) // 2, (d * c.q + 1) // 2
 
 
 def ideal_multiplier(k: int, prec: int = 64) -> Ball:

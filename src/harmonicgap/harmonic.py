@@ -34,7 +34,7 @@ __all__ = [
 
 
 def exact_sum(first: int, last: int) -> Fraction:
-    """Exact segment sum 1/first + ... + 1/last via balanced combination."""
+    """Exact segment sum 1/first + ... + 1/last, in lowest terms from harmonic_pair."""
     if not 1 <= first <= last:
         raise ValueError("need 1 <= first <= last")
     num, den = harmonic_pair(first, last)

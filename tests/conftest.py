@@ -1,6 +1,7 @@
 """Shared fixtures."""
 
 import importlib.util
+import math
 import os
 import shlex
 import shutil
@@ -36,6 +37,30 @@ def remainder_from_e(k: int, prec: int = 0) -> Ball:
 
     start = max(prec, 2 * q.bit_length() + max(k, 1).bit_length() + 32, 64)
     return escalating(attempt, start=start, what=f"e-based remainder {k}")
+
+
+def harmonic_pair_lcm_split(lo: int, hi: int) -> tuple[int, int]:
+    """Slow twin of _intops.harmonic_pair: balanced splitting whose nodes add
+    their halves over lcm(d1, d2), by a gcd and two exact divisions each, then
+    one gcd reduction of the whole sum.  (num, den) in lowest terms."""
+
+    def split(a: int, b: int) -> tuple[int, int]:
+        if b - a < 48:
+            num, den = 0, 1
+            for k in range(a, b + 1):
+                num = num * k + den
+                den *= k
+            return num, den
+        mid = (a + b) >> 1
+        n1, d1 = split(a, mid)
+        n2, d2 = split(mid + 1, b)
+        g = math.gcd(d1, d2)
+        c1, c2 = d1 // g, d2 // g
+        return n1 * c2 + n2 * c1, c1 * d2
+
+    num, den = split(lo, hi)
+    g = math.gcd(num, den)
+    return num // g, den // g
 
 
 @pytest.fixture(scope="session")

@@ -1,13 +1,22 @@
 """Integer helper paths, including the stdlib fallbacks."""
 
 import math
+import os
 import random
+import subprocess
+import sys
 from fractions import Fraction
+from pathlib import Path
 
+import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from harmonicgap import _intops
+
+from conftest import harmonic_pair_lcm_split
+
+SRC = Path(__file__).resolve().parents[1] / "src"
 
 
 def test_harmonic_pair_paths_agree(monkeypatch):
@@ -16,21 +25,17 @@ def test_harmonic_pair_paths_agree(monkeypatch):
     assert type(n1) is int and type(d1) is int
     monkeypatch.setattr(_intops, "HAVE_GMPY2", False)
     n2, d2 = _intops.harmonic_pair(100, 1500)
-    assert (n1, d1) == (n2, d2)
-    assert Fraction(n1, d1) == expected
+    assert (n1, d1) == (n2, d2) == (expected.numerator, expected.denominator)
 
 
-def test_fraction_from_matches_constructor(monkeypatch):
+def test_fraction_from_matches_constructor():
+    # fraction_from takes a pair already in lowest terms with den > 0
     rng = random.Random(8)
     for _ in range(200):
-        a = rng.randint(-(10**12), 10**12)
-        b = rng.randint(1, 10**12) * rng.choice((1, -1))
-        assert _intops.fraction_from(a, b) == Fraction(a, b)
-    monkeypatch.setattr(_intops, "HAVE_GMPY2", False)
-    for _ in range(50):
-        a = rng.randint(-(10**12), 10**12)
-        b = rng.randint(1, 10**12)
-        assert _intops.fraction_from(a, b) == Fraction(a, b)
+        f = Fraction(rng.randint(-(10**12), 10**12), rng.randint(1, 10**12))
+        g = _intops.fraction_from(f.numerator, f.denominator)
+        assert g == f
+        assert (g.numerator, g.denominator) == (f.numerator, f.denominator)
 
 
 def test_big_gcd_fallback(monkeypatch):
@@ -53,7 +58,7 @@ def test_iroot():
 
 
 @settings(max_examples=150, deadline=None)
-@given(lo=st.integers(1, 10**5), terms=st.integers(1, 400))
+@given(lo=st.integers(1, 10**5), terms=st.integers(1, 2 * _intops._BASE_TERMS))
 @example(lo=1, terms=_intops._BASE_TERMS)
 @example(lo=1, terms=_intops._BASE_TERMS + 1)
 @example(lo=99_999, terms=2 * _intops._BASE_TERMS + 1)
@@ -62,22 +67,76 @@ def test_harmonic_pair_matches_fraction_fold(lo, terms):
     expected = Fraction(0)
     for k in range(lo, hi + 1):
         expected += Fraction(1, k)
-    num, den = _intops.harmonic_pair(lo, hi)
-    assert Fraction(num, den) == expected
-    reduced = _intops.fraction_from(num, den)
-    assert (reduced.numerator, reduced.denominator) == (expected.numerator, expected.denominator)
+    assert _intops.harmonic_pair(lo, hi) == (expected.numerator, expected.denominator)
 
 
-def test_harmonic_pair_denominator_stays_near_lcm():
-    # Nodes add their halves over lcm(d1, d2), so the denominator is the lcm of
-    # the base cases' products: a multiple of lcm(lo..hi), and a divisor of
-    # lcm(lo..hi) * B! for B = _BASE_TERMS (204 bits more at B = 48).  The
-    # product of the terms would have 725,800 bits here, the lcm has 106,390.
+# the four k = 4 pairs of the k <= 60 joint search, (n, m) for d = 1, 3, 5, 7;
+# d = 3 is also the scan's record range n = 27134, t = 73756
+K4_PAIRS = [(9045, 24585), (27134, 73756), (45223, 122927), (63312, 172098)]
+
+
+@pytest.mark.parametrize("lo, hi", K4_PAIRS)
+def test_harmonic_pair_matches_lcm_split_on_pairs(lo, hi):
+    assert _intops.harmonic_pair(lo, hi) == harmonic_pair_lcm_split(lo, hi)
+
+
+# (lo, terms) spans: anywhere; from 1; across a prime square, where the sieve's
+# bound isqrt(hi) moves and a small prime's power grows; and on both sides of
+# the switch at hi = _FAR * terms, above which the sieve is skipped
+SPANS = st.one_of(
+    st.tuples(st.integers(1, 20_000), st.integers(1, 3000)),
+    st.tuples(st.just(1), st.integers(1, 6000)),
+    st.builds(
+        lambda p, back, past: (p * p - back, back + 1 + past),
+        st.sampled_from([29, 31, 97, 101, 211]), st.integers(0, 800), st.integers(_intops._BASE_TERMS, 1000),
+    ),
+    st.builds(
+        lambda terms, shift: (_intops._FAR * terms - terms + 1 + shift, terms),
+        st.integers(_intops._BASE_TERMS + 1, 2 * _intops._BASE_TERMS), st.integers(-1, 1),
+    ),
+)
+
+
+@settings(max_examples=150, deadline=None)
+@given(span=SPANS)
+@example(span=(1, 1))
+@example(span=(1, _intops._BASE_TERMS + 1))
+@example(span=(97 * 97 - 600, 600))  # hi = 97^2 - 1: 97 is a big prime
+@example(span=(97 * 97 - 599, 600))  # hi = 97^2: 97 is small, with p^2 in range
+@example(span=(_intops._FAR * 600 - 599, 600))  # the last span through the sieve
+@example(span=(_intops._FAR * 600 - 598, 600))  # the first span skipping it
+def test_harmonic_pair_matches_lcm_split(span):
+    lo, terms = span
+    hi = lo + terms - 1
+    assert _intops.harmonic_pair(lo, hi) == harmonic_pair_lcm_split(lo, hi)
+
+
+def test_harmonic_pair_denominator_is_the_reduced_lcm_divisor():
+    # the prime split builds the sum over lcm(lo..hi) and reduces it by small
+    # primes only: den divides the lcm and is the lowest-terms denominator
     lo, hi = 27134, 73756
-    _, den = _intops.harmonic_pair(lo, hi)
+    num, den = _intops.harmonic_pair(lo, hi)
     # lcm of the chunks' lcms: the same number as math.lcm(*range(lo, hi + 1)), 8x faster
     lcm = math.lcm(*(math.lcm(*range(a, min(a + 1000, hi + 1))) for a in range(lo, hi + 1, 1000)))
-    slack = math.factorial(_intops._BASE_TERMS)
-    assert den % lcm == 0
-    assert (lcm * slack) % den == 0
-    assert den.bit_length() <= lcm.bit_length() + slack.bit_length()
+    assert lcm % den == 0
+    assert math.gcd(num, den) == 1
+    assert (num, den) == harmonic_pair_lcm_split(lo, hi)
+
+
+def test_harmonic_pair_streams_its_primes():
+    # the big primes and their leaves stream through the product tree; a list
+    # of them at m = 172,098 would add about 4.4 MB of allocations.  A fresh
+    # interpreter keeps earlier tests' caches out of the count.
+    script = (
+        "import tracemalloc\n"
+        "from harmonicgap._intops import harmonic_pair\n"
+        "tracemalloc.start()\n"
+        "harmonic_pair(63312, 172098)\n"
+        "print(tracemalloc.get_traced_memory()[1])\n"
+    )
+    proc = subprocess.run(
+        [sys.executable, "-c", script], capture_output=True, text=True, timeout=120,
+        env=dict(os.environ, PYTHONPATH=str(SRC)),
+    )
+    assert proc.returncode == 0, proc.stderr
+    assert int(proc.stdout) < 2 << 20
