@@ -16,12 +16,13 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
+from functools import lru_cache
 
 from ._pool import ordered_map
 from .contfrac import e_convergent, odd_convergent
 from .errors import PrecisionError
-from .exactnum import Ball, constants, escalating, ln_ball
-from .harmonic import ball_sum, exact_sum, pair_offset, predicted_overshoot
+from .exactnum import Ball, _two_atanh, const_e, constants, escalating, ln_ball
+from .harmonic import exact_sum
 
 __all__ = [
     "CandidatePair",
@@ -40,9 +41,9 @@ QUALITY_BOUND = 1001  # certified: n^2 * overshoot * sqrt(k) <= this
 # on one 2-core machine (Python 3.11, no gmpy2): the exact sum takes 0.15 s at
 # m = 172,098 (k = 4, d = 7, the largest exact pair of the k <= 60 joint
 # search) and 0.27 s at m = 2^18 (n = 96,437), growing superlinearly; the
-# ball route takes milliseconds at any m.  Raising the cap turns
-# overshoot_exact from null into a fraction for the pairs it admits, so it is
-# an output change.
+# ball route works at a fixed 224 bits and takes milliseconds at k <= 1000.
+# Raising the cap turns overshoot_exact from null into a fraction for the
+# pairs it admits, so it is an output change.
 EXACT_ROUTE_CAP = 1 << 18
 
 
@@ -140,19 +141,44 @@ class CandidatePair:
         return abs(self.quality).mul(logn.pow_frac(Fraction(5, 4), prec))
 
 
-def _overshoot_ball(k: int, m: int, n: int) -> tuple[Ball, Fraction | None]:
+@lru_cache(maxsize=16)
+def _delta(k: int, d: int, w: int) -> Ball:
+    """delta = d(p - e q)/2 = -sign d r/(2q) at w + 32 bits, from the
+    remainder r at w bits: the pair (k, d) has m - e(n-1) = (e-1)/2 + delta
+    and offset y = n delta.  Cached: certify takes both from it."""
+    s = odd_convergent(k, w)
+    W = w + 32
+    return s.remainder.mul(Ball.from_fraction(-s.sign * d, W)).div(Ball.point(2 * s.q, W).at(W))
+
+
+def _overshoot_ball(k: int, d: int, m: int, n: int) -> tuple[Ball, Fraction | None]:
+    """S - 1 for S = 1/n + ... + 1/m: exact up to EXACT_ROUTE_CAP, else the
+    Euler-Maclaurin difference with its order-1/n terms combined free of
+    cancellation, for N = n - 1, a = m - eN = (e-1)/2 + delta, u = a/(m + eN):
+
+        [4 e delta N^2 + (4a^2 - (3e-1) a) N - a^2] / (2 m N (m + eN))
+            + (2 atanh u - 2u) + 1/(12N^2) - 1/(12m^2) + R,
+
+    R in (-1/(120 N^4), 1/(120 m^4)), every term a ball 32 bits above the
+    attempt's precision, which starts at 192 and in practice decides."""
     if m <= EXACT_ROUTE_CAP:
         eps = exact_sum(n, m) - 1
         return Ball.from_fraction(eps, 192), eps
-    # ball route: a width of a quarter of the predicted magnitude decides the
-    # sign; ball_sum escalates the precision until it meets that width
-    pred = predicted_overshoot(n, pair_offset(n, m), prec=64)
-    mag = max(abs(pred.lo.as_fraction()), abs(pred.hi.as_fraction()))
-    floor = Fraction(1, 15 * (n - 1) ** 4)
-    b = ball_sum(n, m, mag / 4 + 2 * floor) - 1
-    if b.sign() is None:
-        raise PrecisionError(f"overshoot sign undecided for pair k={k} (m={m})")
-    return b, None
+
+    def attempt(w: int) -> Ball | None:
+        W = w + 32
+        e, delta = const_e(W), _delta(k, d, w)
+        nb, mb = Ball.point(n - 1, W).at(W), Ball.point(m, W).at(W)
+        a = (e - 1) / 2 + delta
+        men = mb + e * nb
+        u = a / men
+        n2, m2 = nb * nb, mb * mb
+        lead = (4 * e * delta * n2 + (4 * a * a - (3 * e - 1) * a) * nb - a * a) / (2 * mb * nb * men)
+        out = lead + _two_atanh(u, -abs(u).hi.bit_magnitude(), w) + 1 / (12 * n2) - 1 / (12 * m2)
+        out = out + Ball(-(1 / (120 * n2 * n2)).hi, (1 / (120 * m2 * m2)).hi, W)
+        return out if out.sign() is not None else None
+
+    return escalating(attempt, start=192, what=f"overshoot sign of pair k={k}, d={d}"), None
 
 
 def certify(k: int, d: int | None = None, strict: bool = True) -> CandidatePair:
@@ -163,8 +189,8 @@ def certify(k: int, d: int | None = None, strict: bool = True) -> CandidatePair:
     its measured quality reported without asserting the bound.  k = 0 is
     constructible for demonstration but excluded from certification claims.
     The overshoot is summed exactly (overshoot_exact) when m <= EXACT_ROUTE_CAP,
-    and enclosed by one Euler-Maclaurin ball_sum otherwise (PrecisionError if
-    that ball leaves its sign undecided).
+    and otherwise from the convergent's remainder at a fixed precision, like
+    the offset (PrecisionError if no precision decides its sign).
     """
     if k < 0 or k % 2:
         raise ValueError("certification is defined for even k >= 0")
@@ -172,9 +198,9 @@ def certify(k: int, d: int | None = None, strict: bool = True) -> CandidatePair:
     if d is None:
         d = canonical_d
     m, n = pair_from(k, d)
-    overshoot, overshoot_exact = _overshoot_ball(k, m, n)
+    overshoot, overshoot_exact = _overshoot_ball(k, d, m, n)
     quality = overshoot.mul(Ball.from_fraction(n * n, overshoot.prec))
-    offset = pair_offset(n, m)
+    offset = _delta(k, d, 192) * n
     canonical = d == canonical_d
 
     bound_ok: bool | None = None

@@ -441,6 +441,8 @@ def count_quadratic_modular(
         raise ValueError("need 0 < delta < 1/2")
     if n_max < 1:
         raise ValueError("n_max must be >= 1")
+    if modulus < 1:
+        raise ValueError("modulus must be >= 1")
     rn, rd = shift.numerator, shift.denominator
     dn, dd = delta.numerator, delta.denominator
     big_q = q * rd

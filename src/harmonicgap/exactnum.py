@@ -9,10 +9,13 @@ rounding exact integer work; no floating-point environment is involved.
 Exact quantities are Fractions: convergent ratios, harmonic sums,
 overshoots, denominator ratios.
 
-Precision policy: callers request a target width; computations start at 128
-bits and double the working precision until the target is met, capping at
-MAX_PREC with a PrecisionError.  Downstream certifications need *decided*
-signs and bounds, never silent rounding.
+Precision policy: one loop, `escalating`, runs a computation at doubling
+working precision from the caller's start until it returns a result (a width
+met, a sign decided) and raises PrecisionError past MAX_PREC.  Downstream
+certifications need *decided* signs and bounds, never silent rounding.
+Where the cancellation is taken out algebraically, the first attempt
+decides: construct certifies its pairs from the convergent's remainder at a
+fixed 224 bits, at any size of n.
 """
 
 from __future__ import annotations
@@ -83,8 +86,9 @@ class Dyadic:
         return Dyadic(self.man * other.man, self.exp + other.exp)
 
     def _cmp(self, other: "Dyadic") -> int:
-        d = self - other
-        return d.sign()
+        e = min(self.exp, other.exp)
+        a, b = self.man << (self.exp - e), other.man << (other.exp - e)
+        return (a > b) - (a < b)
 
     def __lt__(self, other):
         return self._cmp(other) < 0
@@ -340,33 +344,19 @@ class Ball:
 
     def mul(self, other: "Ball", prec: int | None = None) -> "Ball":
         p = prec or self._p(other)
-        cands = [
-            self.lo * other.lo,
-            self.lo * other.hi,
-            self.hi * other.lo,
-            self.hi * other.hi,
-        ]
-        lo = hi = cands[0]
-        for c in cands[1:]:
-            if c < lo:
-                lo = c
-            if c > hi:
-                hi = c
-        return Ball(lo.round_down(p), hi.round_up(p), p)
+        cands = [self.lo * other.lo, self.lo * other.hi, self.hi * other.lo, self.hi * other.hi]
+        return Ball(min(cands).round_down(p), max(cands).round_up(p), p)
 
     def div(self, other: "Ball", prec: int | None = None) -> "Ball":
         p = prec or self._p(other)
         if other.lo.man <= 0 <= other.hi.man:
             raise PrecisionError("division by a ball containing zero")
-        lo = hi = None
-        for a in (self.lo, self.hi):
-            for b in (other.lo, other.hi):
-                d = _dyadic_div(a, b, p, up=False)
-                u = _dyadic_div(a, b, p, up=True)
-                if lo is None or d < lo:
-                    lo = d
-                if hi is None or u > hi:
-                    hi = u
+        if other.hi.man < 0:
+            return (-self).div(-other, p)
+        # a positive divisor: each end of the quotient divides by the end of
+        # the divisor that pushes it outward
+        lo = _dyadic_div(self.lo, other.hi if self.lo.man >= 0 else other.lo, p, up=False)
+        hi = _dyadic_div(self.hi, other.lo if self.hi.man >= 0 else other.hi, p, up=True)
         return Ball(lo, hi, p)
 
     def __add__(self, other):
@@ -501,12 +491,14 @@ def _ln2(prec: int) -> Ball:
 
 
 def _two_atanh(u: Ball, ell: int, w: int) -> Ball:
-    """2*atanh(u) for every u in the ball, given |u| < 2^-ell with ell >= 1:
-    the series sum 2 u^(2j+1)/(2j+1) at w + 16 bits, with its remainder."""
+    """2*atanh(u) - 2u for every u in the ball, given |u| < 2^-ell with
+    ell >= 1: the series sum 2 u^(2j+1)/(2j+1) from j = 1, with its
+    remainder.  The remainder is under 2^(-w-7-3*ell) and every step rounds
+    relative to its term, so the error shrinks with u."""
     terms = (w + 8) // (2 * ell) + 2
     u2 = u.mul(u)
     term = u
-    acc = u
+    acc = Ball.point(0, u.prec)
     for j in range(1, terms):
         term = term.mul(u2)
         acc = acc.add(term.div(Ball.from_fraction(2 * j + 1, w + 16)))
@@ -514,74 +506,38 @@ def _two_atanh(u: Ball, ell: int, w: int) -> Ball:
     return (acc + acc).widen_by(Dyadic(1, -(2 * terms + 1) * ell + 1))
 
 
-def _ln_by_powers_of_two(r: Fraction, w: int) -> Ball:
-    """ln r at working precision w: r = x * 2^s with x in [2/3, 4/3], then
-    ln x = 2*atanh((x-1)/(x+1)) and s * ln 2."""
-    num, den = r.numerator, r.denominator
-    s = num.bit_length() - den.bit_length()
-    # shift so that num/(den*2^s) lies in [2/3, 4/3]
-    def scaled(sv):
-        return (num, den << sv) if sv >= 0 else (num << -sv, den)
-
-    a, b = scaled(s)
-    while 3 * a > 4 * b:
-        s += 1
-        a, b = scaled(s)
-    while 3 * a < 2 * b:
-        s -= 1
-        a, b = scaled(s)
-    if a == b:
-        out = Ball.point(0, w)
-    else:
-        unum, uden = a - b, a + b
-        # |u| <= 1/5 after reduction, and |u| < 2^(1-ell)
-        ell = uden.bit_length() - abs(unum).bit_length()
-        if ell < 2:
-            ell = 2
-        out = _two_atanh(Ball.from_fraction(Fraction(unum, uden), w + 16), ell - 1, w)
-    if s != 0:
-        sb = Ball.from_fraction(s, w)
-        out = out.add(_ln2(_bucket(w + s.bit_length() + 8)).mul(sb))
-    return out.at(w)
-
-
-# ln_ball reduces around e when a 64-bit ball shows |(r-e)/(r+e)| < 2^-8:
-# no integer gets there, and the series then needs at most about w/14 terms
-# against w/4 to w/2 after the power-of-two reduction
-_NEAR_E_BITS = 8
-
-
 def ln_ball(r: Fraction | int, prec: int = DEFAULT_PREC) -> Ball:
     """Sound enclosure of ln(r) for rational r > 0, width <= 2**(4-prec).
 
-    Two argument reductions, each followed by the atanh series
-    ln(x) = 2*atanh((x-1)/(x+1)) with an explicit geometric remainder:
-
-    - near e, where a cheap 64-bit ball shows |u| < 2^-8 for
-      u = (r-e)/(r+e): ln r = 1 + 2*atanh(u), with u a ball from the cached
-      const_e and the term count from the bound |u| < 2^-ell certified at
-      the working precision.  The convergent ratios m/(n-1) of the paper's
-      pairs have |u| about 1/n, so a handful of terms suffice;
-    - everywhere else: r = x * 2^s with x in [2/3, 4/3], and s * ln 2 from
-      the cached _ln2.
+    One argument reduction, r = x * 2^s with x in [2/3, 4/3], then
+    ln x = 2u + (2*atanh(u) - 2u) for u = (x-1)/(x+1), |u| <= 1/5, by the
+    series with its explicit geometric remainder, and s * ln 2 from the
+    cached _ln2.
     """
     r = Fraction(r)
     if r <= 0:
         raise ValueError("ln of a non-positive rational")
-    if r == 1:
-        return Ball.point(0, prec)
-    e64 = const_e(64)
-    x64 = Ball.from_fraction(r, 64)
-    near_e = abs(x64.sub(e64).div(x64.add(e64))).hi.bit_magnitude() <= -_NEAR_E_BITS
+    num, den = r.numerator, r.denominator
+    s = num.bit_length() - den.bit_length()
+    a, b = (num, den << s) if s >= 0 else (num << -s, den)
+    # a/b lies in (1/2, 2), so one halving or doubling lands in [2/3, 4/3]
+    if 3 * a > 4 * b:
+        s, b = s + 1, 2 * b
+    elif 3 * a < 2 * b:
+        s, a = s - 1, 2 * a
+    unum, uden = a - b, a + b
+    ell = uden.bit_length() - abs(unum).bit_length()
+    if abs(unum) << ell >= uden:
+        ell -= 1  # now |u| < 2^-ell, and |u| <= 1/5 keeps ell >= 2
 
     def attempt(w: int) -> Ball | None:
-        if near_e:
-            e = const_e(w + 16)
-            x = Ball.from_fraction(r, w + 16)
-            u = x.sub(e).div(x.add(e))
-            out = _two_atanh(u, -abs(u).hi.bit_magnitude(), w).add(Ball.point(1, w + 16)).at(w)
-        else:
-            out = _ln_by_powers_of_two(r, w)
+        out = Ball.point(0, w)
+        if unum:
+            u = Ball.from_fraction(Fraction(unum, uden), w + 16)
+            out = _two_atanh(u, ell, w).add(u + u)
+        if s:
+            out = out.add(_ln2(_bucket(w + s.bit_length() + 8)).mul(Ball.from_fraction(s, w)))
+        out = out.at(w)
         # keep the working precision: re-rounding to prec bits would break
         # the absolute width contract once |ln r| exceeds 2^4
         return out if out.width_leq(4 - prec) else None

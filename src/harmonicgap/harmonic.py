@@ -144,9 +144,11 @@ def crossing(n: int) -> Crossing:
 
 
 def iter_crossings(n_lo: int, n_hi: int) -> Iterator[Crossing]:
-    """Crossings for consecutive n, maintained incrementally and exactly."""
+    """Crossings for n_lo <= n <= n_hi, maintained incrementally and exactly."""
     if n_lo < 2:
         raise ValueError("incremental crossings start at n >= 2")
+    if n_hi < n_lo:
+        return
     first = crossing(n_lo)
     total = first.overshoot + 1
     t = first.t

@@ -15,6 +15,7 @@ import pytest
 
 from harmonicgap.contfrac import e_convergent
 from harmonicgap.exactnum import Ball, const_e, escalating
+from harmonicgap.harmonic import ball_sum, pair_offset, predicted_overshoot
 
 ROOT = Path(__file__).resolve().parents[1]
 
@@ -37,6 +38,17 @@ def remainder_from_e(k: int, prec: int = 0) -> Ball:
 
     start = max(prec, 2 * q.bit_length() + max(k, 1).bit_length() + 32, 64)
     return escalating(attempt, start=start, what=f"e-based remainder {k}")
+
+
+def overshoot_by_ball_sum(n: int, m: int) -> Ball:
+    """Slow twin of construct's ball route: the segment sum minus 1 by
+    ball_sum, whose ln(m/(n-1)) runs at about 2 log2(n) bits, to a width of
+    a quarter of the second-order prediction from pair_offset (about
+    3 log2(n) bits) plus twice the Euler-Maclaurin floor."""
+    pred = predicted_overshoot(n, pair_offset(n, m), prec=64)
+    mag = max(abs(pred.lo.as_fraction()), abs(pred.hi.as_fraction()))
+    floor = Fraction(1, 15 * (n - 1) ** 4)
+    return ball_sum(n, m, mag / 4 + 2 * floor) - 1
 
 
 def harmonic_pair_lcm_split(lo: int, hi: int) -> tuple[int, int]:

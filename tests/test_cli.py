@@ -123,14 +123,13 @@ class TestConstruct:
         assert construct.pair_from(4, 7)[0] <= construct.EXACT_ROUTE_CAP
 
     def test_index_limit(self, capsys):
-        # 1904 is the last even index that certifies: from 1906 the pair
-        # offset, at about 3 log2(n) bits, needs more than MAX_PREC
-        code, out, _ = run(capsys, "construct", "--k", "1904")
-        assert code == 0 and json.loads(out)["bound_ok"] is True
-        code, out, err = run(capsys, "construct", "--k", "1906")
-        assert (code, out) == (3, "")
-        assert len(err.splitlines()) == 1 and "precision cap 65536" in err
-        assert len(err.encode()) < 300
+        # the offset and the overshoot come from the convergent's remainder
+        # at a fixed precision, so the indices past 1904, where a pair offset
+        # at about 3 log2(n) bits needs more than MAX_PREC, certify too
+        for k in ("1904", "1906", "3000"):
+            code, out, _ = run(capsys, "construct", "--k", k)
+            assert code == 0 and json.loads(out)["bound_ok"] is True, k
+            assert json.loads(out)["quality"]["prec"] == 224, k
 
     def test_window_mode(self, capsys):
         code, out, _ = run(capsys, "construct", "--k", "4", "--window", "3")

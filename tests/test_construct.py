@@ -3,6 +3,8 @@
 from fractions import Fraction
 
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
 from harmonicgap import construct
 from harmonicgap.construct import (
@@ -15,6 +17,9 @@ from harmonicgap.construct import (
     pick_multiplier,
 )
 from harmonicgap.exactnum import Ball, constants
+from harmonicgap.harmonic import pair_offset
+
+from conftest import overshoot_by_ball_sum
 
 
 def _naive_overshoot(n: int, m: int) -> Fraction:
@@ -124,14 +129,16 @@ class TestCertify:
         assert pair.bound_ok is False
 
     def test_interval_route_matches_exact(self, monkeypatch):
-        exact = certify(4)
-        # force the ball route by shrinking the exact-route cap
+        exact = {(k, d): certify(k, d, strict=False) for k, d in ((2, 1), (2, 3), (2, 9), (4, 5), (4, 7))}
+        # force the ball route by shrinking the exact-route cap; its ball is
+        # about as wide as the Euler-Maclaurin remainder, so leaving out the
+        # atanh term or the remainder would exclude the exact value
         monkeypatch.setattr(construct, "EXACT_ROUTE_CAP", 1)
-        pair = certify(4)
-        assert pair.overshoot_exact is None
-        assert exact.overshoot_exact is not None
-        assert pair.overshoot.contains(exact.overshoot_exact)
-        assert pair.bound_ok and exact.bound_ok
+        for (k, d), ex in exact.items():
+            pair = certify(k, d, strict=False)
+            assert pair.overshoot_exact is None and ex.overshoot_exact is not None
+            assert pair.overshoot.contains(ex.overshoot_exact), (k, d)
+            assert pair.bound_ok == ex.bound_ok, (k, d)
 
     def test_k1000_certified(self):
         pair = certify(1000)
@@ -153,6 +160,39 @@ class TestCertify:
             s = Ball.from_fraction(k, 128).sqrt()
             assert (dev * s).lo.cmp_fraction(Fraction(1, 200)) > 0, k
             assert (dev * s).hi.cmp_fraction(Fraction(50)) < 0, k
+
+
+@st.composite
+def _pair_index(draw):
+    """(k, d): the canonical multiplier, one in its joint-search window, or
+    any odd multiplier below 100."""
+    k = 2 * draw(st.integers(1, 100))
+    kind = draw(st.sampled_from(["canonical", "window", "any"]))
+    if kind == "canonical":
+        return k, pick_multiplier(k)
+    if kind == "window":
+        return k, max(1, pick_multiplier(k) + 2 * draw(st.integers(-6, 6)))
+    return k, 2 * draw(st.integers(0, 49)) + 1
+
+
+class TestBallRoute:
+    """The fixed-precision route against its slow twin, ball_sum at a
+    precision that grows with n."""
+
+    @settings(max_examples=20, deadline=None)
+    @given(kd=_pair_index())
+    @example(kd=(2, 1))
+    @example(kd=(200, 15))
+    def test_matches_ball_sum_route(self, kd):
+        k, d = kd
+        m, n = pair_from(k, d)
+        with pytest.MonkeyPatch.context() as mp:
+            mp.setattr(construct, "EXACT_ROUTE_CAP", 0)  # the ball route at every m
+            fast, _ = construct._overshoot_ball(k, d, m, n)
+        slow = overshoot_by_ball_sum(n, m)
+        assert fast.overlaps(slow)
+        assert slow.sign() is not None and fast.sign() == slow.sign()
+        assert certify(k, d, strict=False).offset.overlaps(pair_offset(n, m))
 
 
 class TestGapBracket:

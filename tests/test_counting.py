@@ -237,6 +237,12 @@ class TestCountQuadratic:
         with pytest.raises(ValueError):
             count(1, 2, Fraction(0), Fraction(1, 4), n_max)
 
+    @pytest.mark.parametrize("count", [count_quadratic, count_quadratic_modular])
+    @pytest.mark.parametrize("modulus", [0, -1])
+    def test_modulus_domain(self, count, modulus):
+        with pytest.raises(ValueError, match="modulus must be >= 1"):
+            count(1, 2, Fraction(0), Fraction(1, 4), 10, modulus=modulus)
+
     def test_big_prime_modulus(self):
         rep = count_quadratic(3, 10007, Fraction(0), Fraction(1, 20), 2000)
         assert rep.count == 204  # frozen by direct enumeration

@@ -5,12 +5,8 @@ import random
 from fractions import Fraction
 
 import pytest
-from hypothesis import example, given, settings
-from hypothesis import strategies as st
 
-from harmonicgap import exactnum
-from harmonicgap.construct import pair_from, pick_multiplier
-from harmonicgap.contfrac import e_convergent
+from harmonicgap.construct import pair_from
 from harmonicgap.errors import PrecisionError
 from harmonicgap.exactnum import (
     Ball,
@@ -18,9 +14,7 @@ from harmonicgap.exactnum import (
     const_e,
     const_sinh1,
     constants,
-    _bucket,
     _ln2,
-    _ln_by_powers_of_two,
     exp_ball,
     ln_ball,
 )
@@ -199,6 +193,16 @@ class TestLn:
         for prec in (48, 96, 192, 384):
             b = ln_ball(Fraction(355, 113), prec)
             assert b.width_leq(4 - prec)
+        # ratios near e, where the series runs longest after the reduction,
+        # up to the k = 250, d = 17 pair ratio m/(n-1) at 4000 bits
+        m, n = pair_from(250, 17)
+        for r, prec in ((Fraction(19, 7), 32), (Fraction(m, n - 1), 4000)):
+            b = ln_ball(r, prec)
+            assert b.width_leq(4 - prec)
+            assert b.overlaps(ln_ball(r.numerator, prec) - ln_ball(r.denominator, prec))
+        lo, tail = _ln_oracle(Fraction(19, 7))
+        b = ln_ball(Fraction(19, 7), 96)
+        assert b.lo.cmp_fraction(lo + tail) <= 0 and b.hi.cmp_fraction(lo) >= 0
 
     def test_domain_error(self):
         with pytest.raises(ValueError):
@@ -221,59 +225,6 @@ class TestLn:
         slack = tail + s * l2t + Fraction(1, 10**20)
         assert b.lo.cmp_fraction(approx - slack) >= 0
         assert b.hi.cmp_fraction(approx + slack) <= 0
-
-
-# within 2^-500 of e, so every distance below is measured from e itself
-_E_NEAR = const_e(512).midpoint().as_fraction()
-
-
-@st.composite
-def _ratio_near_e(draw):
-    kind = draw(st.sampled_from(["convergent", "pair", "offset"]))
-    if kind == "convergent":
-        return e_convergent(draw(st.integers(1, 60))).as_fraction()
-    if kind == "pair":
-        m, n = pair_from(draw(st.integers(0, 30)) * 2, draw(st.integers(0, 10)) * 2 + 1)
-        return Fraction(m, max(n - 1, 1))
-    # at distance in (2^-ell, 2^(1-ell)] from e, above or below: the gate sits near ell = 6
-    ell = draw(st.integers(1, 200))
-    q = draw(st.integers(1, 2**20))
-    return _E_NEAR + draw(st.sampled_from([-1, 1])) * Fraction(2**20 + q, 2 ** (20 + ell))
-
-
-class TestLnNearE:
-    """ln_ball's reduction around e against its slow twin, the power-of-two reduction."""
-
-    @settings(max_examples=30, deadline=None)
-    @given(r=_ratio_near_e(), prec=st.integers(5, 11).flatmap(lambda j: st.integers(2**j, 2 ** (j + 1))))
-    @example(r=Fraction(19, 7), prec=32)
-    @example(r=Fraction(pair_from(250, 17)[0], pair_from(250, 17)[1] - 1), prec=4000)
-    def test_matches_power_of_two_reduction(self, r, prec):
-        fast = ln_ball(r, prec)
-        slow = _ln_by_powers_of_two(r, _bucket(prec + 16))
-        assert fast.width_leq(4 - prec) and slow.width_leq(4 - prec)
-        assert fast.overlaps(slow)
-
-    @staticmethod
-    def _reaches_power_of_two_reduction(monkeypatch, r) -> bool:
-        calls = []
-
-        def spy(*args):
-            calls.append(args)
-            return _ln_by_powers_of_two(*args)
-
-        monkeypatch.setattr(exactnum, "_ln_by_powers_of_two", spy)
-        ln_ball(r, 256)
-        return bool(calls)
-
-    def test_canonical_pairs_reduce_around_e(self, monkeypatch):
-        for k in (2, 100, 250):
-            m, n = pair_from(k, pick_multiplier(k))
-            assert not self._reaches_power_of_two_reduction(monkeypatch, Fraction(m, n - 1)), k
-
-    def test_integers_keep_power_of_two_reduction(self, monkeypatch):
-        for r in (2, 3, Fraction(8, 3), Fraction(11, 4)):
-            assert self._reaches_power_of_two_reduction(monkeypatch, r), r
 
 
 class TestLn2:

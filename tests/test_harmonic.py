@@ -122,6 +122,10 @@ class TestCrossing:
             solo = crossing(rec.n)
             assert (solo.t, solo.overshoot) == (rec.t, rec.overshoot)
 
+    def test_iter_empty_range(self):
+        assert list(iter_crossings(10, 5)) == []
+        assert [rec.n for rec in iter_crossings(10, 10)] == [10]
+
     @settings(max_examples=200, deadline=None)
     @given(n=st.integers(2, 400), shift=st.integers(-1200, 1200))
     def test_walk_from_any_hint(self, n, shift):
