@@ -16,10 +16,9 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
-from functools import lru_cache
 
 from ._pool import ordered_map
-from .contfrac import e_convergent, odd_convergent
+from .contfrac import OddConvergent, e_convergent, odd_convergent
 from .errors import PrecisionError
 from .exactnum import Ball, _two_atanh, const_e, constants, escalating, ln_ball
 from .harmonic import exact_sum
@@ -73,30 +72,36 @@ def pair_from(k: int, d: int) -> tuple[int, int]:
     return (d * c.p - 1) // 2, (d * c.q + 1) // 2
 
 
+def _ideal(s: OddConvergent, w: int) -> Ball | None:
+    """The ideal multiplier from one remainder at w bits: the crude d0 under
+    (2n-1)/n ~ 2, its n0, then the refined value (None if d0 is undecided)."""
+    c = constants(w)
+    d0 = closest_odd((2 * c.gap_target.div(s.remainder)).sqrt() + 2)
+    if d0 is None or d0 < 1:
+        return None
+    n0 = (d0 * s.q + 1) // 2
+    ratio = Ball.from_fraction(Fraction(2 * n0 - 1, n0), w)
+    return ratio.mul(c.gap_target).div(s.remainder).sqrt()
+
+
 def ideal_multiplier(k: int, prec: int = 64) -> Ball:
     """The real multiplier nulling the scaled gap, with the factor (2n-1)/n
     evaluated by one fixed-point pass.
 
     The initial n comes from the multiplier the construction would actually
     use under the crude (2n-1)/n ~ 2 approximation, so the refined value
-    reflects the constructed pair.
+    reflects the constructed pair.  The first attempt reads the 192-bit
+    remainder that certify uses; at most about 2^-189 (2k+4)^1.5 wide, it
+    decides every prec up to 96 at any reachable k.
     """
     if k < 0 or k % 2:
         raise ValueError("ideal_multiplier is defined for even k >= 0")
 
     def attempt(w: int) -> Ball | None:
-        s = odd_convergent(k, prec=w)
-        c = constants(w)
-        crude = (2 * c.gap_target.div(s.remainder)).sqrt()
-        d0 = closest_odd(crude + 2)
-        if d0 is None or d0 < 1:
-            return None
-        n0 = (d0 * s.q + 1) // 2
-        ratio = Ball.from_fraction(Fraction(2 * n0 - 1, n0), w)
-        out = ratio.mul(c.gap_target).div(s.remainder).sqrt()
-        return out if out.width_leq(-max(prec, 48)) else None
+        out = _ideal(odd_convergent(k, w), w)
+        return out if out is not None and out.width_leq(-max(prec, 48)) else None
 
-    return escalating(attempt, start=max(prec, 96), what=f"ideal multiplier k={k}")
+    return escalating(attempt, start=max(prec, 192), what=f"ideal multiplier k={k}")
 
 
 def pick_multiplier(k: int) -> int:
@@ -106,10 +111,10 @@ def pick_multiplier(k: int) -> int:
         raise ValueError("pick_multiplier is defined for even k >= 0")
 
     def attempt(w: int) -> int | None:
-        z = ideal_multiplier(k, w) + 2
-        return closest_odd(z)
+        ideal = _ideal(odd_convergent(k, w), w)
+        return None if ideal is None else closest_odd(ideal + 2)
 
-    d = escalating(attempt, start=96, what=f"multiplier choice k={k}")
+    d = escalating(attempt, start=192, what=f"multiplier choice k={k}")
     if d < 1:  # pragma: no cover - ideal > 0 always
         raise PrecisionError(f"multiplier choice k={k} collapsed below 1")
     return d
@@ -141,11 +146,10 @@ class CandidatePair:
         return abs(self.quality).mul(logn.pow_frac(Fraction(5, 4), prec))
 
 
-@lru_cache(maxsize=16)
 def _delta(k: int, d: int, w: int) -> Ball:
     """delta = d(p - e q)/2 = -sign d r/(2q) at w + 32 bits, from the
     remainder r at w bits: the pair (k, d) has m - e(n-1) = (e-1)/2 + delta
-    and offset y = n delta.  Cached: certify takes both from it."""
+    and offset y = n delta."""
     s = odd_convergent(k, w)
     W = w + 32
     return s.remainder.mul(Ball.from_fraction(-s.sign * d, W)).div(Ball.point(2 * s.q, W).at(W))
@@ -229,20 +233,17 @@ def certify(k: int, d: int | None = None, strict: bool = True) -> CandidatePair:
     )
 
 
-def gap_bracket(k: int, prec: int = 128) -> tuple[Ball, Ball, Ball]:
-    """(lhs, gap, rhs) of the multiplier-choice bracket for the canonical d:
+def gap_bracket(k: int) -> tuple[Ball, Ball, Ball]:
+    """(lhs, gap, rhs) of the multiplier-choice bracket for the canonical d,
+    from the 192-bit remainder:
 
         (1/2) ideal * r  <=  r d^2 n/(2n-1) - sinh(1)/6  <=  7 ideal * r
     """
     d = pick_multiplier(k)
-    m, n = pair_from(k, d)
-    s = odd_convergent(k, prec=prec)
-    c = constants(prec)
-    ideal = ideal_multiplier(k, prec)
-    ratio = Ball.from_fraction(Fraction(n, 2 * n - 1), prec)
-    gap = s.remainder * Ball.from_fraction(d * d, prec) * ratio - c.gap_target
-    half = Ball.from_fraction(Fraction(1, 2), prec)
-    return half * ideal * s.remainder, gap, 7 * ideal * s.remainder
+    _, n = pair_from(k, d)
+    r, ideal = odd_convergent(k, 192).remainder, ideal_multiplier(k)
+    gap = r * Ball.from_fraction(Fraction(d * d * n, 2 * n - 1), 192) - constants(192).gap_target
+    return Ball.from_fraction(Fraction(1, 2), 192) * ideal * r, gap, 7 * ideal * r
 
 
 def joint_search(

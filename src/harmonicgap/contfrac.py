@@ -121,11 +121,13 @@ class OddConvergent:
         return Fraction(1, 2 * self.k + 4), Fraction(1, 2 * self.k + 2)
 
 
+@lru_cache(maxsize=64)
 def odd_convergent(k: int, prec: int = 0) -> OddConvergent:
     """Certified subsequence entry; all invariants decided before returning.
 
     The remainder is r = 1/(w_k + c_k) at a fixed working precision: its
-    width is at most 2^(4 - prec), or 2^-32 for prec = 0, at any k.
+    width is at most 2^(4 - prec), or 2^-32 for prec = 0, at any k.  Cached,
+    so construct computes one remainder per index.
     """
     if k < 0:
         raise IndexError("subsequence index starts at 0")

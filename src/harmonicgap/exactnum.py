@@ -445,14 +445,8 @@ def _operand(x: int | Fraction) -> str:
     return str(x) if x.bit_length() <= 64 else f"<{x.bit_length()}-bit integer>"
 
 
-def escalating(compute, start: int = 128, cap: int | None = None, what: str = "value"):
-    """Run compute(prec) at doubling precision until it returns non-None.
-
-    The cap defaults to the module's MAX_PREC at call time, so it can be
-    reconfigured globally.
-    """
-    if cap is None:
-        cap = MAX_PREC
+def escalating(compute, start: int = 128, cap: int = MAX_PREC, what: str = "value"):
+    """Run compute(prec) at doubling precision until it returns non-None."""
     p = max(start, _MIN_PREC)
     while p <= cap:
         out = compute(p)

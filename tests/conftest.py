@@ -11,6 +11,7 @@ import sysconfig
 from fractions import Fraction
 from pathlib import Path
 
+import mpmath
 import pytest
 
 from harmonicgap.contfrac import e_convergent
@@ -38,6 +39,29 @@ def remainder_from_e(k: int, prec: int = 0) -> Ball:
 
     start = max(prec, 2 * q.bit_length() + max(k, 1).bit_length() + 32, 64)
     return escalating(attempt, start=start, what=f"e-based remainder {k}")
+
+
+def multiplier_from_mpmath(k: int) -> tuple[Fraction, int]:
+    """Slow twin of construct's multiplier choice, from mpmath's e and sinh(1)
+    at 2 log2(q) + 400 bits, so r = |e - p/q| q^2 for p/q = p_{3k+2}/q_{3k+2}
+    is good to about 400 bits.  With g = sinh(1)/6: the crude d0 is the
+    closest odd integer to sqrt(2g/r) + 2, n0 = (d0 q + 1)/2, and the ideal
+    is sqrt(g (2n0 - 1)/(n0 r)).  Returns (ideal, closest odd integer to
+    ideal + 2), the ideal as the exact value of the mpmath result."""
+
+    def odd_nearest(x) -> int:
+        o = 2 * int(mpmath.floor((x - 1) / 2)) + 1
+        return o if x < o + 1 else o + 2
+
+    c = e_convergent(3 * k + 2)
+    p, q = c.p, c.q
+    with mpmath.workprec(2 * q.bit_length() + 400):
+        g = mpmath.sinh(1) / 6
+        r = abs(mpmath.e * q - p) * q
+        n0 = (odd_nearest(mpmath.sqrt(2 * g / r) + 2) * q + 1) // 2
+        ideal = mpmath.sqrt(g * (2 * n0 - 1) / (n0 * r))
+        man, exp = ideal.man_exp
+        return Fraction(man) * Fraction(2) ** exp, odd_nearest(ideal + 2)
 
 
 def overshoot_by_ball_sum(n: int, m: int) -> Ball:

@@ -2,7 +2,9 @@
 
 Deleting or renaming one of those bindings breaks only the traced benchmark
 run (`perfbench/run.py --trace 1`), so this installs the tracer in a fresh
-interpreter and runs one exact-route and one ball-route certification.
+interpreter and runs one exact-route and one ball-route certification and one
+window search.  Each index's remainder is taken once, at a precision that
+decides everything built from it, so no precision escalates.
 """
 
 import subprocess
@@ -23,6 +25,8 @@ construct.certify(2)
 construct.certify(100)
 assert tracer.counters["construct.exact_route"] == 1, tracer.counters
 assert tracer.counters["construct.ball_route"] == 1, tracer.counters
+construct._joint_one_k((200, 5))
+assert tracer.counters.get("exactnum.escalations", 0) == 0, tracer.counters
 """
 
 

@@ -1,12 +1,13 @@
 """Construction and certification of near-1 pairs."""
 
+from collections import Counter
 from fractions import Fraction
 
 import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from harmonicgap import construct
+from harmonicgap import construct, contfrac
 from harmonicgap.construct import (
     certify,
     closest_odd,
@@ -16,10 +17,10 @@ from harmonicgap.construct import (
     pair_from,
     pick_multiplier,
 )
-from harmonicgap.exactnum import Ball, constants
+from harmonicgap.exactnum import Ball, constants, escalating
 from harmonicgap.harmonic import pair_offset
 
-from conftest import overshoot_by_ball_sum
+from conftest import multiplier_from_mpmath, overshoot_by_ball_sum
 
 
 def _naive_overshoot(n: int, m: int) -> Fraction:
@@ -78,6 +79,66 @@ class TestPickMultiplier:
         assert closest_odd(Ball.point(3, 64)) == 3
         assert closest_odd(Ball.from_fraction(Fraction(366, 100), 64)) == 3
         assert closest_odd(Ball.from_fraction(Fraction(51, 10), 64)) == 5
+
+
+class TestMultiplierTwin:
+    """The ideal multiplier and the canonical choice against their slow twin,
+    from mpmath's e at about 400 bits past the cancellation in e - p/q."""
+
+    @settings(max_examples=25, deadline=None)
+    @given(k=st.integers(0, 1000).map(lambda j: 2 * j))
+    @example(k=0)
+    @example(k=2)
+    @example(k=100)
+    def test_matches_mpmath(self, k):
+        ideal, d = multiplier_from_mpmath(k)
+        assert ideal_multiplier(k, 96).contains(ideal), k
+        assert pick_multiplier(k) == d, k
+
+
+class TestOneRemainderPerIndex:
+    """Each index's remainder is computed once and read by the multiplier
+    choice, the offset and the overshoot; no escalating attempt in construct
+    starts while another is running."""
+
+    @pytest.mark.parametrize(
+        "run, k",
+        [
+            pytest.param(certify, 100, id="certify-100"),
+            pytest.param(certify, 250, id="certify-250"),
+            pytest.param(lambda k: construct._joint_one_k((k, 5)), 200, id="window-200"),
+            pytest.param(gap_bracket, 40, id="gap_bracket-40"),
+        ],
+    )
+    def test_once_and_not_nested(self, monkeypatch, run, k):
+        tails: Counter = Counter()
+        tail_enclosure = contfrac.tail_enclosure
+
+        def counted_tail(kk, prec=64):
+            tails[kk] += 1
+            return tail_enclosure(kk, prec)
+
+        depth, nested = [0], []
+
+        def tracked(compute, *args, **kwargs):
+            def attempt(w):
+                if depth[0]:
+                    nested.append(kwargs.get("what"))
+                depth[0] += 1
+                try:
+                    return compute(w)
+                finally:
+                    depth[0] -= 1
+
+            return escalating(attempt, *args, **kwargs)
+
+        monkeypatch.setattr(contfrac, "tail_enclosure", counted_tail)
+        monkeypatch.setattr(construct, "escalating", tracked)
+        contfrac.odd_convergent.cache_clear()
+        run(k)
+        assert tails == {k: 1}
+        assert contfrac.odd_convergent.cache_info().misses == 1
+        assert nested == []
 
 
 class TestPairFrom:
