@@ -142,6 +142,10 @@ def _pair_obj(p: construct.CandidatePair) -> dict:
 
 
 def cmd_construct(args) -> int:
+    if args.k is not None and args.k_max is not None:
+        raise ValueError("--k and --k-max exclude each other")
+    if args.d is not None and (args.k_max is not None or args.window is not None):
+        raise ValueError("--d picks one pair, so it takes no --window or --k-max")
     if args.k_max is not None:
         if args.k_max < 2 or args.k_max % 2:
             raise ValueError("--k-max must be even and >= 2")

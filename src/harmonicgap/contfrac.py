@@ -7,11 +7,11 @@ membership; and the remainder identity 1/r = c + w behind the
 r^(-1) = 2k + 3 + O(1/k) refinement.
 
 Indexing is 1-based with a_1 = 2, so the subsequence index k = 0 lands on
-the convergent 3/1.  The remainder of entry k comes from that identity: c
-is a ratio of two consecutive denominators and w the tail
-[2k+2; 1, 1, 2k+4, ...], enclosed by its own convergents.  Neither needs e
-or a precision that grows with q, so entry k costs the walk to index 3k+2,
-which holds two convergents at a time.
+the convergent 3/1.  Entry k's remainder comes from that identity and the
+partial quotients alone: c = q_{3k+1}/q_{3k+2} = [0; a_{3k+2}, ..., a_2] and
+w = [2k+2; 1, 1, 2k+4, ...] are enclosed by their own convergents, with no
+e, no division of q-sized integers and no precision that grows with q.  So
+entry k costs the walk to index 3k+2, which holds two convergents at a time.
 """
 
 from __future__ import annotations
@@ -33,7 +33,6 @@ __all__ = [
     "e_convergent",
     "odd_convergent",
     "is_e_convergent",
-    "denominator_ratio",
     "tail_enclosure",
 ]
 
@@ -74,31 +73,33 @@ class Convergent:
 
 
 def _walk(quotient):
-    """Yield (convergent i, q_{i-1}) for i = 1, 2, ... by the three-term
-    recurrence, starting from p_0/q_0 = 1/0 and p_{-1}/q_{-1} = 0/1."""
+    """Yield consecutive convergents p_{i-1}, q_{i-1}, p_i, q_i for i = 1, 2,
+    ... by the three-term recurrence from p_0/q_0 = 1/0 and p_{-1}/q_{-1} = 0/1."""
     p_prev, q_prev, p, q = 0, 1, 1, 0
     i = 0
     while True:
         i += 1
         a = quotient(i)
         p_prev, q_prev, p, q = p, q, a * p + p_prev, a * q + q_prev
-        yield Convergent(i, a, p, q), q_prev
+        yield p_prev, q_prev, p, q
 
 
 @lru_cache(maxsize=64)
-def _e_entry(i: int) -> tuple[Convergent, int]:
-    """Convergent i of e with q_{i-1}, walked from the start; the cache only
-    spares repeated calls at the same index."""
+def _e_entry(i: int) -> tuple[Convergent, int, int]:
+    """Convergent i of e with p_{i-1} and q_{i-1}, walked from the start; the
+    cache only spares repeated calls at the same index."""
     if i < 1:
         raise IndexError("convergent index starts at 1")
-    return next(islice(_walk(e_partial_quotient), i - 1, None))
+    p_prev, q_prev, p, q = next(islice(_walk(e_partial_quotient), i - 1, None))
+    return Convergent(i, e_partial_quotient(i), p, q), p_prev, q_prev
 
 
 def convergents(quotient, count: int) -> list[Convergent]:
     """First `count` convergents of the continued fraction given by `quotient`."""
     if count < 1:
         raise ValueError("count must be >= 1")
-    return [c for c, _ in islice(_walk(quotient), count)]
+    walk = islice(_walk(quotient), count)
+    return [Convergent(i, quotient(i), p, q) for i, (_, _, p, q) in enumerate(walk, 1)]
 
 
 def e_convergent(i: int) -> Convergent:
@@ -131,44 +132,38 @@ def odd_convergent(k: int, prec: int = 0) -> OddConvergent:
     """
     if k < 0:
         raise IndexError("subsequence index starts at 0")
-    c, q_prev = _e_entry(3 * k + 2)
-    p, q = c.p, c.q
-    if not (p & 1 and q & 1):
+    c, p_prev, q_prev = _e_entry(3 * k + 2)
+    if not (c.p & 1 and c.q & 1):
         raise AssertionError(f"parity violated at subsequence index {k}")
-    # e - p/q = (p_prev q - p q_prev) / (q^2 (w_k + c_k)), and the numerator
-    # is -(-1)^(3k+2) by the determinant identity, so p q_prev = -sign mod q
+    # e - p/q = sign / (q^2 (w_k + c_k)), sign = p_prev q - p q_prev = (-1)^(k+1)
     sign = -1 if k % 2 == 0 else 1
-    if (p * q_prev + sign) % q:
-        raise AssertionError(f"determinant sign violated at subsequence index {k}")
-    # x = w_k + c_k exceeds 2^(b-2) for b = bits(2k+4), and its enclosure at
-    # w significant bits is under 2^(b+3-w) wide, so 1/x is under 2^(5-w) wide
+    if p_prev * c.q - c.p * q_prev != sign:
+        raise AssertionError(f"determinant identity violated at subsequence index {k}")
+    # c_k is walked 64 bits past w, then rounded back onto the grid that w_k's
+    # ends and the sum lie on, where it rounds as the exact c_k would.
+    # x = w_k + c_k exceeds 2^(b-2) for b = bits(2k+4) and is enclosed under
+    # 2^(b+3-w) wide, so 1/x is under 2^(5-w) wide
     w = max(prec, 36) + 8
-    r = 1 / (tail_enclosure(k, w) + denominator_ratio(k))
+    ratio = _enclose(lambda j: e_partial_quotient(3 * k + 4 - j) if j > 1 else 0, w + 64, 3 * k + 2)
+    r = 1 / (tail_enclosure(k, w) + ratio.at(max(w, 64)))
     if not r.width_leq(4 - prec if prec else -32):
         raise AssertionError(f"remainder width missed at subsequence index {k}")
-    lo_bound, hi_bound = Fraction(1, 2 * k + 4), Fraction(1, 2 * k + 2)
+    s = OddConvergent(k, c.p, c.q, r, sign)
+    lo_bound, hi_bound = s.remainder_bounds()
     if r.lo.cmp_fraction(lo_bound) < 0 or r.hi.cmp_fraction(hi_bound) > 0:
         raise AssertionError(f"remainder bounds violated at subsequence index {k}")
-    return OddConvergent(k, p, q, r, sign)
+    return s
 
 
 def is_e_convergent(p: int, q: int) -> bool:
     """True iff p/q equals a convergent p_i/q_i of e."""
     if gcd(p, q) != 1:
         raise ValueError("is_e_convergent expects p/q in lowest terms")
-    for c, _ in _walk(e_partial_quotient):
-        if c.q > q:
+    for _, _, p_i, q_i in _walk(e_partial_quotient):
+        if q_i > q:
             return False
-        if c.q == q and c.p == p:
+        if q_i == q and p_i == p:
             return True
-
-
-def denominator_ratio(k: int) -> Fraction:
-    """c_k = q_{3k+1}/q_{3k+2}, exactly."""
-    if k < 0:
-        raise IndexError("subsequence index starts at 0")
-    c, q_prev = _e_entry(3 * k + 2)
-    return Fraction(q_prev, c.q)
 
 
 def _tail_quotient(k: int, j: int) -> int:
@@ -177,18 +172,23 @@ def _tail_quotient(k: int, j: int) -> int:
     return 2 * (k + 1 + m) if pos == 0 else 1
 
 
-def tail_enclosure(k: int, prec: int = 64) -> Ball:
-    """Enclosure of the continued-fraction tail w_k = [2k+2; 1, 1, 2k+4, ...].
-
-    Consecutive convergents x_{j-1}, x_j of a simple continued fraction
-    bracket its value and lie 1/(q_{j-1} q_j) apart; the walk stops at the
-    first j with q_{j-1} q_j >= 2^(prec+2).
+def _enclose(quotient, prec: int, length: int = 0) -> Ball:
+    """Enclosure of a simple continued fraction, with `length` quotients or
+    endless for 0.  Consecutive convergents x_{j-1}, x_j bracket its value
+    1/(q_{j-1} q_j) apart; the walk stops at the first j with
+    q_{j-1} q_j >= 2^(prec+2), or at the value itself where a finite one ends.
     """
+    for j, (p_prev, q_prev, p, q) in enumerate(_walk(quotient), 1):
+        if j == length:
+            p_prev, q_prev = p, q
+        elif q * q_prev < 1 << (prec + 2):
+            continue
+        lo, hi = sorted((Fraction(p_prev, q_prev), Fraction(p, q)))
+        return Ball.from_endpoints(lo, hi, max(prec, 64))
+
+
+def tail_enclosure(k: int, prec: int = 64) -> Ball:
+    """Enclosure of the continued-fraction tail w_k = [2k+2; 1, 1, 2k+4, ...]."""
     if k < 0:
         raise IndexError("subsequence index starts at 0")
-    prev = None
-    for c, q_prev in _walk(partial(_tail_quotient, k)):
-        if c.q * q_prev >= 1 << (prec + 2):
-            lo, hi = sorted((prev.as_fraction(), c.as_fraction()))
-            return Ball.from_endpoints(lo, hi, max(prec, 64))
-        prev = c
+    return _enclose(partial(_tail_quotient, k), prec)

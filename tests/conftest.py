@@ -41,6 +41,11 @@ def remainder_from_e(k: int, prec: int = 0) -> Ball:
     return escalating(attempt, start=start, what=f"e-based remainder {k}")
 
 
+def ratio_from_walk(k: int) -> Fraction:
+    """c_k = q_{3k+1}/q_{3k+2} exactly, from two walked denominators."""
+    return Fraction(e_convergent(3 * k + 1).q, e_convergent(3 * k + 2).q)
+
+
 def multiplier_from_mpmath(k: int) -> tuple[Fraction, int]:
     """Slow twin of construct's multiplier choice, from mpmath's e and sinh(1)
     at 2 log2(q) + 400 bits, so r = |e - p/q| q^2 for p/q = p_{3k+2}/q_{3k+2}

@@ -19,7 +19,6 @@ import pytest
 from harmonicgap.construct import certify, gap_bracket, joint_search, pick_multiplier
 from harmonicgap.contfrac import (
     convergents,
-    denominator_ratio,
     e_partial_quotient,
     odd_convergent,
 )
@@ -35,7 +34,7 @@ from harmonicgap.exactnum import Ball, constants
 from harmonicgap.harmonic import iter_crossings, pair_offset, predicted_overshoot
 from harmonicgap.scan import scan_records
 
-from conftest import remainder_from_e
+from conftest import ratio_from_walk, remainder_from_e
 
 
 def _report(num: int, name: str, ok: bool, detail: str = "") -> None:
@@ -89,8 +88,8 @@ def test_criterion_03_remainder_refinement():
         # r from the identity 1/r = c_k + w_k against the slow twin |e - p/q| q^2
         assert s.remainder.overlaps(remainder_from_e(k, 96)), k
     for k in range(100):
-        ck = denominator_ratio(k)
-        assert denominator_ratio(k + 1) == Fraction(1, 2) + Fraction(1, 2 * (4 * k + 5 + 2 * ck))
+        ck = ratio_from_walk(k)
+        assert ratio_from_walk(k + 1) == Fraction(1, 2) + Fraction(1, 2 * (4 * k + 5 + 2 * ck))
     elapsed = time.monotonic() - started
     ok = elapsed < 60.0
     _report(

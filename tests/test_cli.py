@@ -398,6 +398,9 @@ class TestUsageErrors:
             ("construct", "--k", "2", "--window", "-1"),
             ("construct", "--k-max", "4", "--window", "-1"),
             ("construct", "--k-max", "4", "--threads", "0"),
+            ("construct", "--k", "4", "--window", "3", "--d", "7"),
+            ("construct", "--k-max", "4", "--d", "7"),
+            ("construct", "--k", "4", "--k-max", "4"),
             ("convergents", "--subseq", "--k-max", "3", "--precision", "5"),
             ("convergents", "--subseq", "--k-max", "3", "--precision", "-5"),
         ],
@@ -407,6 +410,7 @@ class TestUsageErrors:
         code, out, err = run(capsys, *argv)
         assert (code, out) == (2, "")
         assert len(err.splitlines()) == 1 and "Traceback" not in err
+        assert err.startswith("invalid arguments: ")
 
 
 class TestRemovedSurface:

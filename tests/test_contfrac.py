@@ -3,17 +3,18 @@
 import os
 import subprocess
 import sys
+from dataclasses import replace
 from fractions import Fraction
 from math import gcd
 from pathlib import Path
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
+from harmonicgap import contfrac
 from harmonicgap.contfrac import (
     convergents,
-    denominator_ratio,
     e_convergent,
     e_partial_quotient,
     exp_recip_partial_quotient,
@@ -21,9 +22,9 @@ from harmonicgap.contfrac import (
     odd_convergent,
     tail_enclosure,
 )
-from harmonicgap.exactnum import Ball, const_e
+from harmonicgap.exactnum import Ball, Dyadic, const_e
 
-from conftest import remainder_from_e
+from conftest import ratio_from_walk, remainder_from_e
 
 SRC = Path(__file__).resolve().parents[1] / "src"
 
@@ -195,6 +196,59 @@ class TestOddConvergents:
             assert s.remainder.hi.cmp_fraction(hi) <= 0
 
 
+class TestDeterminantCheck:
+    """The entry's sign is checked by the exact identity
+    p_{i-1} q_i - p_i q_{i-1} = (-1)^(k+1), which catches corruptions that
+    keep both parities and p q_{i-1} mod q, and a corrupted q_{i-1}, which
+    the remainder does not read."""
+
+    @pytest.mark.parametrize(
+        "corrupt",
+        [
+            pytest.param(lambda c, pp, qp: (replace(c, p=c.p + 2 * c.q), pp, qp), id="p-plus-2q"),
+            pytest.param(lambda c, pp, qp: (c, pp, qp + 2), id="q-prev"),
+        ],
+    )
+    def test_corrupted_entry_raises(self, monkeypatch, corrupt):
+        # entry k = 10 is convergent 32, handed over as (c, p_31, q_31)
+        entry = contfrac._e_entry
+        monkeypatch.setattr(contfrac, "_e_entry", lambda i: corrupt(*entry(i)) if i == 32 else entry(i))
+        contfrac.odd_convergent.cache_clear()
+        with pytest.raises(AssertionError, match="determinant"):
+            contfrac.odd_convergent(10)
+
+
+class TestRatioEnclosure:
+    """c_k = q_{3k+1}/q_{3k+2} is enclosed from the reversed partial quotients
+    [0; a_{3k+2}, ..., a_2], walked 64 bits past the working precision."""
+
+    @settings(max_examples=30, deadline=None)
+    @given(k=st.integers(0, 2000), prec=st.sampled_from([32, 96, 192, 1024]))
+    @example(k=0, prec=32)
+    @example(k=1, prec=1024)
+    @example(k=2, prec=96)
+    def test_contains_exact_ratio(self, k, prec):
+        enclosures = []
+        enclose = contfrac._enclose
+
+        def recorded(quotient, p, length=0):
+            ball = enclose(quotient, p, length)
+            if length:
+                enclosures.append((p, ball))
+            return ball
+
+        with pytest.MonkeyPatch.context() as mp:
+            mp.setattr(contfrac, "_enclose", recorded)
+            contfrac.odd_convergent.cache_clear()
+            odd_convergent(k, prec)
+        [(p, ball)] = enclosures
+        assert p == max(prec, 36) + 8 + 64
+        assert ball.contains(ratio_from_walk(k))
+        assert ball.width_leq(1 - p)
+        if k == 0:  # the fraction [0; 1] ends at its value
+            assert ball.lo == ball.hi == Dyadic(1)
+
+
 class TestLegendre:
     def test_membership(self):
         assert is_e_convergent(11, 4)
@@ -205,12 +259,12 @@ class TestLegendre:
 
 class TestRefinement:
     def test_c0(self):
-        assert denominator_ratio(0) == 1
+        assert ratio_from_walk(0) == 1
 
     def test_recurrence_exact_to_100(self):
         for k in range(100):
-            lhs = denominator_ratio(k + 1)
-            ck = denominator_ratio(k)
+            lhs = ratio_from_walk(k + 1)
+            ck = ratio_from_walk(k)
             assert lhs == Fraction(1, 2) + Fraction(1, 2 * (4 * k + 5 + 2 * ck))
 
     def test_tail_in_unit_interval_to_100(self):
@@ -234,7 +288,7 @@ class TestRefinement:
         # 1/r_e - c_k encloses w_k; the twin runs 3 * bits(2k+4) bits finer,
         # so it is narrower than the distance from w_k to the tail bracket's ends
         finer = prec + 3 * (2 * k + 4).bit_length() + 16
-        w_e = 1 / remainder_from_e(k, finer) - denominator_ratio(k)
+        w_e = 1 / remainder_from_e(k, finer) - ratio_from_walk(k)
         w = tail_enclosure(k, prec)
         assert w.lo <= w_e.lo and w_e.hi <= w.hi, k
 
@@ -254,9 +308,9 @@ class TestMemory:
         # a fresh interpreter keeps earlier tests' caches out of the count
         script = (
             "import tracemalloc\n"
-            "from harmonicgap.contfrac import denominator_ratio\n"
+            "from harmonicgap.contfrac import odd_convergent\n"
             "tracemalloc.start()\n"
-            "denominator_ratio(5000)\n"
+            "odd_convergent(5000)\n"
             "print(tracemalloc.get_traced_memory()[1])\n"
         )
         proc = subprocess.run(
