@@ -15,9 +15,6 @@ Karatsuba).  With B = isqrt(hi):
   from its denominator on the spot.
 - The smooth terms add Q * sum(Ls // k), and L = Ls * Q.  What is left to
   reduce shares only small primes with Ls: gcd(N % Ls, Ls), a small number.
-
-gmpy2 is used for the tree's products when it is installed; every path falls
-back to the standard library with identical results.
 """
 
 from __future__ import annotations
@@ -26,19 +23,7 @@ import math
 from fractions import Fraction
 from itertools import accumulate, compress
 
-try:
-    import gmpy2 as _g
-
-    HAVE_GMPY2 = True
-except ImportError:  # pragma: no cover - exercised via the forced-fallback test
-    _g = None
-    HAVE_GMPY2 = False
-
-
-def big_gcd(a: int, b: int) -> int:
-    if HAVE_GMPY2:
-        return int(_g.gcd(a, b))
-    return math.gcd(a, b)
+HAVE_GMPY2 = False  # perfbench/worker.py writes it into every report's environment block
 
 
 def fraction_from(num: int, den: int) -> Fraction:
@@ -81,8 +66,8 @@ def harmonic_pair(lo: int, hi: int) -> tuple[int, int]:
         num, den = _tree((1, k) for k in range(lo, hi + 1))
     else:
         return _prime_split(lo, hi)
-    g = big_gcd(num, den)
-    return int(num // g), int(den // g)
+    g = math.gcd(num, den)
+    return num // g, den // g
 
 
 def _tree(leaves):
@@ -91,10 +76,9 @@ def _tree(leaves):
     A binary counter merges equal-sized partial sums as the leaves stream in,
     so the products stay balanced and at most log2(count) sums are held.
     """
-    big = _g.mpz if HAVE_GMPY2 else int
     stack = []  # (num, den, leaves merged)
     for n, d in leaves:
-        n, d, size = big(n), big(d), 1
+        size = 1
         while stack and stack[-1][2] == size:
             n2, d2, _ = stack.pop()
             n, d, size = n2 * d + n * d2, d2 * d, 2 * size
@@ -141,8 +125,8 @@ def _prime_split(lo: int, hi: int) -> tuple[int, int]:
 
     num, q = _tree(big_leaves())
     num += q * sum(small // k for k in compress(range(lo, hi + 1), smooth))
-    g = math.gcd(int(num % small), small)
-    return int(num // g), int(small // g * q)
+    g = math.gcd(num % small, small)
+    return num // g, small // g * q
 
 
 def iroot(x: int, n: int) -> int:

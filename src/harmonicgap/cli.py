@@ -73,11 +73,14 @@ def _dump(obj) -> str:
 
 def cmd_convergents(args) -> int:
     if args.subseq:
+        if args.count is not None:
+            raise ValueError("--count lists convergents, so it takes no --subseq")
         if args.k_max is None or args.k_max < 0:
             raise ValueError("--subseq requires --k-max >= 0")
-        if args.precision < 32:
+        prec = DEFAULT_PREC if args.precision is None else args.precision
+        if prec < 32:
             raise ValueError("--precision must be >= 32")
-        entries = [contfrac.odd_convergent(k, prec=args.precision) for k in range(args.k_max + 1)]
+        entries = [contfrac.odd_convergent(k, prec=prec) for k in range(args.k_max + 1)]
         if args.format == "json":
             obj = [
                 {
@@ -108,6 +111,8 @@ def cmd_convergents(args) -> int:
             _emit("\n".join(lines), args.output)
         return 0
 
+    if args.k_max is not None or args.precision is not None:
+        raise ValueError("--k-max and --precision take --subseq")
     if args.count is None or args.count < 1:
         raise ValueError("--count must be >= 1")
     cs = contfrac.convergents(contfrac.e_partial_quotient, args.count)
@@ -146,6 +151,8 @@ def cmd_construct(args) -> int:
         raise ValueError("--k and --k-max exclude each other")
     if args.d is not None and (args.k_max is not None or args.window is not None):
         raise ValueError("--d picks one pair, so it takes no --window or --k-max")
+    if args.threads is not None and args.k_max is None:
+        raise ValueError("--threads spreads the --k-max search, so it takes --k-max")
     if args.k_max is not None:
         if args.k_max < 2 or args.k_max % 2:
             raise ValueError("--k-max must be even and >= 2")
@@ -154,7 +161,7 @@ def cmd_construct(args) -> int:
         pairs, skipped = construct.joint_search(
             args.k_max,
             window=args.window,
-            workers=args.threads,
+            workers=1 if args.threads is None else args.threads,
         )
         obj = {
             "mode": "joint-search",
@@ -194,6 +201,8 @@ def cmd_construct(args) -> int:
 # ----------------------------------------------------------------------
 
 def cmd_scan(args) -> int:
+    if args.format != "json" and (args.timing or args.profile_delta is not None):
+        raise ValueError("--timing and --profile-delta take --format json")
     table = scan.scan_records(
         args.n_max,
         threads=args.threads,
@@ -331,7 +340,7 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("convergents", help="convergents of e and the odd subsequence")
     common(p)
-    p.add_argument("--precision", type=int, default=DEFAULT_PREC, help="working precision bits")
+    p.add_argument("--precision", type=int, help=f"working precision bits with --subseq (default {DEFAULT_PREC})")
     p.add_argument("--count", type=int, help="emit the first COUNT convergents")
     p.add_argument("--subseq", action="store_true", help="emit subsequence entries instead")
     p.add_argument("--k-max", type=int, help="largest subsequence index with --subseq")
@@ -344,7 +353,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--d", type=int, help="odd multiplier (default: canonical choice)")
     p.add_argument("--window", type=int, help="search all odd d within this window of ideal")
     p.add_argument("--k-max", type=int, help="joint search over even k up to this")
-    p.add_argument("--threads", type=int, default=1)
+    p.add_argument("--threads", type=int, help="worker processes for --k-max (default 1)")
     p.set_defaults(fn=cmd_construct)
 
     p = sub.add_parser("scan", help="exhaustive record scan up to a horizon")

@@ -37,7 +37,7 @@ __all__ = [
 QUALITY_BOUND = 1001  # certified: n^2 * overshoot * sqrt(k) <= this
 
 # certify sums the overshoot exactly up to this m, by balls beyond.  Measured
-# on one 2-core machine (Python 3.11, no gmpy2): the exact sum takes 0.15 s at
+# on one 2-core machine (Python 3.11): the exact sum takes 0.15 s at
 # m = 172,098 (k = 4, d = 7, the largest exact pair of the k <= 60 joint
 # search) and 0.27 s at m = 2^18 (n = 96,437), growing superlinearly; the
 # ball route works at a fixed 224 bits and takes milliseconds at k <= 1000.

@@ -6,8 +6,8 @@ outward rounding, so the true value of an operation on members of the input
 balls always lies in the output ball.  Dyadic endpoints make directed
 rounding exact integer work; no floating-point environment is involved.
 
-Exact quantities are Fractions: convergent ratios, harmonic sums,
-overshoots, denominator ratios.
+Exact quantities are Fractions: convergent ratios, harmonic sums and
+overshoots.
 
 Precision policy: one loop, `escalating`, runs a computation at doubling
 working precision from the caller's start until it returns a result (a width
@@ -167,7 +167,6 @@ class Dyadic:
 
 
 ZERO = Dyadic(0)
-ONE_DY = Dyadic(1)
 
 
 def _div_directed(num: int, den: int, prec: int, up: bool) -> Dyadic:

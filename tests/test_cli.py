@@ -403,6 +403,14 @@ class TestUsageErrors:
             ("construct", "--k", "4", "--k-max", "4"),
             ("convergents", "--subseq", "--k-max", "3", "--precision", "5"),
             ("convergents", "--subseq", "--k-max", "3", "--precision", "-5"),
+            ("construct", "--k", "4", "--threads", "0"),
+            ("construct", "--k", "4", "--threads", "2"),
+            ("construct", "--k", "4", "--window", "3", "--threads", "2"),
+            ("convergents", "--count", "3", "--subseq", "--k-max", "1"),
+            ("convergents", "--count", "3", "--k-max", "5"),
+            ("convergents", "--count", "3", "--precision", "5"),
+            ("scan", "--n-max", "100", "--timing"),
+            ("scan", "--n-max", "100", "--profile-delta", "1/10"),
         ],
         ids=" ".join,
     )

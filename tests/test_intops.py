@@ -1,4 +1,4 @@
-"""Integer helper paths, including the stdlib fallbacks."""
+"""Integer helper paths: exact segment sums, Fraction construction, integer roots."""
 
 import math
 import os
@@ -19,13 +19,11 @@ from conftest import harmonic_pair_lcm_split
 SRC = Path(__file__).resolve().parents[1] / "src"
 
 
-def test_harmonic_pair_paths_agree(monkeypatch):
+def test_harmonic_pair_paths_agree():
     expected = sum(Fraction(1, k) for k in range(100, 1501))
-    n1, d1 = _intops.harmonic_pair(100, 1500)
-    assert type(n1) is int and type(d1) is int
-    monkeypatch.setattr(_intops, "HAVE_GMPY2", False)
-    n2, d2 = _intops.harmonic_pair(100, 1500)
-    assert (n1, d1) == (n2, d2) == (expected.numerator, expected.denominator)
+    num, den = _intops.harmonic_pair(100, 1500)
+    assert type(num) is int and type(den) is int
+    assert (num, den) == (expected.numerator, expected.denominator)
 
 
 def test_fraction_from_matches_constructor():
@@ -36,13 +34,6 @@ def test_fraction_from_matches_constructor():
         g = _intops.fraction_from(f.numerator, f.denominator)
         assert g == f
         assert (g.numerator, g.denominator) == (f.numerator, f.denominator)
-
-
-def test_big_gcd_fallback(monkeypatch):
-    a, b = 2**977 * 3**41, 2**300 * 7**11 * 3**5
-    assert _intops.big_gcd(a, b) == math.gcd(a, b)
-    monkeypatch.setattr(_intops, "HAVE_GMPY2", False)
-    assert _intops.big_gcd(a, b) == math.gcd(a, b)
 
 
 def test_iroot():
