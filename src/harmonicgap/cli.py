@@ -157,7 +157,7 @@ def cmd_construct(args) -> int:
         if args.k_max < 2 or args.k_max % 2:
             raise ValueError("--k-max must be even and >= 2")
         if args.window is None:
-            args.window = 5  # joint_search's default
+            args.window = construct.DEFAULT_WINDOW
         pairs, skipped = construct.joint_search(
             args.k_max,
             window=args.window,

@@ -35,6 +35,7 @@ __all__ = [
 ]
 
 QUALITY_BOUND = 1001  # certified: n^2 * overshoot * sqrt(k) <= this
+DEFAULT_WINDOW = 5  # the joint search's odd multipliers within +-this of the ideal
 
 # certify sums the overshoot exactly up to this m, by balls beyond.  Measured
 # on one 2-core machine (Python 3.11): the exact sum takes 0.15 s at
@@ -77,47 +78,40 @@ def _ideal(s: OddConvergent, w: int) -> Ball | None:
     (2n-1)/n ~ 2, its n0, then the refined value (None if d0 is undecided)."""
     c = constants(w)
     d0 = closest_odd((2 * c.gap_target.div(s.remainder)).sqrt() + 2)
-    if d0 is None or d0 < 1:
+    if d0 is None:
         return None
     n0 = (d0 * s.q + 1) // 2
     ratio = Ball.from_fraction(Fraction(2 * n0 - 1, n0), w)
     return ratio.mul(c.gap_target).div(s.remainder).sqrt()
 
 
-def ideal_multiplier(k: int, prec: int = 64) -> Ball:
+def ideal_multiplier(k: int) -> Ball:
     """The real multiplier nulling the scaled gap, with the factor (2n-1)/n
-    evaluated by one fixed-point pass.
+    evaluated by one fixed-point pass, at most 2^-96 wide and deciding the
+    canonical choice closest_odd(ideal + 2).
 
     The initial n comes from the multiplier the construction would actually
     use under the crude (2n-1)/n ~ 2 approximation, so the refined value
     reflects the constructed pair.  The first attempt reads the 192-bit
     remainder that certify uses; at most about 2^-189 (2k+4)^1.5 wide, it
-    decides every prec up to 96 at any reachable k.
+    decides at any reachable k.
     """
     if k < 0 or k % 2:
         raise ValueError("ideal_multiplier is defined for even k >= 0")
 
     def attempt(w: int) -> Ball | None:
         out = _ideal(odd_convergent(k, w), w)
-        return out if out is not None and out.width_leq(-max(prec, 48)) else None
+        if out is None or not out.width_leq(-96) or closest_odd(out + 2) is None:
+            return None
+        return out
 
-    return escalating(attempt, start=max(prec, 192), what=f"ideal multiplier k={k}")
+    return escalating(attempt, start=192, what=f"ideal multiplier k={k}")
 
 
 def pick_multiplier(k: int) -> int:
     """Closest odd integer to ideal+2 (ties upward); satisfies
     ideal+1 <= d <= ideal+3."""
-    if k < 0 or k % 2:
-        raise ValueError("pick_multiplier is defined for even k >= 0")
-
-    def attempt(w: int) -> int | None:
-        ideal = _ideal(odd_convergent(k, w), w)
-        return None if ideal is None else closest_odd(ideal + 2)
-
-    d = escalating(attempt, start=192, what=f"multiplier choice k={k}")
-    if d < 1:  # pragma: no cover - ideal > 0 always
-        raise PrecisionError(f"multiplier choice k={k} collapsed below 1")
-    return d
+    return closest_odd(ideal_multiplier(k) + 2)
 
 
 @dataclass(frozen=True)
@@ -248,7 +242,7 @@ def gap_bracket(k: int) -> tuple[Ball, Ball, Ball]:
 
 def joint_search(
     k_max: int,
-    window: int = 5,
+    window: int = DEFAULT_WINDOW,
     workers: int = 1,
 ) -> tuple[list[CandidatePair], int]:
     """All odd multipliers within +-window of the ideal for every even k in
@@ -270,7 +264,7 @@ def _joint_one_k(args) -> tuple[list[CandidatePair], int]:
     k, window = args
     if window < 0:
         raise ValueError("window must be >= 0")
-    ideal = ideal_multiplier(k, 96)
+    ideal = ideal_multiplier(k)
     lo = ideal.lo.as_fraction() - window
     hi = ideal.hi.as_fraction() + window
     d_lo = max(1, int(lo) - 1)

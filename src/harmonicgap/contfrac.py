@@ -123,12 +123,12 @@ class OddConvergent:
 
 
 @lru_cache(maxsize=64)
-def odd_convergent(k: int, prec: int = 0) -> OddConvergent:
+def odd_convergent(k: int, prec: int = 36) -> OddConvergent:
     """Certified subsequence entry; all invariants decided before returning.
 
     The remainder is r = 1/(w_k + c_k) at a fixed working precision: its
-    width is at most 2^(4 - prec), or 2^-32 for prec = 0, at any k.  Cached,
-    so construct computes one remainder per index.
+    width is at most 2^(4 - prec) at any k.  Cached, so construct computes
+    one remainder per index.
     """
     if k < 0:
         raise IndexError("subsequence index starts at 0")
@@ -146,7 +146,7 @@ def odd_convergent(k: int, prec: int = 0) -> OddConvergent:
     w = max(prec, 36) + 8
     ratio = _enclose(lambda j: e_partial_quotient(3 * k + 4 - j) if j > 1 else 0, w + 64, 3 * k + 2)
     r = 1 / (tail_enclosure(k, w) + ratio.at(max(w, 64)))
-    if not r.width_leq(4 - prec if prec else -32):
+    if not r.width_leq(4 - prec):
         raise AssertionError(f"remainder width missed at subsequence index {k}")
     s = OddConvergent(k, c.p, c.q, r, sign)
     lo_bound, hi_bound = s.remainder_bounds()

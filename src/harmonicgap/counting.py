@@ -97,23 +97,12 @@ def _series_eval(z_fp: int, one: int, terms: int) -> tuple[int, int]:
     return c, s
 
 
-def _series_terms(bits: int) -> int:
-    # smallest J with (pi/4)^(2J) / (2J)! <= 2^-(bits+4), using
-    # (pi/4)^2 < 16/25 as the per-term ratio bound
-    num, den, fact = 1, 1, 1
-    j = 0
-    while True:
-        j += 1
-        num *= 16
-        den *= 25
-        fact *= (2 * j - 1) * (2 * j)
-        if den * fact >= num << (bits + 4):
-            return j + 1
-
-
 @lru_cache(maxsize=None)
 def _series_plan(bits: int) -> tuple[int, int]:
     """(terms, radius in ulp) for the fixed-point evaluation at `bits`.
+
+    terms is J + 1 for the smallest J with (pi/4)^(2J) / (2J)! <= 2^-(bits+4),
+    using (pi/4)^2 < 16/25 as the per-term ratio bound.
 
     The radius envelope is deliberately loose: with J terms every
     accumulated arithmetic error stays below 64*J + 64 ulp (each
@@ -122,7 +111,14 @@ def _series_plan(bits: int) -> tuple[int, int]:
     tail by the choice of J and the 2-ulp argument error scaled by
     |sin'| <= 1.
     """
-    terms = _series_terms(bits)
+    num, den, fact = 1, 1, 1
+    j = 0
+    while den * fact < num << (bits + 4):
+        j += 1
+        num *= 16
+        den *= 25
+        fact *= (2 * j - 1) * (2 * j)
+    terms = j + 1
     return terms, 64 * terms + 64
 
 
@@ -361,6 +357,18 @@ def _dist_to_nearest_int(v: Fraction) -> Fraction:
     return min(f, 1 - f)
 
 
+def _check_count_args(p: int, q: int, delta: Fraction, n_max: int, modulus: int) -> None:
+    """The argument checks shared by the two enumeration twins."""
+    if q < 1 or gcd(p, q) != 1:
+        raise ValueError("need q >= 1 and p coprime to q")
+    if not 0 < delta < Fraction(1, 2):
+        raise ValueError("need 0 < delta < 1/2")
+    if n_max < 1:
+        raise ValueError("n_max must be >= 1")
+    if modulus < 1:
+        raise ValueError("modulus must be >= 1")
+
+
 def count_quadratic(
     p: int,
     q: int,
@@ -375,14 +383,7 @@ def count_quadratic(
     """Exact count of n <= n_max, n = residue (mod modulus), with
     ||p n^2 / q - shift|| < delta, plus the lemma's main term and error
     expression for comparison."""
-    if q < 1 or gcd(p, q) != 1:
-        raise ValueError("need q >= 1 and p coprime to q")
-    if not 0 < delta < Fraction(1, 2):
-        raise ValueError("need 0 < delta < 1/2")
-    if n_max < 1:
-        raise ValueError("n_max must be >= 1")
-    if modulus < 1:
-        raise ValueError("modulus must be >= 1")
+    _check_count_args(p, q, delta, n_max, modulus)
     shift = Fraction(shift)
     count = ties = 0
     start = residue % modulus
@@ -435,14 +436,7 @@ def count_quadratic_modular(
 
     Returns (count, boundary_ties); must agree exactly with count_quadratic.
     """
-    if q < 1 or gcd(p, q) != 1:
-        raise ValueError("need q >= 1 and p coprime to q")
-    if not 0 < delta < Fraction(1, 2):
-        raise ValueError("need 0 < delta < 1/2")
-    if n_max < 1:
-        raise ValueError("n_max must be >= 1")
-    if modulus < 1:
-        raise ValueError("modulus must be >= 1")
+    _check_count_args(p, q, delta, n_max, modulus)
     rn, rd = shift.numerator, shift.denominator
     dn, dd = delta.numerator, delta.denominator
     big_q = q * rd

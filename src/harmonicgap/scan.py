@@ -10,7 +10,8 @@ emitted record is re-verified with pure rational arithmetic.
 The connection threshold tau = (3/e + 1/e^2 - 1)/24 is the scaled quality
 below which (asymptotically) the offset y must drop under 1/8, forcing the
 reduced fraction (2m+1)/(2n-1) to be a convergent of e.  Every scanned n
-with n^2 eps below tau * (1 - 10/n) gets a connection report; a
+with n^2 eps below tau * (1 - 10/n) becomes a below_threshold row, which
+records its reduced fraction and whether that is a convergent; a
 non-convergent there would be a release-blocking finding.
 
 Scan results are a pure function of the horizon: blocks have a fixed size

@@ -46,7 +46,7 @@ def _ignores_sigint(_):
 
 # a scan whose blocks take 0.5 s each, so that a signal lands mid-scan
 SLOW_SCAN = """
-import sys, time
+import signal, sys, time
 from harmonicgap import cli, scan
 
 run_screen = scan._run_screen
@@ -56,6 +56,9 @@ def slow_screen(args):
     return run_screen(args)
 
 if __name__ == "__main__":
+    # a process started with SIGINT ignored, as a background job of a
+    # non-interactive shell is, passes that on to its children
+    signal.signal(signal.SIGINT, signal.default_int_handler)
     scan._run_screen = slow_screen
     sys.exit(cli.main(sys.argv[1:]))
 """
@@ -288,9 +291,16 @@ class TestWorkerFailures:
         assert "worker process died" in err and "Traceback" not in err
 
     def test_pool_workers_ignore_sigint(self):
-        # Ctrl-C signals the whole process group; only the parent may act on it
-        with ordered_map(_ignores_sigint, [0, 1], 2) as results:
-            assert list(results) == [True, True]
+        # Ctrl-C signals the whole process group; only the parent may act on it.
+        # The workers would inherit an ignored SIGINT from this process, so it
+        # takes the default handler first: then only the pool's initializer
+        # can make them ignore it
+        previous = signal.signal(signal.SIGINT, signal.default_int_handler)
+        try:
+            with ordered_map(_ignores_sigint, [0, 1], 2) as results:
+                assert list(results) == [True, True]
+        finally:
+            signal.signal(signal.SIGINT, previous)
 
     def test_interrupt_exit_130(self, capfd, tmp_path):
         ck, script = tmp_path / "scan.ckpt", tmp_path / "slow_scan.py"

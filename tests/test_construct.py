@@ -30,14 +30,14 @@ def _naive_overshoot(n: int, m: int) -> Fraction:
 class TestIdealMultiplier:
     def test_k2(self):
         # refined value with the fixed-point pass: 1.661135...
-        d = ideal_multiplier(2, 96)
+        d = ideal_multiplier(2)
         assert d.lo.cmp_fraction(Fraction(165, 100)) > 0
         assert d.hi.cmp_fraction(Fraction(167, 100)) < 0
 
     def test_k0_degenerate(self):
         # fixed-point pass lands on n0 = 2, giving 1.02122...; the crude
         # (2n-1)/n ~ 2 approximation would instead give 1.179
-        d = ideal_multiplier(0, 96)
+        d = ideal_multiplier(0)
         assert d.lo.cmp_fraction(Fraction(101, 100)) > 0
         assert d.hi.cmp_fraction(Fraction(104, 100)) < 0
 
@@ -45,7 +45,7 @@ class TestIdealMultiplier:
         # ideal(k) / sqrt(2 k sinh(1)/3) -> 1
         c = constants(128)
         for k, tol in ((20, Fraction(1, 10)), (100, Fraction(1, 45)), (200, Fraction(1, 90))):
-            d = ideal_multiplier(k, 96)
+            d = ideal_multiplier(k)
             ref = (Ball.from_fraction(2 * k, 128) * c.sinh1 / 3).sqrt()
             ratio = d.div(ref)
             assert abs(ratio - 1).hi.cmp_fraction(tol) < 0, k
@@ -65,13 +65,17 @@ class TestPickMultiplier:
     def test_bracket_holds(self):
         for k in range(2, 40, 2):
             d = pick_multiplier(k)
-            ideal = ideal_multiplier(k, 96)
+            ideal = ideal_multiplier(k)
             assert (ideal + 1).hi.cmp_fraction(Fraction(d)) <= 0 or (
                 ideal + 1
             ).lo.cmp_fraction(Fraction(d)) < 0
             lo_ok = (ideal + 1).lo.cmp_fraction(Fraction(d)) <= 0
             hi_ok = (ideal + 3).hi.cmp_fraction(Fraction(d)) >= 0
             assert lo_ok and hi_ok, k
+
+    @pytest.mark.parametrize("k", [0, 2, 4, 40, 200, 1000])
+    def test_reads_the_ideal(self, k):
+        assert pick_multiplier(k) == closest_odd(ideal_multiplier(k) + 2)
 
     def test_tie_rule(self):
         # exact even-integer point ball: tie broken upward
@@ -92,7 +96,7 @@ class TestMultiplierTwin:
     @example(k=100)
     def test_matches_mpmath(self, k):
         ideal, d = multiplier_from_mpmath(k)
-        assert ideal_multiplier(k, 96).contains(ideal), k
+        assert ideal_multiplier(k).contains(ideal), k
         assert pick_multiplier(k) == d, k
 
 

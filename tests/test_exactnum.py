@@ -4,7 +4,10 @@ import math
 import random
 from fractions import Fraction
 
+import mpmath
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
 from harmonicgap.construct import pair_from
 from harmonicgap.errors import PrecisionError
@@ -14,6 +17,7 @@ from harmonicgap.exactnum import (
     const_e,
     const_sinh1,
     constants,
+    _exp_series,
     _ln2,
     exp_ball,
     ln_ball,
@@ -79,7 +83,7 @@ class TestBallOps:
         assert w.is_zero() or w.bit_magnitude() <= 1 - 64 + 2
 
     def test_div_third(self):
-        third = Ball.point(1, 64).div(Ball.point(3, 64), 64)
+        third = Ball.point(1, 64).div(Ball.point(3, 64))
         assert third.contains(Fraction(1, 3))
         assert third.width_leq(-62)
 
@@ -299,3 +303,52 @@ class TestConstants:
         b2 = exp_ball(Fraction(1, 2), 96)
         sq = b2.mul(b2)
         assert sq.overlaps(const_e(96))
+
+
+def _retired_e(prec: int) -> Ball:
+    # e as exactnum summed it before the one exp series: sum_{k<=K} 1/k! by
+    # accumulated falling factorials, with remainder in (1/(K+1)!, 2/(K+1)!)
+    K = 3
+    fact = 24  # (K+1)!
+    while fact.bit_length() < prec + 8:
+        K += 1
+        fact *= K + 1
+    c = 1
+    s = 1
+    for k in range(K, 0, -1):
+        c *= k
+        s += c
+    lo = Fraction(s, fact // (K + 1))
+    return Ball.from_endpoints(lo, lo + Fraction(2, fact), prec)
+
+
+def _bits(b: Ball) -> tuple:
+    return b.lo.man, b.lo.exp, b.hi.man, b.hi.exp, b.prec
+
+
+class TestExpSeries:
+    @pytest.mark.parametrize("bucket", [1 << j for j in range(7, 18)])
+    def test_e_matches_retired_sum(self, bucket):
+        ref = _retired_e(bucket)
+        assert _bits(_exp_series(1, 1, bucket)) == _bits(ref)
+        # const_e(p) reads the bucket of p + 8
+        assert _bits(const_e(bucket - 8)) == _bits(ref.at(bucket - 8))
+
+    @settings(max_examples=150, deadline=None)
+    @given(
+        x=st.fractions(min_value=-8, max_value=8, max_denominator=1 << 24),
+        prec=st.integers(32, 1024),
+    )
+    @example(x=Fraction(8), prec=1024)
+    @example(x=Fraction(-8), prec=32)
+    @example(x=Fraction(1), prec=32)
+    @example(x=Fraction(0), prec=64)
+    def test_exp_ball_encloses_mpmath(self, x, prec):
+        b = exp_ball(x, prec)
+        with mpmath.workprec(prec + 64):
+            man, exp = mpmath.exp(mpmath.mpf(x.numerator) / x.denominator).man_exp
+        ref = Fraction(man) * Fraction(2) ** exp
+        slack = ref / 2 ** (prec + 56)  # mpmath's own rounding, far below the ball's
+        assert b.lo.cmp_fraction(ref + slack) <= 0 and b.hi.cmp_fraction(ref - slack) >= 0
+        # the width contract: at most 2^(3 - prec) e^x
+        assert b.width().as_fraction() <= (ref + slack) * Fraction(2) ** (3 - prec)
