@@ -1,11 +1,11 @@
 """Explicit construction of near-1 harmonic differences.
 
-From each even subsequence index k, an odd multiplier d turns the convergent
-p/q at index 3k+2 into an integer pair via 2m+1 = d*p and 2n-1 = d*q.  The
-ideal real multiplier makes the scaled gap r * d^2 * n/(2n-1) hit sinh(1)/6
-exactly; the canonical choice (closest odd integer to ideal+2, ties upward)
-forces the overshoot positive with the certified bound
-quality * sqrt(k) <= 1001.
+From each even subsequence index k, an odd multiplier d turns the entry
+p/q of contfrac.odd_convergent, both odd, into an integer pair via
+2m+1 = d*p and 2n-1 = d*q.  The ideal real multiplier makes the scaled gap
+r * d^2 * n/(2n-1) hit sinh(1)/6 exactly; the canonical choice (closest odd
+integer to ideal+2, ties upward) forces the overshoot positive with the
+certified bound quality * sqrt(k) <= 1001.
 
 The joint search scans a window of odd multipliers per index instead,
 centered on the ideal multiplier (the true minimizer; the +2 shift exists
@@ -18,7 +18,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 
 from ._pool import ordered_map
-from .contfrac import OddConvergent, e_convergent, odd_convergent
+from .contfrac import OddConvergent, odd_convergent
 from .errors import PrecisionError
 from .exactnum import Ball, _two_atanh, const_e, constants, escalating, ln_ball
 from .harmonic import exact_sum
@@ -46,6 +46,9 @@ DEFAULT_WINDOW = 5  # the joint search's odd multipliers within +-this of the id
 # pairs it admits, so it is an output change.
 EXACT_ROUTE_CAP = 1 << 18
 
+# every step reads the remainder at this precision: one cached per index
+WORK_PREC = 192
+
 
 def _nearest_odd(fr: Fraction) -> int:
     o = 2 * ((fr - 1) // 2) + 1
@@ -62,15 +65,13 @@ def closest_odd(z: Ball) -> int | None:
 
 
 def pair_from(k: int, d: int) -> tuple[int, int]:
-    """(m, n) with 2m+1 = d * p_{3k+2} and 2n-1 = d * q_{3k+2}."""
+    """(m, n) with 2m+1 = d * p and 2n-1 = d * q for entry k's p/q."""
     if k < 0:
         raise ValueError("subsequence index must be >= 0")
     if d < 1 or d % 2 == 0:
         raise ValueError("multiplier must be a positive odd integer")
-    c = e_convergent(3 * k + 2)
-    if not (c.p & 1 and c.q & 1):
-        raise AssertionError(f"parity violated at subsequence index {k}")
-    return (d * c.p - 1) // 2, (d * c.q + 1) // 2
+    s = odd_convergent(k, WORK_PREC)
+    return (d * s.p - 1) // 2, (d * s.q + 1) // 2
 
 
 def _ideal(s: OddConvergent, w: int) -> Ball | None:
@@ -92,7 +93,7 @@ def ideal_multiplier(k: int) -> Ball:
 
     The initial n comes from the multiplier the construction would actually
     use under the crude (2n-1)/n ~ 2 approximation, so the refined value
-    reflects the constructed pair.  The first attempt reads the 192-bit
+    reflects the constructed pair.  The first attempt reads the WORK_PREC
     remainder that certify uses; at most about 2^-189 (2k+4)^1.5 wide, it
     decides at any reachable k.
     """
@@ -105,7 +106,7 @@ def ideal_multiplier(k: int) -> Ball:
             return None
         return out
 
-    return escalating(attempt, start=192, what=f"ideal multiplier k={k}")
+    return escalating(attempt, start=WORK_PREC, what=f"ideal multiplier k={k}")
 
 
 def pick_multiplier(k: int) -> int:
@@ -158,10 +159,10 @@ def _overshoot_ball(k: int, d: int, m: int, n: int) -> tuple[Ball, Fraction | No
             + (2 atanh u - 2u) + 1/(12N^2) - 1/(12m^2) + R,
 
     R in (-1/(120 N^4), 1/(120 m^4)), every term a ball 32 bits above the
-    attempt's precision, which starts at 192 and in practice decides."""
+    attempt's precision, which starts at WORK_PREC and in practice decides."""
     if m <= EXACT_ROUTE_CAP:
         eps = exact_sum(n, m) - 1
-        return Ball.from_fraction(eps, 192), eps
+        return Ball.from_fraction(eps, WORK_PREC), eps
 
     def attempt(w: int) -> Ball | None:
         W = w + 32
@@ -176,7 +177,7 @@ def _overshoot_ball(k: int, d: int, m: int, n: int) -> tuple[Ball, Fraction | No
         out = out + Ball(-(1 / (120 * n2 * n2)).hi, (1 / (120 * m2 * m2)).hi, W)
         return out if out.sign() is not None else None
 
-    return escalating(attempt, start=192, what=f"overshoot sign of pair k={k}, d={d}"), None
+    return escalating(attempt, start=WORK_PREC, what=f"overshoot sign of pair k={k}, d={d}"), None
 
 
 def certify(k: int, d: int | None = None, strict: bool = True) -> CandidatePair:
@@ -198,13 +199,13 @@ def certify(k: int, d: int | None = None, strict: bool = True) -> CandidatePair:
     m, n = pair_from(k, d)
     overshoot, overshoot_exact = _overshoot_ball(k, d, m, n)
     quality = overshoot.mul(Ball.from_fraction(n * n, overshoot.prec))
-    offset = _delta(k, d, 192) * n
+    offset = _delta(k, d, WORK_PREC) * n
     canonical = d == canonical_d
 
     bound_ok: bool | None = None
     if k >= 2:
-        sqrt_k = Ball.from_fraction(k, 192).sqrt()
-        within = quality.mul(sqrt_k).decide_le(Ball.from_fraction(QUALITY_BOUND, 192))
+        sqrt_k = Ball.from_fraction(k, WORK_PREC).sqrt()
+        within = quality.mul(sqrt_k).decide_le(Ball.from_fraction(QUALITY_BOUND, WORK_PREC))
         positive = overshoot.sign()
         if within is None or positive is None:
             if canonical and strict:
@@ -229,15 +230,15 @@ def certify(k: int, d: int | None = None, strict: bool = True) -> CandidatePair:
 
 def gap_bracket(k: int) -> tuple[Ball, Ball, Ball]:
     """(lhs, gap, rhs) of the multiplier-choice bracket for the canonical d,
-    from the 192-bit remainder:
+    from the remainder at WORK_PREC:
 
         (1/2) ideal * r  <=  r d^2 n/(2n-1) - sinh(1)/6  <=  7 ideal * r
     """
     d = pick_multiplier(k)
     _, n = pair_from(k, d)
-    r, ideal = odd_convergent(k, 192).remainder, ideal_multiplier(k)
-    gap = r * Ball.from_fraction(Fraction(d * d * n, 2 * n - 1), 192) - constants(192).gap_target
-    return Ball.from_fraction(Fraction(1, 2), 192) * ideal * r, gap, 7 * ideal * r
+    r, ideal = odd_convergent(k, WORK_PREC).remainder, ideal_multiplier(k)
+    gap = r * Ball.from_fraction(Fraction(d * d * n, 2 * n - 1), WORK_PREC) - constants(WORK_PREC).gap_target
+    return Ball.from_fraction(Fraction(1, 2), WORK_PREC) * ideal * r, gap, 7 * ideal * r
 
 
 def joint_search(

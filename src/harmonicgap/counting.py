@@ -9,6 +9,8 @@ The only transcendental need here is e(x) = exp(2 pi i x).  A dedicated
 fixed-point evaluator computes cos/sin of 2 pi t with an explicit,
 deliberately generous error envelope; it exists because the certified
 magnitude |S_m| feeds the inequality's right-hand side and must be sound.
+Its pi is the floor of exactnum.const_pi's lower end at the fixed-point
+width.
 """
 
 from __future__ import annotations
@@ -19,7 +21,7 @@ from functools import lru_cache
 from math import gcd, isqrt
 from typing import Callable
 
-from .exactnum import Ball, Dyadic, escalating, ln_ball
+from .exactnum import Ball, Dyadic, const_pi, escalating, ln_ball
 
 __all__ = [
     "PointSet",
@@ -42,39 +44,11 @@ __all__ = [
 # ----------------------------------------------------------------------
 
 @lru_cache(maxsize=None)
-def _pi_fraction_bracket(terms: int) -> tuple[Fraction, Fraction]:
-    # Machin: pi = 16 atan(1/5) - 4 atan(1/239); alternating partial sums
-    # bracket each atan
-    def atan_bracket(x: int) -> tuple[Fraction, Fraction]:
-        s = Fraction(0)
-        sign = 1
-        p = Fraction(1, x)
-        x2 = x * x
-        lo = hi = None
-        for j in range(terms):
-            s += sign * p / (2 * j + 1)
-            if sign > 0:
-                hi = s
-            else:
-                lo = s
-            sign = -sign
-            p /= x2
-        return lo, hi
-
-    lo5, hi5 = atan_bracket(5)
-    lo239, hi239 = atan_bracket(239)
-    return 16 * lo5 - 4 * hi239, 16 * hi5 - 4 * lo239
-
-
-@lru_cache(maxsize=None)
 def _pi_fp(bits: int) -> int:
-    """floor of a lower bound on pi * 2^bits, within 2 ulp of the truth."""
-    terms = bits // 4 + 8  # atan(1/5) gains log2(25) ~ 4.6 bits per term
-    while True:
-        lo, hi = _pi_fraction_bracket(terms)
-        if (hi - lo) * (1 << bits) <= 1:
-            return (lo.numerator << bits) // lo.denominator
-        terms *= 2  # pragma: no cover
+    """Lower bound on pi * 2^bits within 1 ulp: the floor of const_pi's lower
+    end at 64 bits finer, which is floor(pi * 2^bits) for bits up to 4096."""
+    lo = const_pi(bits + 64).lo
+    return (lo.man << bits) >> -lo.exp
 
 
 def _series_eval(z_fp: int, one: int, terms: int) -> tuple[int, int]:

@@ -46,6 +46,19 @@ def ratio_from_walk(k: int) -> Fraction:
     return Fraction(e_convergent(3 * k + 1).q, e_convergent(3 * k + 2).q)
 
 
+def convergent_by_euclid(p: int, q: int) -> bool:
+    """Slow twin of is_e_convergent: Euclid's continued fraction of p/q, q > 0,
+    against e = [2; 1, 2, 1, 1, 4, 1, ...] written out here, in either form
+    of the last quotient ([..., a] or [..., a - 1, 1])."""
+    cf = []
+    while q:
+        a, r = divmod(p, q)
+        cf.append(a)
+        p, q = q, r
+    e = [2] + [a for j in range(1, len(cf) // 3 + 2) for a in (1, 2 * j, 1)]
+    return cf == e[: len(cf)] or cf[:-1] + [cf[-1] - 1, 1] == e[: len(cf) + 1]
+
+
 def multiplier_from_mpmath(k: int) -> tuple[Fraction, int]:
     """Slow twin of construct's multiplier choice, from mpmath's e and sinh(1)
     at 2 log2(q) + 400 bits, so r = |e - p/q| q^2 for p/q = p_{3k+2}/q_{3k+2}

@@ -24,7 +24,7 @@ from harmonicgap.contfrac import (
 )
 from harmonicgap.exactnum import Ball, Dyadic, const_e
 
-from conftest import ratio_from_walk, remainder_from_e
+from conftest import convergent_by_euclid, ratio_from_walk, remainder_from_e
 
 SRC = Path(__file__).resolve().parents[1] / "src"
 
@@ -255,6 +255,24 @@ class TestLegendre:
         assert is_e_convergent(193, 71)
         assert not is_e_convergent(7, 3)
         assert not is_e_convergent(53, 19)
+
+    def test_convergents_and_neighbours_match_euclid_twin(self):
+        for c in convergents(e_partial_quotient, 60):
+            assert is_e_convergent(c.p, c.q) and convergent_by_euclid(c.p, c.q)
+            for p in (c.p - 1, c.p + 1):
+                g = gcd(p, c.q)
+                assert is_e_convergent(p // g, c.q // g) == convergent_by_euclid(p // g, c.q // g)
+
+    @settings(max_examples=300, deadline=None)
+    @given(q=st.integers(1, 10**6), offset=st.integers(-(10**6), 10**6))
+    @example(q=1, offset=1)  # 3/1 = [2; 1], which Euclid writes [3]
+    def test_random_fractions_match_euclid_twin(self, q, offset):
+        """p/q in lowest terms for p = floor(e q) + offset, so small offsets
+        land next to e."""
+        e60 = e_convergent(60)
+        p = max(1, q * e60.p // e60.q + offset)
+        g = gcd(p, q)
+        assert is_e_convergent(p // g, q // g) == convergent_by_euclid(p // g, q // g)
 
 
 class TestRefinement:

@@ -13,6 +13,7 @@ from harmonicgap.counting import (
     PointSet,
     _cos_sin_fp,
     _magnitude,
+    _pi_fp,
     _PowerSums,
     cos_sin_2pi,
     count_quadratic,
@@ -56,6 +57,13 @@ class TestTrig:
             t = Fraction(rng.randrange(997), 997)
             c, s = cos_sin_2pi(t)
             assert (c * c + s * s).contains(1)
+
+    def test_pi_fp_matches_mpmath_floor(self):
+        # one mpmath pi 64 bits past the widest width, floored at each width
+        with mpmath.workprec(4096 + 64):
+            man, exp = (+mpmath.pi).man_exp
+        for bits in range(8, 4097):
+            assert _pi_fp(bits) == man >> -(exp + bits), bits
 
 
 class TestWeylSum:

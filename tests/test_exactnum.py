@@ -15,6 +15,7 @@ from harmonicgap.exactnum import (
     Ball,
     Dyadic,
     const_e,
+    const_pi,
     const_sinh1,
     constants,
     _exp_series,
@@ -231,6 +232,20 @@ class TestLn:
         assert b.hi.cmp_fraction(approx + slack) <= 0
 
 
+def _retired_ln2(prec: int) -> Ball:
+    # ln 2 as exactnum summed it before the one arccot series: 2 atanh(1/3)
+    # by Horner in 9, with a geometric tail of ratio 1/9
+    w = prec + 16
+    terms = w // 3 + 4
+    lcm = math.lcm(*range(1, 2 * terms, 2))
+    num = 0
+    for j in range(terms):
+        num = 9 * num + lcm // (2 * j + 1)
+    s = Fraction(num, lcm * 3 ** (2 * terms - 1))
+    tail = Fraction(9, 8) / Fraction(3) ** (2 * terms + 1)
+    return Ball.from_endpoints(2 * s, 2 * (s + tail), w).at(prec)
+
+
 class TestLn2:
     @staticmethod
     def _term_by_term(prec: int) -> Ball:
@@ -255,6 +270,10 @@ class TestLn2:
             slow.hi.exp,
             slow.prec,
         )
+
+    @pytest.mark.parametrize("bucket", [1 << j for j in range(7, 15)])
+    def test_matches_retired_sum(self, bucket):
+        assert _bits(_ln2(bucket)) == _bits(_retired_ln2(bucket))
 
 
 class TestConstants:
@@ -352,3 +371,23 @@ class TestExpSeries:
         assert b.lo.cmp_fraction(ref + slack) <= 0 and b.hi.cmp_fraction(ref - slack) >= 0
         # the width contract: at most 2^(3 - prec) e^x
         assert b.width().as_fraction() <= (ref + slack) * Fraction(2) ** (3 - prec)
+
+
+class TestPi:
+    @settings(max_examples=150, deadline=None)
+    @given(prec=st.integers(32, 4096))
+    @example(prec=32)
+    @example(prec=120)
+    @example(prec=4096)
+    def test_encloses_mpmath(self, prec):
+        b = const_pi(prec)
+        with mpmath.workprec(prec + 64):
+            man, exp = (+mpmath.pi).man_exp
+        ref = Fraction(man) * Fraction(2) ** exp
+        slack = Fraction(1, 1 << (prec + 60))  # mpmath's own rounding
+        assert b.lo.cmp_fraction(ref + slack) <= 0 and b.hi.cmp_fraction(ref - slack) >= 0
+        assert b.width_leq(3 - prec)
+
+    def test_validation(self):
+        with pytest.raises(ValueError):
+            const_pi(31)

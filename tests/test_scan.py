@@ -1,6 +1,7 @@
 """Record scan: exactness, determinism, checkpoints, connection reports."""
 
 import json
+import math
 from fractions import Fraction
 
 import pytest
@@ -15,6 +16,8 @@ from harmonicgap.scan import (
     quality_threshold,
     scan_records,
 )
+
+from conftest import convergent_by_euclid
 
 # frozen by the independent incremental oracle below (and by hand for n=2)
 RECORDS_TO_1000 = [(2, 4), (8, 20), (29, 77), (107, 289)]
@@ -110,6 +113,10 @@ class TestScan:
             assert (row.d, row.reduced_p, row.reduced_q, row.is_convergent) == (
                 rep.d, rep.reduced_p, rep.reduced_q, rep.is_convergent
             )
+            # and independently of both: gcd reduction and Euclid's expansion
+            d = math.gcd(2 * row.t + 1, 2 * row.n - 1)
+            assert (row.d, row.reduced_p, row.reduced_q) == (d, (2 * row.t + 1) // d, (2 * row.n - 1) // d)
+            assert row.is_convergent == convergent_by_euclid(row.reduced_p, row.reduced_q)
 
     def test_validation(self):
         with pytest.raises(ValueError):
