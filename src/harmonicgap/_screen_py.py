@@ -28,6 +28,15 @@ When the crossing is certain, t = t(n): t only ever grows past a window
 whose upper estimate is below 1, so S(n, t - 1) < 1 <= acc / 2^F <= S(n, t).
 When it is ambiguous, scaled_lo = 0, since the overshoot at the true
 crossing is never negative.  The merger decides each flag from this bound.
+
+The window for n depends only on n and F: it is [n, T(n - 1)], where T(m) is
+the first t with acc + cnt >= 2^F for the window [m, t] (T(n) > T(n - 1)).
+A block may therefore start from the window (t, acc) that the block ending
+at n_start returned, instead of rebuilding it from the empty window
+(n_start - 1, 0) at a cost of about 1.72 n_start divisions; the flags are
+the same.  A passed window must lie below the crossing, acc + cnt < 2^F
+(every window a kernel returns does), so that t still only grows past
+windows whose upper estimate is below 1.
 """
 
 from __future__ import annotations
@@ -43,17 +52,21 @@ def screen_block(
     n_end: int,
     frac_bits: int,
     tau_hi_fp: int,
-) -> tuple[list[tuple[int, int, int, int]], int]:
-    """Screen n in [n_start, n_end); returns (flags, final M).
+    window: tuple[int, int] | None = None,
+) -> tuple[list[tuple[int, int, int, int]], int, int, int]:
+    """Screen n in [n_start, n_end); returns (flags, final M, t, acc).
 
     flags entries are (n, t_screen, kind, scaled_lo).  tau_hi_fp is an upper
     fixed-point bound on the connection threshold, scaled by 2^(frac_bits - 32).
+    window is the (t, acc) to start from, by default the empty window
+    (n_start - 1, 0); the returned (t, acc) is the window for max(n_start, n_end).
     """
     one = 1 << frac_bits
     n = n_start
-    t = n_start
-    acc = one // n
-    cnt = 1
+    t, acc = (n_start - 1, 0) if window is None else window
+    cnt = t - n_start + 1
+    if cnt < 0 or acc < 0 or acc + cnt >= one:
+        raise ValueError("window needs t >= n_start - 1, acc >= 0 and acc + cnt < 2^frac_bits")
     m_run = _M_INIT
     flags: list[tuple[int, int, int, int]] = []
 
@@ -71,7 +84,8 @@ def screen_block(
             scaled_lo = n * n * es_lo
             if scaled_lo < m_run:
                 kind |= KIND_RECORD
-            if n > 10 and scaled_lo < tau_hi_fp * (n - 10) // n + 1:
+            # scaled_lo <= floor(tau (n - 10) / n), with no division
+            if n > 10 and scaled_lo <= tau_hi_fp and scaled_lo * n <= tau_hi_fp * (n - 10):
                 kind |= KIND_TAU
         else:
             # upper estimate crossed but lower did not: ambiguous
@@ -86,4 +100,4 @@ def screen_block(
         cnt -= 1
         n += 1
 
-    return flags, m_run
+    return flags, m_run, t, acc

@@ -14,9 +14,11 @@ with n^2 eps below tau * (1 - 10/n) becomes a below_threshold row, which
 records its reduced fraction and whether that is a convergent; a
 non-convergent there would be a release-blocking finding.
 
-Scan results are a pure function of the horizon: blocks have a fixed size
-independent of the worker count, every block is screened independently,
-and the merge is sequential and deterministic.
+Scan results are a pure function of the horizon: block bounds do not depend
+on the worker count, a block's flags depend only on its bounds (a process
+that screens consecutive blocks carries the screen's window from one to the
+next instead of rebuilding it, with the same flags), and the merge is
+sequential and deterministic.
 """
 
 from __future__ import annotations
@@ -233,9 +235,11 @@ class _Merger:
 
 
 def _screen_args(n_max: int, block_size: int, start: int, frac_bits: int, tau_fp: int):
-    # every block rebuilds its initial window (~1.72 * lo terms), so spans
-    # grow with the position to keep that amortized; boundaries depend only
-    # on (start, n_max, block_size), never on the worker count
+    # a block that cannot carry the window of the block before (the first,
+    # a resume's first, most blocks of a pool worker) rebuilds it from
+    # ~1.72 * lo terms, so spans grow with the position to keep that
+    # amortized; boundaries depend only on (start, n_max, block_size),
+    # never on the worker count
     lo = start
     while lo <= n_max:
         span = max(block_size, lo // 8)

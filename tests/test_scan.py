@@ -182,7 +182,7 @@ class TestScreenBound:
         # crossings (scaled_lo = 0) occur too
         fb = max(40, scan.frac_bits_for(lo + length) - coarse)
         tau = 1 << max(0, fb - 32 - 40 + tau_bits)
-        flags, _ = _screen_py.screen_block(lo, lo + length, fb, tau)
+        flags = _screen_py.screen_block(lo, lo + length, fb, tau)[0]
         for n, t, _kind, scaled_lo in flags:
             rec = crossing(n)
             assert Fraction(scaled_lo, 1 << (fb - 32)) <= rec.scaled
@@ -279,6 +279,14 @@ class TestCheckpoints:
             scan_records(4000, checkpoint_path=str(ck))
 
 
+# windows a block from n = 100 at frac_bits 126 must refuse: t below n - 1,
+# acc of 2^127 or more, negative values, acc + cnt = 2^frac_bits
+BAD_WINDOWS = [(98, 0), (99, 1 << 127), (-5, 0), (99, -1), (109, (1 << 126) - 10)]
+BAD_WINDOW_IDS = ["t<n_start-1", "acc>=2^127", "t<0", "acc<0", "acc+cnt=one"]
+N_TOP = (1 << 31) - 64
+ONE_126 = 1 << 126
+
+
 class TestKernelCrossValidation:
     """The C kernel (built by the `screen_c` fixture) against the pure one."""
 
@@ -329,13 +337,15 @@ class TestKernelCrossValidation:
     @pytest.mark.parametrize("n", [11, 107, 1000, 27134])
     def test_threshold_edge(self, screen_c, n):
         fb = scan.frac_bits_for(n)
-        [(_, _, _, lo)], _ = _screen_py.screen_block(n, n + 1, fb, 0)
+        [(_, _, _, lo)] = _screen_py.screen_block(n, n + 1, fb, 0)[0]
         assert lo > 1
         edge = -(-(lo - 1) * n // (n - 10))  # tau * (n - 10) // n + 1 == lo
-        for tau in (edge - 1, edge, edge + 1):
-            assert screen_c.screen_block(n, n + 1, fb, tau) == _screen_py.screen_block(
-                n, n + 1, fb, tau
-            )
+        for tau in (0, lo - 1, lo, edge - 1, edge, edge + 1):
+            c = screen_c.screen_block(n, n + 1, fb, tau)
+            assert c == _screen_py.screen_block(n, n + 1, fb, tau)
+            # the division-free test is the division form it replaced
+            [(_, _, kind, _)] = c[0]
+            assert bool(kind & _screen.KIND_TAU) == (lo < tau * (n - 10) // n + 1)
 
     @pytest.mark.parametrize(
         "args",
@@ -345,12 +355,28 @@ class TestKernelCrossValidation:
             (2, 100, 126, 1 << 96),
             (0, 100, 126, 0),
             (-1, 100, 126, 0),
-        ],
-        ids=["frac_bits=127", "n_end=2^31+1", "tau=2^96", "n_start=0", "n_start=-1"],
+        ]
+        + [(100, 200, 126, 0, window) for window in BAD_WINDOWS + [[99, 0]]],
+        ids=["frac_bits=127", "n_end=2^31+1", "tau=2^96", "n_start=0", "n_start=-1"]
+        + [f"window:{name}" for name in BAD_WINDOW_IDS + ["list"]],
     )
     def test_out_of_range_raises(self, screen_c, args):
-        with pytest.raises((ValueError, OverflowError)):
+        with pytest.raises((ValueError, OverflowError, TypeError)):
             screen_c.screen_block(*args)
+
+    @pytest.mark.parametrize(
+        "window",
+        [(N_TOP - 1, ONE_126 - 1), (N_TOP - 1, ONE_126 - ONE_126 // N_TOP + (1 << 66)), (3 * N_TOP, ONE_126 - 2 * N_TOP - 2)],
+        ids=["t=n-1,acc=one-1", "scaled_lo~2^96", "t=3n"],
+    )
+    @pytest.mark.parametrize("tau", [0, 1 << 90, (1 << 96) - 1])
+    def test_block_ending_at_2_31(self, screen_c, window, tau):
+        # synthetic windows just below the crossing: every scaled bound is
+        # near n * 2^94, or near 2^96 where the connection products reach 2^127
+        args = (N_TOP, 1 << 31, 126, tau, window)
+        c = screen_c.screen_block(*args)
+        assert c == _screen_py.screen_block(*args)
+        assert c[0] and c[2] > N_TOP
 
     def test_selector_sends_out_of_range_blocks_to_pure(self, monkeypatch):
         # stubs stand in for both kernels, so nothing near 2^31 is screened
@@ -360,10 +386,12 @@ class TestKernelCrossValidation:
             @staticmethod
             def screen_block(*args):
                 calls.append(("compiled", args))
+                return [], 0, 0, 0
 
         monkeypatch.setattr(_screen, "HAVE_COMPILED", True)
         monkeypatch.setattr(_screen, "_screen_c", StubC)
-        monkeypatch.setattr(_screen_py, "screen_block", lambda *args: calls.append(("pure", args)))
+        monkeypatch.setattr(_screen, "_last_window", None)
+        monkeypatch.setattr(_screen_py, "screen_block", lambda *args: calls.append(("pure", args)) or ([], 0, 0, 0))
         edge = 1 << 31
         for args in [(2, 100, 126, 0), (2, 100, 127, 0), (edge - 1, edge, 126, 0), (edge, edge + 1, 126, 0)]:
             _screen.screen_block(*args)
@@ -378,11 +406,79 @@ class TestKernelCrossValidation:
             @staticmethod
             def screen_block(*args):
                 ran.append("compiled")
-                return [], 0
+                return [], 0, 0, 0
 
         monkeypatch.setattr(_screen, "HAVE_COMPILED", True)
         monkeypatch.setattr(_screen, "_screen_c", StubC)
-        monkeypatch.setattr(_screen_py, "screen_block", lambda *args: ran.append("pure-python") or ([], 0))
+        monkeypatch.setattr(_screen, "_last_window", None)
+        monkeypatch.setattr(_screen_py, "screen_block", lambda *args: ran.append("pure-python") or ([], 0, 0, 0))
         assert scan_records(n_max).kernel == kernel
         assert set(ran) == {kernel}
         assert _screen.kernel_name() == "compiled"
+
+
+@pytest.fixture(scope="module", params=["pure-python", "compiled"])
+def kernel(request):
+    return _screen_py if request.param == "pure-python" else request.getfixturevalue("screen_c")
+
+
+class TestCarriedWindow:
+    """A block started from the window the previous block returned screens
+    exactly as one that rebuilds its window."""
+
+    @pytest.mark.parametrize("n_max", [10**5, 10**6])
+    def test_scan_blocks_match_rebuilds(self, kernel, n_max):
+        # at 10^6 the spans grow to lo // 8 past the fixed block size
+        fb = scan.frac_bits_for(n_max)
+        args = list(scan._screen_args(n_max, scan.DEFAULT_BLOCK_SIZE, 2, fb, scan._tau_fp_bound(fb)))
+        window = None
+        for block in args:
+            carried = kernel.screen_block(*block, window)
+            assert carried == kernel.screen_block(*block)
+            window = carried[2:]
+        assert len(args) == (2 if n_max == 10**5 else 14)
+
+    @settings(max_examples=60, deadline=None)
+    @given(
+        lo=st.integers(1, 50000),
+        first=st.integers(0, 300),
+        second=st.integers(0, 300),
+        fb=st.integers(0, 126),
+        tau_bits=st.integers(0, 96),
+    )
+    def test_split_points(self, kernel, lo, first, second, fb, tau_bits):
+        mid, hi = lo + first, lo + first + second
+        tau = (1 << tau_bits) - 1
+        whole = kernel.screen_block(lo, hi, fb, tau)
+        head = kernel.screen_block(lo, mid, fb, tau)
+        tail = kernel.screen_block(mid, hi, fb, tau, head[2:])
+        # (an empty block returns the window it was given, so compare windows with whole)
+        assert tail[:2] == kernel.screen_block(mid, hi, fb, tau)[:2]
+        assert tail[2:] == whole[2:]
+        # m_run restarts with each block, so only the connection flags carry over
+        def tau_flags(flags):
+            return [(n, t, scaled_lo) for n, t, kind, scaled_lo in flags if kind & _screen.KIND_TAU]
+
+        assert tau_flags(head[0] + tail[0]) == tau_flags(whole[0])
+
+    @pytest.mark.parametrize("window", BAD_WINDOWS, ids=BAD_WINDOW_IDS)
+    def test_pure_refuses_bad_windows(self, window):
+        with pytest.raises(ValueError):
+            _screen_py.screen_block(100, 200, 126, 0, window)
+
+    def test_selector_carries_only_from_where_the_last_block_ended(self, monkeypatch):
+        passed = []
+        pure = _screen_py.screen_block
+
+        def spy(*args):
+            passed.append(args[4])
+            return pure(*args)
+
+        monkeypatch.setattr(_screen, "HAVE_COMPILED", False)
+        monkeypatch.setattr(_screen, "_last_window", None)
+        monkeypatch.setattr(_screen_py, "screen_block", spy)
+        for block in [(2, 500, 80), (500, 900, 80), (1000, 1200, 80), (1200, 1300, 90), (1300, 1400, 90)]:
+            _screen.screen_block(*block, 0)
+        after_500, after_1300 = pure(2, 500, 80, 0)[2:], pure(1200, 1300, 90, 0)[2:]
+        assert passed == [None, after_500, None, None, after_1300]
+        assert _screen._last_window == ((1400, 90), pure(1200, 1400, 90, 0)[2:])
