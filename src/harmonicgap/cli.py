@@ -21,7 +21,7 @@ from fractions import Fraction
 
 from . import __version__
 from .errors import CheckpointError, PrecisionError
-from .exactnum import Ball, DEFAULT_PREC, constants
+from .exactnum import Ball, DEFAULT_PREC, MAX_ROOT_DEGREE, constants
 from . import contfrac, construct, counting, scan
 
 INTERVAL_DIGITS = 24
@@ -203,12 +203,10 @@ def cmd_construct(args) -> int:
 def cmd_scan(args) -> int:
     if args.format != "json" and (args.timing or args.profile_delta is not None):
         raise ValueError("--timing and --profile-delta take --format json")
-    table = scan.scan_records(
-        args.n_max,
-        threads=args.threads,
-        checkpoint_path=args.checkpoint,
-        block_size=args.block_size,
-    )
+    if args.profile_delta is not None and args.profile_delta.denominator > MAX_ROOT_DEGREE:
+        # checked before the scan, which the profile's pow_frac would refuse only after
+        raise ValueError(f"--profile-delta needs a denominator of at most {MAX_ROOT_DEGREE}")
+    table = scan.scan_records(args.n_max, threads=args.threads, checkpoint_path=args.checkpoint)
     if args.format == "json":
         obj = table.json_obj(timing=args.timing)
         if args.profile_delta is not None:
@@ -361,7 +359,6 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--n-max", type=int, required=True)
     p.add_argument("--threads", type=int, default=1)
     p.add_argument("--checkpoint", help="checkpoint file to write/resume")
-    p.add_argument("--block-size", type=int, default=scan.DEFAULT_BLOCK_SIZE)
     p.add_argument("--format", choices=("csv", "json"), default="csv")
     p.add_argument("--timing", action="store_true", help="include wall time in JSON output")
     p.add_argument("--profile-delta", type=_frac, help="also emit the n^(2+delta) profile")

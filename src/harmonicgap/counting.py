@@ -358,6 +358,10 @@ def count_quadratic(
     ||p n^2 / q - shift|| < delta, plus the lemma's main term and error
     expression for comparison."""
     _check_count_args(p, q, delta, n_max, modulus)
+    if eta <= 0 or multiplier <= 0:
+        raise ValueError("the lemma needs eta > 0 and a positive multiplier")
+    # first, so that an exponent that pow_frac refuses fails before the count
+    err = _error_expression(q, delta, n_max, eta)
     shift = Fraction(shift)
     count = ties = 0
     start = residue % modulus
@@ -371,7 +375,6 @@ def count_quadratic(
             ties += 1
 
     main = Fraction(2 * n_max * delta, modulus)
-    err = _error_expression(q, delta, n_max, eta)
     dev = abs(count - main)
     bound = Ball.from_fraction(multiplier, err.prec) * err
     within = Ball.from_fraction(dev, 128).decide_le(bound)

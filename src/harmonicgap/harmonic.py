@@ -19,7 +19,7 @@ from fractions import Fraction
 from typing import Iterator
 
 from ._intops import fraction_from, harmonic_pair
-from .exactnum import Ball, _operand, const_e, escalating, exp_ball
+from .exactnum import Ball, _operand, const_e, escalating
 
 __all__ = [
     "Crossing",
@@ -181,23 +181,21 @@ def pair_offset(n: int, m: int, prec: int = 0) -> Ball:
     return escalating(attempt, start=start, what=f"pair offset ({_operand(n)}, {_operand(m)})")
 
 
-def predicted_overshoot(n: int, offset: Ball, x: Fraction | int = 1, prec: int = 128) -> Ball:
-    """Second-order prediction (24 e^-x y + e^-2x - 1) / (24 n^2) of the
-    overshoot of the segment sum over x, for 0 < x < ln((3+sqrt(13))/2).
+def _scaled_prediction(offset: Ball, w: int) -> Ball:
+    """(24 y/e + e^-2 - 1)/24 for y in offset: n^2 times the second-order
+    prediction.  At y = 1/8 this is the scan's connection threshold tau."""
+    inv = Ball.from_fraction(1, w + 16).div(const_e(w + 16))
+    numer = Ball.from_fraction(24, w) * inv * offset + inv * inv - 1
+    return numer.div(Ball.from_fraction(24, w))
 
-    At offset = sinh(x)/12 the numerator vanishes identically.
+
+def predicted_overshoot(n: int, offset: Ball, prec: int = 128) -> Ball:
+    """Second-order prediction (24 y/e + e^-2 - 1) / (24 n^2) of the
+    overshoot of the segment sum over 1.
+
+    At offset = sinh(1)/12 the numerator vanishes identically.
     """
     if n < 2:
         raise ValueError("n must be >= 2")
-    x = Fraction(x)
-    if x <= 0:
-        raise ValueError("x must be positive")
     w = max(prec, 64)
-    ex = exp_ball(x, w + 16)
-    # admissible range: sinh(x) < 3/2, i.e. e^x < (3 + sqrt(13))/2
-    limit = (Ball.from_fraction(3, w + 16) + Ball.from_fraction(13, w + 16).sqrt()) / 2
-    if ex.decide_lt(limit) is not True:
-        raise ValueError("x outside the admissible range (needs sinh x < 3/2)")
-    inv = Ball.from_fraction(1, w + 16).div(ex)
-    numer = Ball.from_fraction(24, w) * inv * offset + inv * inv - 1
-    return numer.div(Ball.from_fraction(24 * n * n, w))
+    return _scaled_prediction(offset, w).div(Ball.from_fraction(n * n, w))

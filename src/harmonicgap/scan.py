@@ -37,8 +37,8 @@ from ._pool import ordered_map
 from ._screen import KIND_RECORD, KIND_TAU, frac_bits_for, kernel_name, screen_block
 from .contfrac import is_e_convergent
 from .errors import CheckpointError
-from .exactnum import Ball, constants, escalating
-from .harmonic import _walk, exact_sum, pair_offset
+from .exactnum import Ball, escalating
+from .harmonic import _scaled_prediction, _walk, exact_sum, pair_offset
 
 __all__ = [
     "RecordRow",
@@ -55,13 +55,9 @@ CSV_HEADER = "n,t,eps_num,eps_den,scaled_num,scaled_den,reduced_p,reduced_q,d,is
 
 
 def quality_threshold(prec: int = 128) -> Ball:
-    """tau = (3/e + e^-2 - 1)/24, the scaled-quality connection threshold.
-
-    At offset exactly 1/8 the second-order prediction times n^2 equals tau.
-    """
-    c = constants(prec + 16)
-    inv = Ball.from_fraction(1, prec + 16).div(c.e)
-    return (3 * inv + inv * inv - 1).div(Ball.from_fraction(24, prec + 16)).at(prec)
+    """tau = (3/e + e^-2 - 1)/24, the scaled-quality connection threshold:
+    n^2 times the second-order prediction at offset exactly 1/8."""
+    return _scaled_prediction(Ball.from_fraction(Fraction(1, 8), prec), prec).at(prec)
 
 
 @dataclass(frozen=True)
@@ -234,15 +230,15 @@ class _Merger:
             self.below.append(self._row(n, t, eps, scaled))
 
 
-def _screen_args(n_max: int, block_size: int, start: int, frac_bits: int, tau_fp: int):
+def _screen_args(n_max: int, start: int, frac_bits: int, tau_fp: int):
     # a block that cannot carry the window of the block before (the first,
     # a resume's first, most blocks of a pool worker) rebuilds it from
     # ~1.72 * lo terms, so spans grow with the position to keep that
-    # amortized; boundaries depend only on (start, n_max, block_size),
-    # never on the worker count
+    # amortized; boundaries depend only on (start, n_max), never on the
+    # worker count
     lo = start
     while lo <= n_max:
-        span = max(block_size, lo // 8)
+        span = max(DEFAULT_BLOCK_SIZE, lo // 8)
         hi = min(lo + span, n_max + 1)
         yield (lo, hi, frac_bits, tau_fp)
         lo = hi
@@ -268,11 +264,11 @@ def _tau_fp_bound(frac_bits: int) -> int:
 _CKPT_FORMAT = 1
 
 
-def _checkpoint_payload(n_max, block_size, next_start, merger: _Merger) -> dict:
+def _checkpoint_payload(n_max, next_start, merger: _Merger) -> dict:
     return {
         "format": _CKPT_FORMAT,
         "horizon": n_max,
-        "block_size": block_size,
+        "block_size": DEFAULT_BLOCK_SIZE,  # fixed; kept so that format-1 files still load
         "next_start": next_start,
         "records": [[r.n, r.t] for r in merger.records],
         "below_threshold": [[r.n, r.t] for r in merger.below],
@@ -319,7 +315,7 @@ def _check_cursors(path: str, payload: dict, n_max: int) -> None:
                 raise CheckpointError(f"checkpoint {path} has a malformed {key} entry {entry!r}")
 
 
-def _load_checkpoint(path: str, n_max: int, block_size: int) -> dict | None:
+def _load_checkpoint(path: str, n_max: int) -> dict | None:
     """The checkpoint's payload, or None when there is no checkpoint yet."""
     try:
         with open(path, encoding="utf-8") as fh:
@@ -335,7 +331,7 @@ def _load_checkpoint(path: str, n_max: int, block_size: int) -> dict | None:
         raise CheckpointError(f"checkpoint {path} failed its integrity hash")
     if not isinstance(payload, dict) or payload.get("format") != _CKPT_FORMAT:
         raise CheckpointError(f"checkpoint {path} has an unsupported format")
-    if payload.get("horizon") != n_max or payload.get("block_size") != block_size:
+    if payload.get("horizon") != n_max or payload.get("block_size") != DEFAULT_BLOCK_SIZE:
         raise CheckpointError(
             f"checkpoint {path} was taken for a different scan "
             f"(horizon {payload.get('horizon')}, block {payload.get('block_size')})"
@@ -351,7 +347,7 @@ def _replay_merger(payload: dict) -> _Merger:
     rows = {tuple(row) for key in ("records", "below_threshold", "exact_hits") for row in payload[key]}
     for n, t in sorted(rows):
         merger.feed(n, t, KIND_RECORD | KIND_TAU, Fraction(0))
-    if _checkpoint_payload(payload["horizon"], payload["block_size"], payload["next_start"], merger) != payload:
+    if _checkpoint_payload(payload["horizon"], payload["next_start"], merger) != payload:
         raise CheckpointError("checkpoint rows do not re-verify")
     return merger
 
@@ -360,24 +356,17 @@ def _replay_merger(payload: dict) -> _Merger:
 # Driver
 # ----------------------------------------------------------------------
 
-def scan_records(
-    n_max: int,
-    threads: int = 1,
-    checkpoint_path: str | None = None,
-    block_size: int = DEFAULT_BLOCK_SIZE,
-) -> RecordTable:
+def scan_records(n_max: int, threads: int = 1, checkpoint_path: str | None = None) -> RecordTable:
     """Complete record table for 2 <= n <= n_max.
 
-    The output is a pure function of n_max: thread count,
-    block size and checkpoint placement never change it.  Records are
-    emitted only after exact rational re-verification.
+    The output is a pure function of n_max: thread count and checkpoint
+    placement never change it.  Records are emitted only after exact
+    rational re-verification.
     """
     if n_max < 2:
         raise ValueError("n_max must be >= 2")
     if threads < 1:
         raise ValueError("threads must be >= 1")
-    if block_size < 1024:
-        raise ValueError("block_size must be >= 1024")
     started = time.monotonic()
     frac_bits = frac_bits_for(n_max)
     tau_fp = _tau_fp_bound(frac_bits)
@@ -385,21 +374,18 @@ def scan_records(
 
     start = 2
     merger = _Merger()
-    payload = None if checkpoint_path is None else _load_checkpoint(checkpoint_path, n_max, block_size)
+    payload = None if checkpoint_path is None else _load_checkpoint(checkpoint_path, n_max)
     if payload is not None:
         merger = _replay_merger(payload)
         start = payload["next_start"]
 
-    args = list(_screen_args(n_max, block_size, start, frac_bits, tau_fp))
+    args = list(_screen_args(n_max, start, frac_bits, tau_fp))
     with ordered_map(_run_screen, args, threads) as screened:
         for (_lo, hi, _, _), (flags, _m) in zip(args, screened):
             for n, t, kind, scaled_lo in flags:
                 merger.feed(n, t, kind, Fraction(scaled_lo, unit))
             if checkpoint_path is not None:
-                _save_checkpoint(
-                    checkpoint_path,
-                    _checkpoint_payload(n_max, block_size, hi, merger),
-                )
+                _save_checkpoint(checkpoint_path, _checkpoint_payload(n_max, hi, merger))
 
     return RecordTable(
         horizon=n_max,

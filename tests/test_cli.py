@@ -24,7 +24,8 @@ def run(capsys, *argv):
 # stand-ins for pool workers live at module level: a pool sends functions by name
 _run_screen = scan._run_screen
 _joint_one_k = construct._joint_one_k
-DYING_BLOCK = 8194  # the ninth block at --block-size 1024
+SMALL_BLOCK = 1024  # the scan's block size in the tests that stop a scan mid-way
+DYING_BLOCK = 8194  # the ninth block at SMALL_BLOCK
 
 
 def _screen_dying_at_block(args):
@@ -60,6 +61,7 @@ if __name__ == "__main__":
     # non-interactive shell is, passes that on to its children
     signal.signal(signal.SIGINT, signal.default_int_handler)
     scan._run_screen = slow_screen
+    scan.DEFAULT_BLOCK_SIZE = int(sys.argv.pop(1))
     sys.exit(cli.main(sys.argv[1:]))
 """
 
@@ -177,9 +179,10 @@ class TestScan:
         assert (first[2], first[3]) == ("1", "12")
         assert (first[4], first[5]) == ("1", "3")
 
-    def test_thread_invariance_bytes(self, capsys):
-        code1, out1, _ = run(capsys, "scan", "--n-max", "4000", "--threads", "1", "--block-size", "2048")
-        code8, out8, _ = run(capsys, "scan", "--n-max", "4000", "--threads", "8", "--block-size", "2048")
+    def test_thread_invariance_bytes(self, capsys, monkeypatch):
+        monkeypatch.setattr(scan, "DEFAULT_BLOCK_SIZE", 2048)
+        code1, out1, _ = run(capsys, "scan", "--n-max", "4000", "--threads", "1")
+        code8, out8, _ = run(capsys, "scan", "--n-max", "4000", "--threads", "8")
         assert code1 == code8 == 0
         assert out1 == out8
 
@@ -231,9 +234,10 @@ class TestScan:
             "extra-key",
         ],
     )
-    def test_malformed_checkpoint_exit_4(self, capsys, tmp_path, edit):
+    def test_malformed_checkpoint_exit_4(self, capsys, tmp_path, monkeypatch, edit):
+        monkeypatch.setattr(scan, "DEFAULT_BLOCK_SIZE", SMALL_BLOCK)
         ck = tmp_path / "scan.ckpt"
-        argv = ("scan", "--n-max", "5000", "--block-size", "1024", "--checkpoint", str(ck))
+        argv = ("scan", "--n-max", "5000", "--checkpoint", str(ck))
         assert run(capsys, *argv)[0] == 0
         payload = json.loads(ck.read_text())["payload"]
         scan._save_checkpoint(str(ck), edit(payload))  # re-hashed: passes the integrity check
@@ -265,7 +269,11 @@ class TestWorkerFailures:
     """Worker death exits 5 and Ctrl-C exits 130; both keep the last complete checkpoint."""
 
     N_MAX = 12000
-    SCAN = ("scan", "--n-max", str(N_MAX), "--block-size", "1024", "--threads", "2")
+    SCAN = ("scan", "--n-max", str(N_MAX), "--threads", "2")
+
+    @pytest.fixture(autouse=True)
+    def small_blocks(self, monkeypatch):
+        monkeypatch.setattr(scan, "DEFAULT_BLOCK_SIZE", SMALL_BLOCK)
 
     def assert_resume_matches_uninterrupted(self, capfd, tmp_path, ck):
         direct_ck = tmp_path / "direct.ckpt"
@@ -276,12 +284,12 @@ class TestWorkerFailures:
 
     def test_scan_worker_death_exit_5(self, capfd, tmp_path, monkeypatch):
         ck = tmp_path / "scan.ckpt"
-        monkeypatch.setattr(scan, "_run_screen", _screen_dying_at_block)
-        code, out, err = run(capfd, *self.SCAN, "--checkpoint", str(ck))
-        monkeypatch.undo()
+        with monkeypatch.context() as patch:
+            patch.setattr(scan, "_run_screen", _screen_dying_at_block)
+            code, out, err = run(capfd, *self.SCAN, "--checkpoint", str(ck))
         assert (code, out) == (5, "")
         assert "worker process died" in err and "Traceback" not in err
-        assert scan._load_checkpoint(str(ck), self.N_MAX, 1024)["next_start"] == DYING_BLOCK
+        assert scan._load_checkpoint(str(ck), self.N_MAX)["next_start"] == DYING_BLOCK
         self.assert_resume_matches_uninterrupted(capfd, tmp_path, ck)
 
     def test_construct_worker_death_exit_5(self, capfd, monkeypatch):
@@ -306,7 +314,7 @@ class TestWorkerFailures:
         ck, script = tmp_path / "scan.ckpt", tmp_path / "slow_scan.py"
         script.write_text(SLOW_SCAN)
         proc = subprocess.Popen(
-            [sys.executable, str(script), *self.SCAN, "--checkpoint", str(ck)],
+            [sys.executable, str(script), str(SMALL_BLOCK), *self.SCAN, "--checkpoint", str(ck)],
             stdout=subprocess.PIPE,
             stderr=subprocess.PIPE,
             text=True,
@@ -320,7 +328,7 @@ class TestWorkerFailures:
         out, err = proc.communicate(timeout=60)
         assert (proc.returncode, out) == (130, "")
         assert "interrupted" in err and "Traceback" not in err
-        assert scan._load_checkpoint(str(ck), self.N_MAX, 1024)["next_start"] <= self.N_MAX
+        assert scan._load_checkpoint(str(ck), self.N_MAX)["next_start"] <= self.N_MAX
         self.assert_resume_matches_uninterrupted(capfd, tmp_path, ck)
 
 
@@ -421,6 +429,10 @@ class TestUsageErrors:
             ("convergents", "--count", "3", "--precision", "5"),
             ("scan", "--n-max", "100", "--timing"),
             ("scan", "--n-max", "100", "--profile-delta", "1/10"),
+            (*COUNT, "--n-max", "10", "--eta", "0"),
+            (*COUNT, "--n-max", "10", "--eta", "-1"),
+            (*COUNT, "--n-max", "10", "--multiplier", "-1"),
+            (*COUNT, "--n-max", "10", "--multiplier", "0"),
         ],
         ids=" ".join,
     )
@@ -430,8 +442,31 @@ class TestUsageErrors:
         assert len(err.splitlines()) == 1 and "Traceback" not in err
         assert err.startswith("invalid arguments: ")
 
+    @pytest.mark.parametrize(
+        "argv",
+        [
+            ("approx", "--alpha", "2", "--exponent", "1/1000", "--n-max", "10"),
+            ("count", "--p", "1", "--q", "7", "--delta", "1/4", "--n-max", "10", "--eta", "1/100000"),
+            ("scan", "--n-max", "1000", "--format", "json", "--profile-delta", "1/100000"),
+        ],
+        ids=" ".join,
+    )
+    def test_root_degree_above_cap_exit_2(self, capsys, argv):
+        # a b-th root at b in the thousands takes seconds per call: refused at once
+        started = time.monotonic()
+        code, out, err = run(capsys, *argv)
+        assert (code, out) == (2, "")
+        assert err.startswith("invalid arguments: ") and "denominator" in err
+        assert time.monotonic() - started < 5
+
 
 class TestRemovedSurface:
+    def test_block_size_exit_2(self):
+        # blocks span max(DEFAULT_BLOCK_SIZE, lo // 8); no caller chose another size
+        with pytest.raises(SystemExit) as exc:
+            main(["scan", "--n-max", "1000", "--block-size", "1024"])
+        assert exc.value.code == 2
+
     def test_bench_exit_2(self):
         # the screen is measured by the benchmark suite, not by a subcommand
         with pytest.raises(SystemExit) as exc:

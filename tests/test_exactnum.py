@@ -12,6 +12,7 @@ from hypothesis import strategies as st
 from harmonicgap.construct import pair_from
 from harmonicgap.errors import PrecisionError
 from harmonicgap.exactnum import (
+    MAX_ROOT_DEGREE,
     Ball,
     Dyadic,
     const_e,
@@ -20,7 +21,6 @@ from harmonicgap.exactnum import (
     constants,
     _exp_series,
     _ln2,
-    exp_ball,
     ln_ball,
 )
 
@@ -156,6 +156,18 @@ class TestBallOps:
                         b = b.div(Ball.from_fraction(v, prec))
                 widths.append(b.width().as_fraction())
             assert widths[1] * 2 <= widths[0] or widths[0] == 0
+
+    def test_pow_frac_root_degree_cap(self):
+        x = Ball.from_fraction(10, 96)
+        root = x.pow_frac(Fraction(1, MAX_ROOT_DEGREE))  # the largest degree accepted
+        power = Ball.point(1, 96)
+        for _ in range(MAX_ROOT_DEGREE):
+            power = power.mul(root)
+        assert power.contains(10)
+        with pytest.raises(ValueError, match="denominator"):
+            x.pow_frac(Fraction(1, MAX_ROOT_DEGREE + 1))
+        with pytest.raises(ValueError, match="denominator"):
+            x.pow_frac(Fraction(-1, 1000))
 
     def test_root(self):
         b = Ball.from_fraction(32, 96).root(5)
@@ -315,14 +327,6 @@ class TestConstants:
         twice = c.critical_offset + c.critical_offset
         assert twice.overlaps(c.gap_target)
 
-    def test_exp_ball(self):
-        b = exp_ball(Fraction(-1), 96)
-        inv = Ball.from_fraction(1, 96).div(const_e(96))
-        assert b.overlaps(inv)
-        b2 = exp_ball(Fraction(1, 2), 96)
-        sq = b2.mul(b2)
-        assert sq.overlaps(const_e(96))
-
 
 def _retired_e(prec: int) -> Ball:
     # e as exactnum summed it before the one exp series: sum_{k<=K} 1/k! by
@@ -349,28 +353,22 @@ class TestExpSeries:
     @pytest.mark.parametrize("bucket", [1 << j for j in range(7, 18)])
     def test_e_matches_retired_sum(self, bucket):
         ref = _retired_e(bucket)
-        assert _bits(_exp_series(1, 1, bucket)) == _bits(ref)
+        assert _bits(_exp_series(bucket)) == _bits(ref)
         # const_e(p) reads the bucket of p + 8
         assert _bits(const_e(bucket - 8)) == _bits(ref.at(bucket - 8))
 
     @settings(max_examples=150, deadline=None)
-    @given(
-        x=st.fractions(min_value=-8, max_value=8, max_denominator=1 << 24),
-        prec=st.integers(32, 1024),
-    )
-    @example(x=Fraction(8), prec=1024)
-    @example(x=Fraction(-8), prec=32)
-    @example(x=Fraction(1), prec=32)
-    @example(x=Fraction(0), prec=64)
-    def test_exp_ball_encloses_mpmath(self, x, prec):
-        b = exp_ball(x, prec)
+    @given(prec=st.integers(32, 4096))
+    @example(prec=32)
+    @example(prec=4096)
+    def test_const_e_encloses_mpmath(self, prec):
+        b = const_e(prec)
         with mpmath.workprec(prec + 64):
-            man, exp = mpmath.exp(mpmath.mpf(x.numerator) / x.denominator).man_exp
+            man, exp = (+mpmath.e).man_exp
         ref = Fraction(man) * Fraction(2) ** exp
-        slack = ref / 2 ** (prec + 56)  # mpmath's own rounding, far below the ball's
+        slack = Fraction(1, 1 << (prec + 60))  # mpmath's own rounding
         assert b.lo.cmp_fraction(ref + slack) <= 0 and b.hi.cmp_fraction(ref - slack) >= 0
-        # the width contract: at most 2^(3 - prec) e^x
-        assert b.width().as_fraction() <= (ref + slack) * Fraction(2) ** (3 - prec)
+        assert b.width_leq(3 - prec)
 
 
 class TestPi:

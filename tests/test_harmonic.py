@@ -186,19 +186,3 @@ class TestPrediction:
     def test_zero_offset_negative(self):
         p = predicted_overshoot(50, Ball.point(0, 128))
         assert p.sign() == -1
-
-    def test_x_range_guard(self):
-        with pytest.raises(ValueError):
-            predicted_overshoot(50, Ball.point(0, 128), x=Fraction(6, 5))
-        # x = 1.19 < ln((3+sqrt 13)/2) = 1.19476... is admissible
-        predicted_overshoot(50, Ball.point(0, 128), x=Fraction(119, 100))
-
-    def test_general_x_consistency(self):
-        # for x = 1/2 the critical offset is sinh(1/2)/12; prediction vanishes there
-        from harmonicgap.exactnum import exp_ball
-
-        x = Fraction(1, 2)
-        ex = exp_ball(x, 160)
-        sinh = (ex - 1 / ex) / 2
-        p = predicted_overshoot(1000, sinh / 12, x=x)
-        assert p.contains(0)

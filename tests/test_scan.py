@@ -4,6 +4,7 @@ import json
 import math
 from fractions import Fraction
 
+import mpmath
 import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
@@ -51,6 +52,18 @@ class TestThreshold:
         pred = predicted_overshoot(n, Ball.from_fraction(Fraction(1, 8), 160))
         scaled = pred.mul(Ball.from_fraction(n * n, 160))
         assert scaled.overlaps(tau)
+
+    @pytest.mark.parametrize("prec", [128, 160, 512])
+    def test_encloses_mpmath(self, prec):
+        # tau is built from the prediction's formula; this twin takes e from mpmath
+        tau = quality_threshold(prec)
+        with mpmath.workdps(300):
+            e = mpmath.e
+            man, exp = ((3 / e + 1 / (e * e) - 1) / 24).man_exp
+        ref = Fraction(man) * Fraction(2) ** exp
+        slack = Fraction(1, 10**290)  # mpmath's own rounding at 300 digits
+        assert tau.lo.cmp_fraction(ref + slack) <= 0 and tau.hi.cmp_fraction(ref - slack) >= 0
+        assert tau.width_leq(4 - prec)
 
     def test_critical_offset_below(self):
         from harmonicgap.exactnum import constants
@@ -105,8 +118,9 @@ class TestScan:
             assert s - 1 == row.overshoot
             assert s - Fraction(1, row.t) < 1 <= s
 
-    def test_rows_match_connection_reports(self):
-        table = scan_records(30000, block_size=4096)
+    def test_rows_match_connection_reports(self, monkeypatch):
+        monkeypatch.setattr(scan, "DEFAULT_BLOCK_SIZE", 4096)
+        table = scan_records(30000)
         assert [(r.n, r.t) for r in table.records] == RECORDS_TO_100000
         for row in table.records:
             rep = connection_report(row.n, row.t)
@@ -126,9 +140,10 @@ class TestScan:
         table = scan_records(2)
         assert [(r.n, r.t) for r in table.records] == [(2, 4)]
 
-    def test_thread_invariance_bytes(self):
-        t1 = scan_records(20000, threads=1, block_size=4096)
-        t4 = scan_records(20000, threads=4, block_size=4096)
+    def test_thread_invariance_bytes(self, monkeypatch):
+        monkeypatch.setattr(scan, "DEFAULT_BLOCK_SIZE", 4096)
+        t1 = scan_records(20000, threads=1)
+        t4 = scan_records(20000, threads=4)
         a = "\n".join(t1.csv_lines())
         b = "\n".join(t4.csv_lines())
         assert a == b
@@ -136,9 +151,10 @@ class TestScan:
             t4.json_obj(), sort_keys=True
         )
 
-    def test_block_size_invariance(self):
-        t_small = scan_records(9000, block_size=1024)
-        t_big = scan_records(9000, block_size=1 << 16)
+    def test_block_size_invariance(self, monkeypatch):
+        t_big = scan_records(9000)
+        monkeypatch.setattr(scan, "DEFAULT_BLOCK_SIZE", 1024)
+        t_small = scan_records(9000)
         assert t_small.csv_lines() == t_big.csv_lines()
 
     def test_no_exact_hits_small(self):
@@ -165,7 +181,8 @@ class TestScan:
             return confirm(n, t_screen)
 
         monkeypatch.setattr(scan, "_confirm_exact", spy)
-        table = scan_records(20000, block_size=1024)
+        monkeypatch.setattr(scan, "DEFAULT_BLOCK_SIZE", 1024)
+        table = scan_records(20000)
         assert confirmed == [r.n for r in table.records]
 
 
@@ -191,6 +208,10 @@ class TestScreenBound:
 
 
 class TestCheckpoints:
+    @pytest.fixture(autouse=True)
+    def small_blocks(self, monkeypatch):
+        monkeypatch.setattr(scan, "DEFAULT_BLOCK_SIZE", 1024)
+
     def test_resume_identical(self, tmp_path, monkeypatch):
         ck, direct_ck = tmp_path / "scan.ckpt", tmp_path / "direct.ckpt"
         screen = scan._run_screen
@@ -200,21 +221,22 @@ class TestCheckpoints:
                 raise KeyboardInterrupt
             return screen(args)
 
-        monkeypatch.setattr(scan, "_run_screen", interrupted_at_3074)
-        with pytest.raises(KeyboardInterrupt):
-            scan_records(5000, checkpoint_path=str(ck), block_size=1024)
-        monkeypatch.undo()
+        with monkeypatch.context() as patch:
+            patch.setattr(scan, "_run_screen", interrupted_at_3074)
+            with pytest.raises(KeyboardInterrupt):
+                scan_records(5000, checkpoint_path=str(ck))
         # the cursor is mid-scan, after the records at 2, 8, 29 and 107
-        assert scan._load_checkpoint(str(ck), 5000, 1024)["next_start"] == 3074
-        resumed = scan_records(5000, checkpoint_path=str(ck), block_size=1024)
-        direct = scan_records(5000, checkpoint_path=str(direct_ck), block_size=1024)
+        assert scan._load_checkpoint(str(ck), 5000)["next_start"] == 3074
+        resumed = scan_records(5000, checkpoint_path=str(ck))
+        direct = scan_records(5000, checkpoint_path=str(direct_ck))
         assert resumed.csv_lines() == direct.csv_lines()
         assert ck.read_bytes() == direct_ck.read_bytes()
 
-    def test_parallel_checkpoints_match_serial(self, tmp_path):
+    def test_parallel_checkpoints_match_serial(self, tmp_path, monkeypatch):
         ck1, ck2 = tmp_path / "serial.ckpt", tmp_path / "parallel.ckpt"
-        t1 = scan_records(20000, threads=1, checkpoint_path=str(ck1), block_size=4096)
-        t2 = scan_records(20000, threads=2, checkpoint_path=str(ck2), block_size=4096)
+        monkeypatch.setattr(scan, "DEFAULT_BLOCK_SIZE", 4096)
+        t1 = scan_records(20000, threads=1, checkpoint_path=str(ck1))
+        t2 = scan_records(20000, threads=2, checkpoint_path=str(ck2))
         assert t1.csv_lines() == t2.csv_lines()
         assert ck1.read_bytes() == ck2.read_bytes()
 
@@ -248,29 +270,29 @@ class TestCheckpoints:
                     return Torn(fh)
             return fh
 
-        monkeypatch.setattr(scan, "open", open_tearing_third_save, raising=False)
-        with pytest.raises(OSError, match="disk full"):
-            scan_records(5000, checkpoint_path=str(ck), block_size=1024)
-        monkeypatch.undo()
+        with monkeypatch.context() as patch:
+            patch.setattr(scan, "open", open_tearing_third_save, raising=False)
+            with pytest.raises(OSError, match="disk full"):
+                scan_records(5000, checkpoint_path=str(ck))
         # blocks end at 1026, 2050, 3074, ...: the second save survives
-        assert scan._load_checkpoint(str(ck), 5000, 1024)["next_start"] == 2050
+        assert scan._load_checkpoint(str(ck), 5000)["next_start"] == 2050
         assert [p.name for p in tmp_path.iterdir()] == ["scan.ckpt"]
-        resumed = scan_records(5000, checkpoint_path=str(ck), block_size=1024)
+        resumed = scan_records(5000, checkpoint_path=str(ck))
         assert "\n".join(resumed.csv_lines()) == "\n".join(scan_records(5000).csv_lines())
 
     def test_partial_then_longer_refused(self, tmp_path):
         ck = str(tmp_path / "scan.ckpt")
-        scan_records(4000, checkpoint_path=ck, block_size=1024)
+        scan_records(4000, checkpoint_path=ck)
         with pytest.raises(CheckpointError):
-            scan_records(8000, checkpoint_path=ck, block_size=1024)
+            scan_records(8000, checkpoint_path=ck)
 
     def test_corrupt_refused(self, tmp_path):
         ck = tmp_path / "scan.ckpt"
-        scan_records(4000, checkpoint_path=str(ck), block_size=1024)
+        scan_records(4000, checkpoint_path=str(ck))
         body = ck.read_text()
         ck.write_text(body.replace('"next_start": 4001', '"next_start": 3001'))
         with pytest.raises(CheckpointError):
-            scan_records(4000, checkpoint_path=str(ck), block_size=1024)
+            scan_records(4000, checkpoint_path=str(ck))
 
     def test_garbage_refused(self, tmp_path):
         ck = tmp_path / "scan.ckpt"
@@ -430,7 +452,7 @@ class TestCarriedWindow:
     def test_scan_blocks_match_rebuilds(self, kernel, n_max):
         # at 10^6 the spans grow to lo // 8 past the fixed block size
         fb = scan.frac_bits_for(n_max)
-        args = list(scan._screen_args(n_max, scan.DEFAULT_BLOCK_SIZE, 2, fb, scan._tau_fp_bound(fb)))
+        args = list(scan._screen_args(n_max, 2, fb, scan._tau_fp_bound(fb)))
         window = None
         for block in args:
             carried = kernel.screen_block(*block, window)
