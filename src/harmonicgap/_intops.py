@@ -1,4 +1,5 @@
-"""Big-integer helpers: exact segment sums in lowest terms and integer roots.
+"""Big-integer helpers: exact segment sums in lowest terms, integer roots and
+decimal output.
 
 The segment sum 1/lo + ... + 1/hi is built from the primes of the range, over
 L = lcm(lo..hi), and comes out in lowest terms with no gcd and no long
@@ -20,7 +21,9 @@ Karatsuba).  With B = isqrt(hi):
 from __future__ import annotations
 
 import math
+from decimal import MAX_EMAX, MAX_PREC, MIN_EMIN, Context, Decimal, Inexact, Rounded
 from fractions import Fraction
+from functools import lru_cache
 from itertools import accumulate, compress
 
 HAVE_GMPY2 = False  # perfbench/worker.py writes it into every report's environment block
@@ -145,3 +148,47 @@ def iroot(x: int, n: int) -> int:
         if nr >= r:
             return r
         r = nr
+
+
+# decimal_str joins binary halves in libmpdec, whose products are subquadratic
+# (Karatsuba, then number-theoretic transforms).  The context is exact: any
+# rounding would raise instead of printing a wrong digit.
+_DECIMAL_LEAF = 2048  # bits; str() of one such leaf is cheap
+_EXACT = Context(prec=MAX_PREC, Emax=MAX_EMAX, Emin=MIN_EMIN, traps=[Inexact, Rounded])
+
+
+def decimal_str(n: int) -> str:
+    """str(n) in subquadratic time and regardless of the interpreter's
+    int-string limit.
+
+    CPython 3.11 converts an int to decimal in quadratic time, and so does a
+    split by divmod(n, 10**k), since its long division is schoolbook.  So n is
+    split in binary, by shifts and masks at widths _DECIMAL_LEAF * 2^j, and
+    the halves are joined as hi * 2^w + lo in exact Decimal arithmetic
+    (Brent & Zimmermann, Modern Computer Arithmetic, section 1.7).
+    """
+    if n < 0:
+        return "-" + decimal_str(-n)
+    bits = n.bit_length()
+    if bits <= _DECIMAL_LEAF:
+        return str(n)
+    return str(_to_decimal(n, ((bits - 1) // _DECIMAL_LEAF).bit_length() - 1))
+
+
+def _to_decimal(x: int, j: int) -> Decimal:
+    """x < 2^(_DECIMAL_LEAF * 2^(j+1)) as an exact Decimal."""
+    if j < 0:
+        return Decimal(str(x))
+    w = _DECIMAL_LEAF << j
+    if x.bit_length() <= w:
+        return _to_decimal(x, j - 1)
+    return _EXACT.fma(_to_decimal(x >> w, j - 1), _pow2(j), _to_decimal(x & ((1 << w) - 1), j - 1))
+
+
+@lru_cache(maxsize=None)
+def _pow2(j: int) -> Decimal:
+    """2^(_DECIMAL_LEAF * 2^j), exact: every conversion shares the powers."""
+    if j == 0:
+        return Decimal(str(1 << _DECIMAL_LEAF))
+    half = _pow2(j - 1)
+    return _EXACT.multiply(half, half)

@@ -20,6 +20,7 @@ import sys
 from fractions import Fraction
 
 from . import __version__
+from ._intops import decimal_str
 from .errors import CheckpointError, PrecisionError
 from .exactnum import Ball, DEFAULT_PREC, MAX_ROOT_DEGREE, constants
 from . import contfrac, construct, counting, scan
@@ -43,7 +44,7 @@ def _mod_pair(text: str) -> tuple[int, int]:
 
 
 def _frac_str(fr: Fraction) -> str:
-    return f"{fr.numerator}/{fr.denominator}"
+    return f"{decimal_str(fr.numerator)}/{decimal_str(fr.denominator)}"
 
 
 def _ball_obj(b: Ball, digits: int = INTERVAL_DIGITS) -> dict:
@@ -85,8 +86,8 @@ def cmd_convergents(args) -> int:
             obj = [
                 {
                     "k": s.k,
-                    "p": str(s.p),
-                    "q": str(s.q),
+                    "p": decimal_str(s.p),
+                    "q": decimal_str(s.q),
                     "sign": s.sign,
                     "remainder": _ball_obj(s.remainder),
                     "remainder_bounds": [_frac_str(x) for x in s.remainder_bounds()],
@@ -99,14 +100,15 @@ def cmd_convergents(args) -> int:
             lines = ["k,p,q,sign,r_lo,r_hi"]
             for s in entries:
                 lo, hi = s.remainder.interval_str(INTERVAL_DIGITS)
-                lines.append(f"{s.k},{s.p},{s.q},{s.sign},{lo},{hi}")
+                lines.append(f"{s.k},{decimal_str(s.p)},{decimal_str(s.q)},{s.sign},{lo},{hi}")
             _emit("\n".join(lines), args.output)
         else:
             lines = []
             for s in entries:
                 lo, hi = s.remainder.interval_str(12)
                 lines.append(
-                    f"k={s.k}: {s.p}/{s.q}  r in [{lo}, {hi}]  sign={s.sign:+d}  parity=odd/odd"
+                    f"k={s.k}: {decimal_str(s.p)}/{decimal_str(s.q)}  r in [{lo}, {hi}]  "
+                    f"sign={s.sign:+d}  parity=odd/odd"
                 )
             _emit("\n".join(lines), args.output)
         return 0
@@ -117,13 +119,13 @@ def cmd_convergents(args) -> int:
         raise ValueError("--count must be >= 1")
     cs = contfrac.convergents(contfrac.e_partial_quotient, args.count)
     if args.format == "json":
-        obj = [{"i": c.i, "a": c.a, "p": str(c.p), "q": str(c.q)} for c in cs]
+        obj = [{"i": c.i, "a": c.a, "p": decimal_str(c.p), "q": decimal_str(c.q)} for c in cs]
         _emit(_dump(obj), args.output)
     elif args.format == "csv":
-        lines = ["i,a,p,q"] + [f"{c.i},{c.a},{c.p},{c.q}" for c in cs]
+        lines = ["i,a,p,q"] + [f"{c.i},{c.a},{decimal_str(c.p)},{decimal_str(c.q)}" for c in cs]
         _emit("\n".join(lines), args.output)
     else:
-        _emit("\n".join(f"{c.p}/{c.q}" for c in cs), args.output)
+        _emit("\n".join(f"{decimal_str(c.p)}/{decimal_str(c.q)}" for c in cs), args.output)
     return 0
 
 
@@ -135,8 +137,8 @@ def _pair_obj(p: construct.CandidatePair) -> dict:
     return {
         "k": p.k,
         "d": p.d,
-        "m": str(p.m),
-        "n": str(p.n),
+        "m": decimal_str(p.m),
+        "n": decimal_str(p.n),
         "offset": _ball_obj(p.offset),
         "overshoot": _ball_obj(p.overshoot),
         "overshoot_exact": _frac_str(p.overshoot_exact) if p.overshoot_exact is not None else None,
@@ -300,7 +302,7 @@ def cmd_approx(args) -> int:
         "skipped_undecidable": skipped,
         "verified_at_doubled_precision": verified,
         "hits": [
-            {"m": str(h.m), "n": str(h.n), "error": _ball_obj(h.error)} for h in hits
+            {"m": decimal_str(h.m), "n": decimal_str(h.n), "error": _ball_obj(h.error)} for h in hits
         ],
     }
     _emit(_dump(obj), args.output)

@@ -16,6 +16,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
+from functools import lru_cache
 
 from ._pool import ordered_map
 from .contfrac import OddConvergent, odd_convergent
@@ -86,6 +87,7 @@ def _ideal(s: OddConvergent, w: int) -> Ball | None:
     return ratio.mul(c.gap_target).div(s.remainder).sqrt()
 
 
+@lru_cache(maxsize=64)
 def ideal_multiplier(k: int) -> Ball:
     """The real multiplier nulling the scaled gap, with the factor (2n-1)/n
     evaluated by one fixed-point pass, at most 2^-96 wide and deciding the
@@ -95,7 +97,8 @@ def ideal_multiplier(k: int) -> Ball:
     use under the crude (2n-1)/n ~ 2 approximation, so the refined value
     reflects the constructed pair.  The first attempt reads the WORK_PREC
     remainder that certify uses; at most about 2^-189 (2k+4)^1.5 wide, it
-    decides at any reachable k.
+    decides at any reachable k.  Cached like odd_convergent, so a window
+    search computes it once per index, not once per multiplier.
     """
     if k < 0 or k % 2:
         raise ValueError("ideal_multiplier is defined for even k >= 0")

@@ -33,6 +33,7 @@ from fractions import Fraction
 from math import gcd
 
 from . import __version__
+from ._intops import decimal_str
 from ._pool import ordered_map
 from ._screen import KIND_RECORD, KIND_TAU, frac_bits_for, kernel_name, screen_block
 from .contfrac import is_e_convergent
@@ -111,9 +112,10 @@ class RecordRow:
     is_convergent: bool
 
     def csv(self) -> str:
+        eps, scaled = self.overshoot, self.scaled
         return (
-            f"{self.n},{self.t},{self.overshoot.numerator},{self.overshoot.denominator},"
-            f"{self.scaled.numerator},{self.scaled.denominator},"
+            f"{self.n},{self.t},{decimal_str(eps.numerator)},{decimal_str(eps.denominator)},"
+            f"{decimal_str(scaled.numerator)},{decimal_str(scaled.denominator)},"
             f"{self.reduced_p},{self.reduced_q},{self.d},{str(self.is_convergent).lower()}"
         )
 
@@ -121,10 +123,10 @@ class RecordRow:
         return {
             "n": self.n,
             "t": self.t,
-            "eps_num": str(self.overshoot.numerator),
-            "eps_den": str(self.overshoot.denominator),
-            "scaled_num": str(self.scaled.numerator),
-            "scaled_den": str(self.scaled.denominator),
+            "eps_num": decimal_str(self.overshoot.numerator),
+            "eps_den": decimal_str(self.overshoot.denominator),
+            "scaled_num": decimal_str(self.scaled.numerator),
+            "scaled_den": decimal_str(self.scaled.denominator),
             "reduced_p": str(self.reduced_p),
             "reduced_q": str(self.reduced_q),
             "d": self.d,

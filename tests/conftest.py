@@ -8,6 +8,7 @@ import shutil
 import subprocess
 import sys
 import sysconfig
+from contextlib import contextmanager
 from fractions import Fraction
 from pathlib import Path
 
@@ -115,6 +116,22 @@ def harmonic_pair_lcm_split(lo: int, hi: int) -> tuple[int, int]:
     num, den = split(lo, hi)
     g = math.gcd(num, den)
     return num // g, den // g
+
+
+@contextmanager
+def int_str_limit(digits: int):
+    """The interpreter's int-string digit limit set to `digits` (0: none)
+    inside the block only; the package itself never changes it.  Pythons
+    without the limit (before 3.10.7 and 3.11) have nothing to change."""
+    if not hasattr(sys, "set_int_max_str_digits"):
+        yield
+        return
+    old = sys.get_int_max_str_digits()
+    sys.set_int_max_str_digits(digits)
+    try:
+        yield
+    finally:
+        sys.set_int_max_str_digits(old)
 
 
 @pytest.fixture(scope="session")

@@ -2,6 +2,7 @@
 
 import json
 import os
+import re
 import signal
 import subprocess
 import sys
@@ -13,6 +14,9 @@ import pytest
 from harmonicgap import construct, scan
 from harmonicgap._pool import ordered_map
 from harmonicgap.cli import main
+from harmonicgap.harmonic import exact_sum
+
+from conftest import int_str_limit
 
 
 def run(capsys, *argv):
@@ -510,3 +514,51 @@ class TestEntryPoint:
             text=True,
         )
         assert proc.returncode == 2
+
+
+class TestDefaultIntStrLimit:
+    """Every big integer prints at the interpreter's default int-string limit
+    of 4300 digits, which the package leaves alone: one str() of a big int
+    missed on the way to the output would exit 1 with a ValueError."""
+
+    def cli(self, tmp_path, *argv) -> str:
+        out = tmp_path / "out.txt"
+        proc = subprocess.run(
+            [sys.executable, "-m", "harmonicgap.cli", *argv, "--output", str(out)],
+            capture_output=True, text=True, timeout=300,
+            env=dict(os.environ, PYTHONINTMAXSTRDIGITS="4300"),
+        )
+        assert proc.returncode == 0, proc.stderr
+        text = out.read_text()
+        assert max(map(len, re.findall(r"\d+", text))) > 4300
+        return text
+
+    @pytest.mark.parametrize("fmt", ["csv", "json"])
+    def test_scan_row_reads_back(self, tmp_path, fmt):
+        text = self.cli(tmp_path, "scan", "--n-max", "30000", "--format", fmt)
+        if fmt == "csv":
+            row = next(line.split(",") for line in text.splitlines() if line.startswith("27134,"))
+            t, fields = int(row[1]), row[2:6]
+        else:
+            row = next(r for r in json.loads(text)["records"] if r["n"] == 27134)
+            t, fields = row["t"], [row[key] for key in ("eps_num", "eps_den", "scaled_num", "scaled_den")]
+        eps = exact_sum(27134, 73756) - 1
+        with int_str_limit(0):
+            parsed = tuple(map(int, fields))
+        scaled = 27134**2 * eps
+        assert (t, parsed) == (73756, (eps.numerator, eps.denominator, scaled.numerator, scaled.denominator))
+
+    @pytest.mark.parametrize(
+        "argv",
+        [
+            pytest.param(("construct", "--k", "4", "--d", "7"), id="largest-exact-pair"),
+            pytest.param(("construct", "--k", "2000"), id="construct-2000"),
+            # q of convergent 3927 is the first with more than 4300 digits
+            *(
+                pytest.param(("convergents", "--count", "3940", "--format", fmt), id=f"convergents-{fmt}")
+                for fmt in ("table", "csv", "json")
+            ),
+        ],
+    )
+    def test_exit_0(self, tmp_path, argv):
+        self.cli(tmp_path, *argv)

@@ -325,6 +325,21 @@ class TestJointSearch:
             cumulative_min = min(v for kk, v in best.items() if kk <= k)
             assert cumulative_min <= best[k]
 
+    def test_one_ideal_multiplier_per_index(self, monkeypatch):
+        # certify reads the canonical multiplier at every d of the window;
+        # each index computes its ideal once: 30 for k = 2, 4, ..., 60
+        calls = Counter()
+        ideal = construct._ideal
+
+        def counted(s, w):
+            calls[s.k] += 1
+            return ideal(s, w)
+
+        monkeypatch.setattr(construct, "_ideal", counted)
+        construct.ideal_multiplier.cache_clear()
+        joint_search(60)
+        assert calls == Counter(range(2, 61, 2))
+
     def test_workers_deterministic(self):
         seq, s1 = joint_search(6, window=2)
         par, s2 = joint_search(6, window=2, workers=2)

@@ -1,10 +1,12 @@
-"""Integer helper paths: exact segment sums, Fraction construction, integer roots."""
+"""Integer helper paths: exact segment sums, Fraction construction, integer
+roots, decimal output."""
 
 import math
 import os
 import random
 import subprocess
 import sys
+from concurrent.futures import ThreadPoolExecutor
 from fractions import Fraction
 from pathlib import Path
 
@@ -14,7 +16,7 @@ from hypothesis import strategies as st
 
 from harmonicgap import _intops
 
-from conftest import harmonic_pair_lcm_split
+from conftest import harmonic_pair_lcm_split, int_str_limit
 
 SRC = Path(__file__).resolve().parents[1] / "src"
 
@@ -131,3 +133,59 @@ def test_harmonic_pair_streams_its_primes():
     )
     assert proc.returncode == 0, proc.stderr
     assert int(proc.stdout) < 2 << 20
+
+
+def _of_width(width: int, seed: int) -> int:
+    """A pseudo-random integer of exactly `width` bits (0 for width 0)."""
+    return random.Random(seed).getrandbits(width) | 1 << (width - 1) if width else 0
+
+
+LEAF = _intops._DECIMAL_LEAF
+# magnitudes: at each split width +-1; random up to about 300 kbit; 2^k, 10^k
+# and 10^k - 1 (all nines, where a lost carry would show)
+SPLIT_WIDTHS = [w + s for w in (LEAF, 2 * LEAF, 4 * LEAF) for s in (-1, 0, 1)]
+MAGNITUDES = st.one_of(
+    st.builds(_of_width, st.sampled_from(SPLIT_WIDTHS), st.integers(0, 2**32)),
+    st.builds(_of_width, st.integers(0, 300_000), st.integers(0, 2**32)),
+    st.integers(0, 300_000).map(lambda k: 1 << k),
+    st.builds(lambda k, nines: 10**k - nines, st.integers(0, 90_000), st.integers(0, 1)),
+)
+
+
+@settings(max_examples=100, deadline=None)
+@given(x=MAGNITUDES, negative=st.booleans())
+@example(x=0, negative=False)
+@example(x=1, negative=True)
+@example(x=_of_width(LEAF - 1, 1), negative=False)
+@example(x=_of_width(LEAF, 2), negative=True)
+@example(x=_of_width(LEAF + 1, 3), negative=False)
+@example(x=_of_width(2 * LEAF - 1, 4), negative=False)
+@example(x=_of_width(2 * LEAF + 1, 5), negative=True)
+@example(x=_of_width(4 * LEAF - 1, 6), negative=False)
+@example(x=_of_width(4 * LEAF + 1, 7), negative=False)
+@example(x=1 << 4 * LEAF, negative=False)
+@example(x=10**5000, negative=False)
+@example(x=10**5000 - 1, negative=True)
+@example(x=_of_width(300_000, 8), negative=False)
+def test_decimal_str_matches_str(x, negative):
+    # slow twin: CPython's quadratic str, allowed past the default 4300
+    # digits only around the comparison; decimal_str runs outside it
+    x = -x if negative else x
+    got = _intops.decimal_str(x)
+    with int_str_limit(0):
+        assert got == str(x)
+
+
+def test_decimal_str_threads_share_the_powers():
+    # threads that build the cached powers at once must still agree with str()
+    xs = [_of_width(64 * LEAF, seed) for seed in range(16)]
+    interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-6)
+    try:
+        _intops._pow2.cache_clear()
+        with ThreadPoolExecutor(8) as pool:
+            got = list(pool.map(_intops.decimal_str, xs, timeout=60))
+    finally:
+        sys.setswitchinterval(interval)
+    with int_str_limit(0):
+        assert got == [str(x) for x in xs]
