@@ -81,7 +81,7 @@ def cmd_convergents(args) -> int:
         prec = DEFAULT_PREC if args.precision is None else args.precision
         if prec < 32:
             raise ValueError("--precision must be >= 32")
-        entries = [contfrac.odd_convergent(k, prec=prec) for k in range(args.k_max + 1)]
+        entries = contfrac.odd_convergents(args.k_max, prec)
         if args.format == "json":
             obj = [
                 {

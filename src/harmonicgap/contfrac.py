@@ -11,7 +11,8 @@ the convergent 3/1.  Entry k's remainder comes from that identity and the
 partial quotients alone: c = q_{3k+1}/q_{3k+2} = [0; a_{3k+2}, ..., a_2] and
 w = [2k+2; 1, 1, 2k+4, ...] are enclosed by their own convergents, with no
 e, no division of q-sized integers and no precision that grows with q.  So
-entry k costs the walk to index 3k+2, which holds two convergents at a time.
+entry k costs the walk to index 3k+2, which holds two convergents at a time,
+and a listing of entries 0..K shares one walk to index 3K+2.
 """
 
 from __future__ import annotations
@@ -32,6 +33,7 @@ __all__ = [
     "convergents",
     "e_convergent",
     "odd_convergent",
+    "odd_convergents",
     "is_e_convergent",
     "tail_enclosure",
 ]
@@ -84,16 +86,6 @@ def _walk(quotient):
         yield p_prev, q_prev, p, q
 
 
-@lru_cache(maxsize=64)
-def _e_entry(i: int) -> tuple[Convergent, int, int]:
-    """Convergent i of e with p_{i-1} and q_{i-1}, walked from the start; the
-    cache only spares repeated calls at the same index."""
-    if i < 1:
-        raise IndexError("convergent index starts at 1")
-    p_prev, q_prev, p, q = next(islice(_walk(e_partial_quotient), i - 1, None))
-    return Convergent(i, e_partial_quotient(i), p, q), p_prev, q_prev
-
-
 def convergents(quotient, count: int) -> list[Convergent]:
     """First `count` convergents of the continued fraction given by `quotient`."""
     if count < 1:
@@ -103,7 +95,11 @@ def convergents(quotient, count: int) -> list[Convergent]:
 
 
 def e_convergent(i: int) -> Convergent:
-    return _e_entry(i)[0]
+    """Convergent i of e, walked from the start."""
+    if i < 1:
+        raise IndexError("convergent index starts at 1")
+    _, _, p, q = next(islice(_walk(e_partial_quotient), i - 1, None))
+    return Convergent(i, e_partial_quotient(i), p, q)
 
 
 @dataclass(frozen=True)
@@ -132,12 +128,26 @@ def odd_convergent(k: int, prec: int = 36) -> OddConvergent:
     """
     if k < 0:
         raise IndexError("subsequence index starts at 0")
-    c, p_prev, q_prev = _e_entry(3 * k + 2)
-    if not (c.p & 1 and c.q & 1):
+    return _odd_entry(k, prec, next(islice(_walk(e_partial_quotient), 3 * k + 1, None)))
+
+
+def odd_convergents(k_max: int, prec: int = 36) -> list[OddConvergent]:
+    """Entries 0..k_max of the subsequence, as odd_convergent gives them, from
+    one walk that hands every third convergent to the entry's checks."""
+    if k_max < 0:
+        raise IndexError("subsequence index starts at 0")
+    walk = islice(_walk(e_partial_quotient), 1, 3 * k_max + 2, 3)
+    return [_odd_entry(k, prec, walked) for k, walked in enumerate(walk)]
+
+
+def _odd_entry(k: int, prec: int, walked: tuple[int, int, int, int]) -> OddConvergent:
+    """Entry k from the walked (p_{3k+1}, q_{3k+1}, p_{3k+2}, q_{3k+2})."""
+    p_prev, q_prev, p, q = walked
+    if not (p & 1 and q & 1):
         raise AssertionError(f"parity violated at subsequence index {k}")
     # e - p/q = sign / (q^2 (w_k + c_k)), sign = p_prev q - p q_prev = (-1)^(k+1)
     sign = -1 if k % 2 == 0 else 1
-    if p_prev * c.q - c.p * q_prev != sign:
+    if p_prev * q - p * q_prev != sign:
         raise AssertionError(f"determinant identity violated at subsequence index {k}")
     # c_k is walked 64 bits past w, then rounded back onto the grid that w_k's
     # ends and the sum lie on, where it rounds as the exact c_k would.
@@ -148,7 +158,7 @@ def odd_convergent(k: int, prec: int = 36) -> OddConvergent:
     r = 1 / (tail_enclosure(k, w) + ratio.at(max(w, 64)))
     if not r.width_leq(4 - prec):
         raise AssertionError(f"remainder width missed at subsequence index {k}")
-    s = OddConvergent(k, c.p, c.q, r, sign)
+    s = OddConvergent(k, p, q, r, sign)
     lo_bound, hi_bound = s.remainder_bounds()
     if r.lo.cmp_fraction(lo_bound) < 0 or r.hi.cmp_fraction(hi_bound) > 0:
         raise AssertionError(f"remainder bounds violated at subsequence index {k}")

@@ -39,14 +39,13 @@ from ._screen import KIND_RECORD, KIND_TAU, frac_bits_for, kernel_name, screen_b
 from .contfrac import is_e_convergent
 from .errors import CheckpointError
 from .exactnum import Ball, escalating
-from .harmonic import _scaled_prediction, _walk, exact_sum, pair_offset
+from .harmonic import _scaled_prediction, _walk, exact_sum
 
 __all__ = [
     "RecordRow",
     "ConnectionReport",
     "RecordTable",
     "quality_threshold",
-    "connection_report",
     "scan_records",
     "DEFAULT_BLOCK_SIZE",
 ]
@@ -63,7 +62,8 @@ def quality_threshold(prec: int = 128) -> Ball:
 
 @dataclass(frozen=True)
 class ConnectionReport:
-    """Reduction of (2m+1)/(2n-1) and its convergent membership."""
+    """Reduction of (2m+1)/(2n-1) and its convergent membership: the scan's
+    one classifier, built once for every emitted row."""
 
     n: int
     m: int
@@ -71,33 +71,15 @@ class ConnectionReport:
     reduced_p: int
     reduced_q: int
     is_convergent: bool
-    offset: Ball
 
     @staticmethod
     def build(n: int, m: int) -> "ConnectionReport":
-        d, p, q = _reduced(n, m)
-        return ConnectionReport(
-            n=n,
-            m=m,
-            d=d,
-            reduced_p=p,
-            reduced_q=q,
-            is_convergent=is_e_convergent(p, q),
-            offset=pair_offset(n, m, 128),
-        )
-
-
-def _reduced(n: int, m: int) -> tuple[int, int, int]:
-    """(d, p, q) with d = gcd(2m+1, 2n-1) and p/q = (2m+1)/(2n-1) in lowest terms."""
-    a, b = 2 * m + 1, 2 * n - 1
-    d = gcd(a, b)
-    return d, a // d, b // d
-
-
-def connection_report(n: int, m: int) -> ConnectionReport:
-    if not 2 <= n <= m:
-        raise ValueError("need 2 <= n <= m")
-    return ConnectionReport.build(n, m)
+        if not 2 <= n <= m:
+            raise ValueError("need 2 <= n <= m")
+        a, b = 2 * m + 1, 2 * n - 1
+        d = gcd(a, b)
+        p, q = a // d, b // d
+        return ConnectionReport(n=n, m=m, d=d, reduced_p=p, reduced_q=q, is_convergent=is_e_convergent(p, q))
 
 
 @dataclass(frozen=True)
@@ -201,16 +183,17 @@ class _Merger:
         self.tau_hi: Fraction = quality_threshold(128).hi.as_fraction()
 
     def _row(self, n: int, t: int, eps: Fraction, scaled: Fraction) -> RecordRow:
-        d, p, q = _reduced(n, t)
+        # looked up on the class at call time, so a rebound build is the one called
+        rep = ConnectionReport.build(n, t)
         return RecordRow(
             n=n,
             t=t,
             overshoot=eps,
             scaled=scaled,
-            reduced_p=p,
-            reduced_q=q,
-            d=d,
-            is_convergent=is_e_convergent(p, q),
+            reduced_p=rep.reduced_p,
+            reduced_q=rep.reduced_q,
+            d=rep.d,
+            is_convergent=rep.is_convergent,
         )
 
     def feed(self, n: int, t_screen: int, kind: int, lo: Fraction) -> None:
@@ -225,11 +208,13 @@ class _Merger:
         scaled = n * n * eps
         if eps == 0:
             self.exact_hits.append((n, t))
+        row = None  # one row, classified once, when n is both a record and below tau
         if self.min_scaled is None or scaled < self.min_scaled:
-            self.records.append(self._row(n, t, eps, scaled))
+            row = self._row(n, t, eps, scaled)
+            self.records.append(row)
             self.min_scaled = scaled
         if n > 10 and _tau_compare_exact(scaled, n):
-            self.below.append(self._row(n, t, eps, scaled))
+            self.below.append(row or self._row(n, t, eps, scaled))
 
 
 def _screen_args(n_max: int, start: int, frac_bits: int, tau_fp: int):

@@ -6,7 +6,8 @@ interpreter and runs one exact-route and one ball-route certification and one
 window search.  Each index's remainder is taken once, at a precision that
 decides everything built from it, so no precision escalates.  Then a
 checkpointed scan runs through the scan's bindings: the screen's flag count,
-exact confirmation and checkpoint saves.
+exact confirmation, one connection report per emitted row and checkpoint
+saves.
 """
 
 import subprocess
@@ -31,12 +32,15 @@ assert tracer.counters["construct.ball_route"] == 1, tracer.counters
 construct._joint_one_k((200, 5))
 assert tracer.counters.get("exactnum.escalations", 0) == 0, tracer.counters
 
-scan.scan_records(5000, checkpoint_path=sys.argv[3])
+table = scan.scan_records(5000, checkpoint_path=sys.argv[3])
 fb = scan.frac_bits_for(5000)
 flags = sum(len(screen(*args)[0]) for args in scan._screen_args(5000, 2, fb, scan._tau_fp_bound(fb)))
 assert flags > 0 and tracer.counters["screen.flags"] == flags, (flags, tracer.counters)
-called = {span[0] for span in tracer.spans}
-assert {"scan.confirm_exact", "scan.checkpoint"} <= called, called
+called = [span[0] for span in tracer.spans]
+assert {"scan.confirm_exact", "scan.checkpoint", "scan.connection"} <= set(called), set(called)
+# every emitted row is classified once, through the traced ConnectionReport.build
+rows = {(r.n, r.t) for r in table.records + table.below_threshold}
+assert called.count("scan.connection") == len(rows) == 4, (called.count("scan.connection"), rows)
 """
 
 

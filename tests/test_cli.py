@@ -88,6 +88,22 @@ class TestConvergents:
         assert "193/71" in lines[2]
         assert "2721/1001" in lines[3]
 
+    def test_subsequence_walks_once(self, capsys, monkeypatch):
+        # the listing walks e's expansion once, not once per entry
+        from harmonicgap import contfrac
+
+        walk, quotients = contfrac._walk, []
+
+        def spy(quotient):
+            quotients.append(quotient)
+            return walk(quotient)
+
+        monkeypatch.setattr(contfrac, "_walk", spy)
+        code, out, _ = run(capsys, "convergents", "--subseq", "--k-max", "40", "--format", "csv")
+        assert code == 0
+        assert len(out.splitlines()) == 42
+        assert sum(q is contfrac.e_partial_quotient for q in quotients) == 1
+
     def test_zero_count_exit_2(self, capsys):
         code, _, err = run(capsys, "convergents", "--count", "0")
         assert code == 2

@@ -3,7 +3,6 @@
 import os
 import subprocess
 import sys
-from dataclasses import replace
 from fractions import Fraction
 from math import gcd
 from pathlib import Path
@@ -20,6 +19,7 @@ from harmonicgap.contfrac import (
     exp_recip_partial_quotient,
     is_e_convergent,
     odd_convergent,
+    odd_convergents,
     tail_enclosure,
 )
 from harmonicgap.exactnum import Ball, Dyadic, const_e
@@ -205,17 +205,41 @@ class TestDeterminantCheck:
     @pytest.mark.parametrize(
         "corrupt",
         [
-            pytest.param(lambda c, pp, qp: (replace(c, p=c.p + 2 * c.q), pp, qp), id="p-plus-2q"),
-            pytest.param(lambda c, pp, qp: (c, pp, qp + 2), id="q-prev"),
+            pytest.param(lambda pp, qp, p, q: (pp, qp, p + 2 * q, q), id="p-plus-2q"),
+            pytest.param(lambda pp, qp, p, q: (pp, qp + 2, p, q), id="q-prev"),
         ],
     )
     def test_corrupted_entry_raises(self, monkeypatch, corrupt):
-        # entry k = 10 is convergent 32, handed over as (c, p_31, q_31)
-        entry = contfrac._e_entry
-        monkeypatch.setattr(contfrac, "_e_entry", lambda i: corrupt(*entry(i)) if i == 32 else entry(i))
+        # entry k = 10 is convergent 32, walked as (p_31, q_31, p_32, q_32)
+        entry = contfrac._odd_entry
+
+        def corrupted(k, prec, walked):
+            return entry(k, prec, corrupt(*walked) if k == 10 else walked)
+
+        monkeypatch.setattr(contfrac, "_odd_entry", corrupted)
         contfrac.odd_convergent.cache_clear()
         with pytest.raises(AssertionError, match="determinant"):
             contfrac.odd_convergent(10)
+        with pytest.raises(AssertionError, match="determinant"):
+            contfrac.odd_convergents(12)
+
+
+def _entry_key(s):
+    # Ball compares by identity, so entries are compared by their fields
+    return s.k, s.p, s.q, s.sign, s.remainder.lo, s.remainder.hi, s.remainder.prec
+
+
+class TestOddConvergentListing:
+    @pytest.mark.parametrize("prec", [36, 192])
+    def test_one_walk_matches_entries(self, prec):
+        contfrac.odd_convergent.cache_clear()
+        listed = [_entry_key(s) for s in odd_convergents(60, prec)]
+        assert listed == [_entry_key(odd_convergent(k, prec)) for k in range(61)]
+
+    def test_ends(self):
+        assert [_entry_key(s) for s in odd_convergents(0)] == [_entry_key(odd_convergent(0))]
+        with pytest.raises(IndexError):
+            odd_convergents(-1)
 
 
 class TestRatioEnclosure:

@@ -13,7 +13,7 @@ from harmonicgap import _screen, _screen_py, scan
 from harmonicgap.errors import CheckpointError
 from harmonicgap.harmonic import crossing, exact_sum, iter_crossings
 from harmonicgap.scan import (
-    connection_report,
+    ConnectionReport,
     quality_threshold,
     scan_records,
 )
@@ -75,21 +75,44 @@ class TestThreshold:
 
 class TestConnectionReport:
     def test_constructed_pair(self):
-        rep = connection_report(107, 289)
+        rep = ConnectionReport.build(107, 289)
         assert (rep.reduced_p, rep.reduced_q, rep.d) == (193, 71, 3)
         assert rep.is_convergent
-        assert rep.offset.lo.cmp_fraction(Fraction(319, 10**3)) > 0
-        assert rep.offset.hi.cmp_fraction(Fraction(320, 10**3)) < 0
 
     def test_tiny_pair(self):
-        rep = connection_report(2, 4)
+        rep = ConnectionReport.build(2, 4)
         assert (rep.reduced_p, rep.reduced_q, rep.d) == (3, 1, 3)
         assert rep.is_convergent
 
     def test_non_convergent(self):
-        rep = connection_report(10, 26)
+        rep = ConnectionReport.build(10, 26)
         assert (rep.reduced_p, rep.reduced_q) == (53, 19)
         assert not rep.is_convergent
+
+    @pytest.mark.parametrize("n, m", [(1, 4), (5, 4)])
+    def test_validation(self, n, m):
+        with pytest.raises(ValueError):
+            ConnectionReport.build(n, m)
+
+    def test_shared_row_classified_once(self, monkeypatch):
+        # every confirmed n > 10 counts as below tau, so the records past
+        # n = 10 are connection entries too, as at the k = 8 record
+        calls = []
+        is_conv = scan.is_e_convergent
+
+        def counted(p, q):
+            calls.append((p, q))
+            return is_conv(p, q)
+
+        monkeypatch.setattr(scan, "_tau_compare_exact", lambda scaled, n: n > 10)
+        monkeypatch.setattr(scan, "is_e_convergent", counted)
+        table = scan_records(1000)
+        by_key = {(r.n, r.t): r for r in table.records}
+        shared = [r for r in table.below_threshold if (r.n, r.t) in by_key]
+        assert [(r.n, r.t) for r in shared] == [(29, 77), (107, 289)]
+        assert all(r is by_key[r.n, r.t] for r in shared)
+        rows = {(r.n, r.t) for r in table.records + table.below_threshold}
+        assert len(calls) == len(rows)
 
 
 class TestScan:
@@ -123,7 +146,7 @@ class TestScan:
         table = scan_records(30000)
         assert [(r.n, r.t) for r in table.records] == RECORDS_TO_100000
         for row in table.records:
-            rep = connection_report(row.n, row.t)
+            rep = ConnectionReport.build(row.n, row.t)
             assert (row.d, row.reduced_p, row.reduced_q, row.is_convergent) == (
                 rep.d, rep.reduced_p, rep.reduced_q, rep.is_convergent
             )
