@@ -16,6 +16,8 @@ Karatsuba).  With B = isqrt(hi):
   from its denominator on the spot.
 - The smooth terms add Q * sum(Ls // k), and L = Ls * Q.  What is left to
   reduce shares only small primes with Ls: gcd(N % Ls, Ls), a small number.
+
+A range far from 1 (hi above 64 times its length) skips that sieve up to hi.
 """
 
 from __future__ import annotations
@@ -46,29 +48,20 @@ def fraction_from(num: int, den: int) -> Fraction:
         return Fraction(num, den)
 
 
-# Shorter ranges are summed by a plain loop and one gcd: below 550 to 800
-# terms (measured, Python 3.11) the prime split's per-prime overhead costs more.
-_BASE_TERMS = 512
 _FAR = 64  # ranges with hi > _FAR * terms skip the sieve, which would cost over _FAR bytes a term
 
 
 def harmonic_pair(lo: int, hi: int) -> tuple[int, int]:
     """(num, den) in lowest terms with num/den = sum of 1/k for 1 <= lo <= k <= hi.
 
-    Short ranges use a plain loop and ranges far from 1 a product tree over
-    the terms, each reduced by one gcd.  Every other range goes through the
-    prime split of the module docstring, whose den is lcm(lo..hi) before the
-    final small reduction.
+    Ranges far from 1 are summed by a product tree over the terms and reduced
+    by one gcd.  Every other range, however short, goes through the prime
+    split of the module docstring, whose den is lcm(lo..hi) before the final
+    small reduction.
     """
-    if hi - lo < _BASE_TERMS:
-        num, den = 0, 1
-        for k in range(lo, hi + 1):
-            num = num * k + den
-            den *= k
-    elif hi > _FAR * (hi - lo + 1):
-        num, den = _tree((1, k) for k in range(lo, hi + 1))
-    else:
+    if hi <= _FAR * (hi - lo + 1):
         return _prime_split(lo, hi)
+    num, den = _tree((1, k) for k in range(lo, hi + 1))
     g = math.gcd(num, den)
     return num // g, den // g
 

@@ -131,7 +131,7 @@ class CandidatePair:
     quality: Ball            # n^2 * overshoot
     overshoot_exact: Fraction | None
     canonical: bool          # d == pick_multiplier(k)
-    bound_ok: bool | None    # quality * sqrt(k) <= 1001 (only asserted when canonical)
+    bound_ok: bool | None    # overshoot > 0 and quality * sqrt(k) <= 1001; None at k = 0
 
     @property
     def overshoot_positive(self) -> bool | None:
@@ -183,13 +183,15 @@ def _overshoot_ball(k: int, d: int, m: int, n: int) -> tuple[Ball, Fraction | No
     return escalating(attempt, start=WORK_PREC, what=f"overshoot sign of pair k={k}, d={d}"), None
 
 
-def certify(k: int, d: int | None = None, strict: bool = True) -> CandidatePair:
+def certify(k: int, d: int | None = None) -> CandidatePair:
     """Build and certify the pair for (k, d).
 
-    With the canonical multiplier the overshoot is decided strictly positive
-    and quality * sqrt(k) <= 1001 is decided (k even >= 2); any other d gets
-    its measured quality reported without asserting the bound.  k = 0 is
-    constructible for demonstration but excluded from certification claims.
+    For k even >= 2 the overshoot's sign and quality * sqrt(k) <= 1001 are
+    decided for every d, or PrecisionError is raised; bound_ok says whether
+    the overshoot is positive and within the bound.  The canonical multiplier
+    asserts both; any other d gets its measured quality reported without
+    asserting the bound.  k = 0 is constructible for demonstration but
+    excluded from certification claims.
     The overshoot is summed exactly (overshoot_exact) when m <= EXACT_ROUTE_CAP,
     and otherwise from the convergent's remainder at a fixed precision, like
     the offset (PrecisionError if no precision decides its sign).
@@ -211,11 +213,8 @@ def certify(k: int, d: int | None = None, strict: bool = True) -> CandidatePair:
         within = quality.mul(sqrt_k).decide_le(Ball.from_fraction(QUALITY_BOUND, WORK_PREC))
         positive = overshoot.sign()
         if within is None or positive is None:
-            if canonical and strict:
-                raise PrecisionError(f"certification undecided for k={k}, d={d}")
-            bound_ok = None
-        else:
-            bound_ok = bool(within) and positive == 1
+            raise PrecisionError(f"certification undecided for k={k}, d={d}")
+        bound_ok = within and positive == 1
 
     return CandidatePair(
         k=k,
@@ -279,7 +278,7 @@ def _joint_one_k(args) -> tuple[list[CandidatePair], int]:
     d = d_lo
     while d <= hi:
         try:
-            out.append(certify(k, d, strict=False))
+            out.append(certify(k, d))
         except PrecisionError:
             skipped += 1
         d += 2

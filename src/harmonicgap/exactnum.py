@@ -25,7 +25,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache
 
-from ._intops import iroot
+from ._intops import decimal_str, iroot
 from .errors import PrecisionError
 
 DEFAULT_PREC = 192
@@ -149,7 +149,8 @@ class Dyadic:
             return math.inf if m > 0 else -math.inf
 
     def decimal_str(self, digits: int, round_up: bool) -> str:
-        """Decimal string with directed rounding (exact integer arithmetic)."""
+        """Decimal string with directed rounding (exact integer arithmetic),
+        printed through _intops.decimal_str at any length."""
         if self.man == 0:
             return "0"
         scaled = self.man * 10 ** digits
@@ -161,7 +162,7 @@ class Dyadic:
             q = scaled >> -self.exp
         sign = "-" if q < 0 else ""
         q = abs(q)
-        s = str(q).rjust(digits + 1, "0")
+        s = decimal_str(q).rjust(digits + 1, "0")
         ip, fp = s[:-digits], s[-digits:]
         fp = fp.rstrip("0")
         return f"{sign}{ip}.{fp}" if fp else f"{sign}{ip}"
@@ -393,7 +394,8 @@ class Ball:
         return Ball(_dyadic_root(self.lo, n, p, up=False), _dyadic_root(self.hi, n, p, up=True), p)
 
     def pow_frac(self, expo: Fraction, prec: int | None = None) -> "Ball":
-        """x**(a/b) for x >= 0 via integer power then b-th root, b <= MAX_ROOT_DEGREE."""
+        """x**(a/b) for x >= 0: the power by square-and-multiply at p + 8 bits,
+        O(log a) ball products, then the b-th root, b <= MAX_ROOT_DEGREE."""
         p = prec or self.prec
         a, b = expo.numerator, expo.denominator
         if b > MAX_ROOT_DEGREE:
@@ -402,8 +404,12 @@ class Ball:
             return Ball.from_fraction(1, p).div(self.pow_frac(-expo, p))
         cur = Ball.from_fraction(1, p + 8)
         base = self.at(p + 8)
-        for _ in range(a):
-            cur = cur.mul(base)
+        while a:
+            if a & 1:
+                cur = cur.mul(base)
+            a >>= 1
+            if a:
+                base = base.mul(base)
         return cur.root(b, p) if b > 1 else cur.at(p)
 
     def widen_by(self, radius: Fraction | Dyadic) -> "Ball":
@@ -565,8 +571,6 @@ def _exp_series(prec: int) -> Ball:
 
 def const_e(prec: int = DEFAULT_PREC) -> Ball:
     """Enclosure of e from its Taylor series, summed once per bucket."""
-    if prec < _MIN_PREC:
-        raise ValueError(f"precision must be >= {_MIN_PREC}")
     return _exp_series(_bucket(prec + 8)).at(prec)
 
 

@@ -180,7 +180,6 @@ class _Merger:
         self.below: list[RecordRow] = []
         self.exact_hits: list[tuple[int, int]] = []
         self.min_scaled: Fraction | None = None
-        self.tau_hi: Fraction = quality_threshold(128).hi.as_fraction()
 
     def _row(self, n: int, t: int, eps: Fraction, scaled: Fraction) -> RecordRow:
         # looked up on the class at call time, so a rebound build is the one called
@@ -198,9 +197,10 @@ class _Merger:
 
     def feed(self, n: int, t_screen: int, kind: int, lo: Fraction) -> None:
         """Confirm a flag whose certified lower bound lo on n^2 eps can still
-        set a record or fall below the connection threshold."""
+        set a record, or that the screen flagged as possibly below the
+        connection threshold (its KIND_TAU is the one threshold filter)."""
         want_record = kind & KIND_RECORD and (self.min_scaled is None or lo < self.min_scaled)
-        want_tau = kind & KIND_TAU and n > 10 and lo < self.tau_hi * Fraction(n - 10, n)
+        want_tau = kind & KIND_TAU
         if not (want_record or want_tau):
             return
 

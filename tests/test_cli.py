@@ -535,7 +535,7 @@ class TestEntryPoint:
 class TestDefaultIntStrLimit:
     """Every big integer prints at the interpreter's default int-string limit
     of 4300 digits, which the package leaves alone: one str() of a big int
-    missed on the way to the output would exit 1 with a ValueError."""
+    missed on the way to the output would exit 2 with "Exceeds the limit"."""
 
     def cli(self, tmp_path, *argv) -> str:
         out = tmp_path / "out.txt"
@@ -573,6 +573,14 @@ class TestDefaultIntStrLimit:
             *(
                 pytest.param(("convergents", "--count", "3940", "--format", fmt), id=f"convergents-{fmt}")
                 for fmt in ("table", "csv", "json")
+            ),
+            # intervals with integer parts past 4300 digits
+            pytest.param(
+                ("scan", "--n-max", "1000", "--format", "json", "--profile-delta", "20000"), id="profile-interval"
+            ),
+            pytest.param(
+                ("count", "--p", "1", "--q", "3", "--delta", "1/5", "--n-max", "200", "--eta", "5000"),
+                id="count-interval",
             ),
         ],
     )

@@ -17,6 +17,7 @@ from harmonicgap.construct import (
     pair_from,
     pick_multiplier,
 )
+from harmonicgap.errors import PrecisionError
 from harmonicgap.exactnum import Ball, constants, escalating
 from harmonicgap.harmonic import pair_offset
 
@@ -181,6 +182,18 @@ class TestCertify:
         assert g == pair.d == 3
         assert (a // g, b // g) == (193, 71)
 
+    @pytest.mark.parametrize("d", [None, 3], ids=["canonical", "d3"])
+    def test_undecided_bound_raises(self, monkeypatch, d):
+        # every d is decided or raises, canonical (d = 5) or not
+        monkeypatch.setattr(Ball, "decide_le", lambda self, other: None)
+        with pytest.raises(PrecisionError, match="certification undecided for k=4"):
+            certify(4, d)
+
+    def test_undecided_pairs_are_skipped(self, monkeypatch):
+        # the window 1 around the ideal multiplier 2.08 holds d = 1 and 3
+        monkeypatch.setattr(Ball, "decide_le", lambda self, other: None)
+        assert construct._joint_one_k((4, 1)) == ([], 2)
+
     def test_k0_d3_degenerate(self):
         pair = certify(0, 3)
         assert (pair.m, pair.n) == (4, 2)
@@ -194,13 +207,13 @@ class TestCertify:
         assert pair.bound_ok is False
 
     def test_interval_route_matches_exact(self, monkeypatch):
-        exact = {(k, d): certify(k, d, strict=False) for k, d in ((2, 1), (2, 3), (2, 9), (4, 5), (4, 7))}
+        exact = {(k, d): certify(k, d) for k, d in ((2, 1), (2, 3), (2, 9), (4, 5), (4, 7))}
         # force the ball route by shrinking the exact-route cap; its ball is
         # about as wide as the Euler-Maclaurin remainder, so leaving out the
         # atanh term or the remainder would exclude the exact value
         monkeypatch.setattr(construct, "EXACT_ROUTE_CAP", 1)
         for (k, d), ex in exact.items():
-            pair = certify(k, d, strict=False)
+            pair = certify(k, d)
             assert pair.overshoot_exact is None and ex.overshoot_exact is not None
             assert pair.overshoot.contains(ex.overshoot_exact), (k, d)
             assert pair.bound_ok == ex.bound_ok, (k, d)
@@ -257,7 +270,7 @@ class TestBallRoute:
         slow = overshoot_by_ball_sum(n, m)
         assert fast.overlaps(slow)
         assert slow.sign() is not None and fast.sign() == slow.sign()
-        assert certify(k, d, strict=False).offset.overlaps(pair_offset(n, m))
+        assert certify(k, d).offset.overlaps(pair_offset(n, m))
 
 
 class TestGapBracket:

@@ -51,10 +51,12 @@ def test_iroot():
 
 
 @settings(max_examples=150, deadline=None)
-@given(lo=st.integers(1, 10**5), terms=st.integers(1, 2 * _intops._BASE_TERMS))
-@example(lo=1, terms=_intops._BASE_TERMS)
-@example(lo=1, terms=_intops._BASE_TERMS + 1)
-@example(lo=99_999, terms=2 * _intops._BASE_TERMS + 1)
+@given(lo=st.integers(1, 10**5), terms=st.integers(1, 1024))
+@example(lo=2, terms=3)  # short ranges near 1 go through the prime split too
+@example(lo=107, terms=183)
+@example(lo=1, terms=512)
+@example(lo=1, terms=513)
+@example(lo=99_999, terms=1025)
 def test_harmonic_pair_matches_fraction_fold(lo, terms):
     hi = lo + terms - 1
     expected = Fraction(0)
@@ -81,11 +83,11 @@ SPANS = st.one_of(
     st.tuples(st.just(1), st.integers(1, 6000)),
     st.builds(
         lambda p, back, past: (p * p - back, back + 1 + past),
-        st.sampled_from([29, 31, 97, 101, 211]), st.integers(0, 800), st.integers(_intops._BASE_TERMS, 1000),
+        st.sampled_from([29, 31, 97, 101, 211]), st.integers(0, 800), st.integers(512, 1000),
     ),
     st.builds(
         lambda terms, shift: (_intops._FAR * terms - terms + 1 + shift, terms),
-        st.integers(_intops._BASE_TERMS + 1, 2 * _intops._BASE_TERMS), st.integers(-1, 1),
+        st.integers(513, 1024), st.integers(-1, 1),
     ),
 )
 
@@ -93,7 +95,7 @@ SPANS = st.one_of(
 @settings(max_examples=150, deadline=None)
 @given(span=SPANS)
 @example(span=(1, 1))
-@example(span=(1, _intops._BASE_TERMS + 1))
+@example(span=(1, 513))
 @example(span=(97 * 97 - 600, 600))  # hi = 97^2 - 1: 97 is a big prime
 @example(span=(97 * 97 - 599, 600))  # hi = 97^2: 97 is small, with p^2 in range
 @example(span=(_intops._FAR * 600 - 599, 600))  # the last span through the sieve
