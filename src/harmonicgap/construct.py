@@ -14,6 +14,7 @@ only to force positivity), ranking pairs by |n^2 * overshoot|.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache
@@ -270,7 +271,7 @@ def _joint_one_k(args) -> tuple[list[CandidatePair], int]:
     ideal = ideal_multiplier(k)
     lo = ideal.lo.as_fraction() - window
     hi = ideal.hi.as_fraction() + window
-    d_lo = max(1, int(lo) - 1)
+    d_lo = max(1, math.ceil(lo))  # the first odd d >= lo
     if d_lo % 2 == 0:
         d_lo += 1
     out: list[CandidatePair] = []

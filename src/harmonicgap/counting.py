@@ -10,11 +10,16 @@ fixed-point evaluator computes cos/sin of 2 pi t with an explicit,
 deliberately generous error envelope; it exists because the certified
 magnitude |S_m| feeds the inequality's right-hand side and must be sound.
 Its pi is the floor of exactnum.const_pi's lower end at the fixed-point
-width.
+width.  Its two loops, the Taylor evaluation and the complex power step of
+the Weyl sums, also ship as a hand-written C kernel (`_weyl_c`, from
+`_weyl_c.c`, built whenever a C compiler is present), used wherever it is
+importable and its 128-bit values hold (widths up to 125 bits); both
+compute the same integers, so every ball is the same either way.
 """
 
 from __future__ import annotations
 
+import sys
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache
@@ -22,6 +27,16 @@ from math import gcd, isqrt
 from typing import Callable
 
 from .exactnum import Ball, Dyadic, const_pi, escalating, ln_ball
+
+try:
+    from . import _weyl_c  # type: ignore[attr-defined]
+except ImportError:  # pragma: no cover
+    _weyl_c = None
+
+# the compiled kernel's limits (see _weyl_c.c): widths up to 125 bits, and
+# _PowerSums keeps every component and sum below 2^127
+_COMPILED_WIDTH = 125
+_COMPILED_SUM_LIMIT = 1 << 127
 
 __all__ = [
     "PointSet",
@@ -51,21 +66,22 @@ def _pi_fp(bits: int) -> int:
     return (lo.man << bits) >> -lo.exp
 
 
-def _series_eval(z_fp: int, one: int, terms: int) -> tuple[int, int]:
-    """Fixed-point alternating Taylor sums for cos and sin at z >= 0."""
-    z2 = (z_fp * z_fp) // one
-    c = one
-    t = one
+def _series_eval(z_fp: int, w: int, terms: int) -> tuple[int, int]:
+    """Fixed-point alternating Taylor sums for cos and sin of z = z_fp 2^-w >= 0:
+    the pure twin of `_weyl_c.series_eval`."""
+    z2 = (z_fp * z_fp) >> w
+    c = 1 << w
+    t = c
     sign = -1
     for j in range(1, terms):
-        t = (t * z2 // one) // ((2 * j - 1) * (2 * j))
+        t = ((t * z2) >> w) // ((2 * j - 1) * (2 * j))
         c += sign * t
         sign = -sign
     s = z_fp
     t = z_fp
     sign = -1
     for j in range(1, terms):
-        t = (t * z2 // one) // ((2 * j) * (2 * j + 1))
+        t = ((t * z2) >> w) // ((2 * j) * (2 * j + 1))
         s += sign * t
         sign = -sign
     return c, s
@@ -98,7 +114,6 @@ def _series_plan(bits: int) -> tuple[int, int]:
 
 def _cos_sin_fp(num: int, den: int, bits: int) -> tuple[int, int, int]:
     """Fixed-point (cos, sin, radius_ulp) of 2*pi*num/den, den > 0."""
-    one = 1 << bits
     # quadrant reduction: num/den = qd/4 + u with |u| <= 1/8
     qd = (8 * num + den) // (2 * den)
     aun = 4 * num - qd * den
@@ -108,7 +123,9 @@ def _cos_sin_fp(num: int, den: int, bits: int) -> tuple[int, int, int]:
         aun = -aun
     z_fp = (2 * _pi_fp(bits) * aun) // aud
     terms, radius = _series_plan(bits)
-    c_fp, s_fp = _series_eval(z_fp, one, terms)
+    # z_fp <= (pi/4) 2^bits < 2^bits, as the compiled kernel requires
+    series = _series_eval if _weyl_c is None or bits > _COMPILED_WIDTH else _weyl_c.series_eval
+    c_fp, s_fp = series(z_fp, bits, terms)
     if neg:
         s_fp = -s_fp
     q = qd % 4
@@ -144,6 +161,7 @@ def cos_sin_2pi(t: Fraction, bits: int = 72) -> tuple[Ball, Ball]:
 class PointSet:
     """Finite list of rationals mod 1, each stored as a Fraction in [0, 1).
 
+    A point that already is a Fraction in [0, 1) is kept as it is.
     `weyl_sum_abs` keeps a memo in the instance's `__dict__`; it is not a
     field, so equality, hash and repr ignore it.
     """
@@ -151,7 +169,10 @@ class PointSet:
     points: tuple
 
     def __post_init__(self):
-        object.__setattr__(self, "points", tuple(Fraction(x) % 1 for x in self.points))
+        object.__setattr__(self, "points", tuple(
+            x if type(x) is Fraction and 0 <= x.numerator < x.denominator else Fraction(x) % 1
+            for x in self.points
+        ))
 
     def __len__(self) -> int:
         return len(self.points)
@@ -170,6 +191,24 @@ def _magnitude(re: int, im: int, err: int, n: int, w: int, prec: int) -> Ball:
 
 _WEYL_GUARD = 16  # extra bits carried by the power recurrence
 _MEMO = "_power_sums"  # weyl_sum_abs's key in a PointSet's __dict__
+
+
+def _pack(pairs) -> bytes:
+    """(re, im) pairs as the compiled kernel's packed native int128s."""
+    o = sys.byteorder
+    return b"".join([c.to_bytes(16, o, signed=True) + s.to_bytes(16, o, signed=True) for c, s in pairs])
+
+
+def _unpack(buf) -> list[tuple[int, int]]:
+    """The (re, im) pairs of a packed buffer."""
+    v = [int.from_bytes(buf[i:i + 16], sys.byteorder, signed=True) for i in range(0, len(buf), 16)]
+    return list(zip(v[::2], v[1::2]))
+
+
+def _power_step(powers: list, base: list, w: int) -> list[tuple[int, int]]:
+    """floor(z z_1 / 2^w) componentwise for each point's (z, z_1): the pure
+    twin of `_weyl_c.power_step`."""
+    return [((a * c - b * s) >> w, (a * s + b * c) >> w) for (a, b), (c, s) in zip(powers, base)]
 
 
 class _PowerSums:
@@ -192,33 +231,56 @@ class _PowerSums:
     51,401 ulp at w = 24 and 96,147 ulp at w = 88.  Componentwise radii
     would grow like sqrt(2)^m instead.  The sum over N points is within
     N E_m of S_m 2^w.
+
+    Every component of z_m is at most 2^w + E_m in absolute value, so a sum
+    over N points is at most N (2^w + E_m).  While that stays below 2^127
+    at w <= 125 and `_weyl_c` imports, the powers are packed int128 pairs
+    (`_pack`) and each step is one `_weyl_c.power_step` call, which updates
+    them in place and returns the sums; past the bound they are unpacked and
+    the pure step, the same floors in Python ints, goes on.
     """
 
     def __init__(self, points: tuple, bits: int):
         self.w = bits + _WEYL_GUARD
         self.n = len(points)
         self.prec = max(64, bits)
-        self.base = [_cos_sin_fp(x.numerator, x.denominator, self.w)[:2] for x in points]
-        self.base_err = 2 * _series_plan(self.w)[1]
-        self.powers = self.base
-        self.err = self.base_err
-        self.balls = [self._sum_ball()]
+        base = [_cos_sin_fp(x.numerator, x.denominator, self.w)[:2] for x in points]
+        self.base_err = self.err = 2 * _series_plan(self.w)[1]
+        self.balls = [self._sum_ball(sum(c for c, _ in base), sum(s for _, s in base))]
+        self.packed = self._compiled_fits()
+        self.base = _pack(base) if self.packed else base
+        self._powers = bytearray(self.base) if self.packed else base
 
-    def _sum_ball(self) -> Ball:
-        re = sum(c for c, _ in self.powers)
-        im = sum(s for _, s in self.powers)
+    @property
+    def powers(self) -> list[tuple[int, int]]:
+        """z_m per point as (re, im), for the largest m computed."""
+        return _unpack(self._powers) if self.packed else self._powers
+
+    def _compiled_fits(self) -> bool:
+        return (
+            _weyl_c is not None
+            and self.w <= _COMPILED_WIDTH
+            and self.n * ((1 << self.w) + self.err) < _COMPILED_SUM_LIMIT
+        )
+
+    def _sum_ball(self, re: int, im: int) -> Ball:
         return _magnitude(re, im, self.n * self.err, self.n, self.w, self.prec)
 
     def get(self, m: int) -> Ball:
         w = self.w
         while len(self.balls) < m:
-            self.powers = [
-                ((a * c - b * s) >> w, (a * s + b * c) >> w)
-                for (a, b), (c, s) in zip(self.powers, self.base)
-            ]
-            # E_m E_1 / 2^w, rounded up
+            # E_{m+1} from E_m, with E_m E_1 / 2^w rounded up
             self.err += -(-self.err * self.base_err >> w) + self.base_err + 2
-            self.balls.append(self._sum_ball())
+            if self.packed and not self._compiled_fits():
+                self.base, self._powers = _unpack(self.base), self.powers
+                self.packed = False
+            if self.packed:
+                re, im = _weyl_c.power_step(self._powers, self.base, w)
+            else:
+                self._powers = _power_step(self._powers, self.base, w)
+                re = sum(c for c, _ in self._powers)
+                im = sum(s for _, s in self._powers)
+            self.balls.append(self._sum_ball(re, im))
         return self.balls[m - 1]
 
 
@@ -243,6 +305,19 @@ def weyl_sum_abs(ps: PointSet, m: int, bits: int = 72) -> Ball:
 # ----------------------------------------------------------------------
 # Erdos-Turan inequality
 # ----------------------------------------------------------------------
+
+def _count_in_window(points, a: Fraction, delta: Fraction) -> int:
+    """#{x : (x - a) mod 1 <= delta} in integers: with x = xn/xd, a = an/ad
+    and delta = dn/dd, ((xn ad - an xd) mod (xd ad)) dd <= dn xd ad."""
+    an, ad, dn, dd = a.numerator, a.denominator, delta.numerator, delta.denominator
+    count = 0
+    for x in points:
+        xd = x.denominator
+        den = xd * ad
+        if (x.numerator * ad - an * xd) % den * dd <= dn * den:
+            count += 1
+    return count
+
 
 @dataclass(frozen=True)
 class ETReport:
@@ -274,7 +349,7 @@ def erdos_turan_check(
         # the cap 4*bits must reach the 32-bit minimum for any attempt to run
         raise ValueError("bits must be >= 8")
     n = len(ps)
-    count = sum(1 for x in ps.points if (x - a) % 1 <= delta)
+    count = _count_in_window(ps.points, a, delta)
     lhs = abs(count - n * delta)
 
     def attempt(attempt_bits: int) -> ETReport | None:

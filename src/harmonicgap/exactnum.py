@@ -163,6 +163,8 @@ class Dyadic:
         sign = "-" if q < 0 else ""
         q = abs(q)
         s = decimal_str(q).rjust(digits + 1, "0")
+        if digits == 0:
+            return f"{sign}{s}"
         ip, fp = s[:-digits], s[-digits:]
         fp = fp.rstrip("0")
         return f"{sign}{ip}.{fp}" if fp else f"{sign}{ip}"

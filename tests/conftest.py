@@ -135,8 +135,9 @@ def int_str_limit(digits: int):
 
 
 @pytest.fixture(scope="session")
-def screen_c(tmp_path_factory):
-    """The C screening kernel, freshly built from src/ into a temp directory.
+def compiled(tmp_path_factory):
+    """A loader for the C kernels, all freshly built from src/ into one temp
+    directory by one `setup.py build_ext`: `compiled("_screen_c")`.
 
     Skips only when there is no C compiler.  With a compiler, a missing
     module is a failure: `optional=True` in setup.py turns build errors into
@@ -144,16 +145,32 @@ def screen_c(tmp_path_factory):
     """
     cc = shlex.split(os.environ.get("CC") or sysconfig.get_config_var("CC") or "cc")[0]
     if shutil.which(cc) is None:
-        pytest.skip(f"no C compiler ({cc}) found: the compiled screening kernel cannot be built")
-    out = tmp_path_factory.mktemp("screen_c")
+        pytest.skip(f"no C compiler ({cc}) found: the compiled kernels cannot be built")
+    out = tmp_path_factory.mktemp("compiled")
     proc = subprocess.run(
         [sys.executable, "setup.py", "build_ext", "--build-lib", str(out), "--build-temp", str(out)],
         cwd=ROOT, capture_output=True, text=True, timeout=300,
     )
-    built = out / "harmonicgap" / ("_screen_c" + sysconfig.get_config_var("EXT_SUFFIX"))
-    if not built.is_file():
-        pytest.fail(f"{cc} exists but setup.py built no _screen_c:\n{proc.stdout}\n{proc.stderr}")
-    spec = importlib.util.spec_from_file_location("harmonicgap._screen_c", built)
-    module = importlib.util.module_from_spec(spec)
-    spec.loader.exec_module(module)
-    return module
+
+    def load(name: str):
+        built = out / "harmonicgap" / (name + sysconfig.get_config_var("EXT_SUFFIX"))
+        if not built.is_file():
+            pytest.fail(f"{cc} exists but setup.py built no {name}:\n{proc.stdout}\n{proc.stderr}")
+        spec = importlib.util.spec_from_file_location(f"harmonicgap.{name}", built)
+        module = importlib.util.module_from_spec(spec)
+        spec.loader.exec_module(module)
+        return module
+
+    return load
+
+
+@pytest.fixture(scope="session")
+def screen_c(compiled):
+    """The C screening kernel (`_screen_c.c`), built by `compiled`."""
+    return compiled("_screen_c")
+
+
+@pytest.fixture(scope="session")
+def weyl_c(compiled):
+    """The C Weyl-sum kernel (`_weyl_c.c`), built by `compiled`."""
+    return compiled("_weyl_c")

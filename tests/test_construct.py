@@ -190,9 +190,9 @@ class TestCertify:
             certify(4, d)
 
     def test_undecided_pairs_are_skipped(self, monkeypatch):
-        # the window 1 around the ideal multiplier 2.08 holds d = 1 and 3
+        # the window 2 around the ideal multiplier 2.08 holds d = 1 and 3
         monkeypatch.setattr(Ball, "decide_le", lambda self, other: None)
-        assert construct._joint_one_k((4, 1)) == ([], 2)
+        assert construct._joint_one_k((4, 2)) == ([], 2)
 
     def test_k0_d3_degenerate(self):
         pair = certify(0, 3)
@@ -297,6 +297,15 @@ class TestExpansionConsistency:
 
 
 class TestJointSearch:
+    @pytest.mark.parametrize("k, window", [(4, 2), (4, 5), (46, 5), (60, 5), (60, 1)])
+    def test_window_is_every_odd_d_in_range(self, k, window):
+        # no pair lies below ideal - window: d = 1 did at k = 46, ..., 60 with window 5
+        ideal = construct.ideal_multiplier(k)
+        lo, hi = ideal.lo.as_fraction() - window, ideal.hi.as_fraction() + window
+        pairs, skipped = construct._joint_one_k((k, window))
+        assert skipped == 0
+        assert sorted(p.d for p in pairs) == [d for d in range(1, int(hi) + 1, 2) if d >= lo]
+
     def test_window_contains_canonical(self):
         pairs, skipped = joint_search(6, window=5)
         assert skipped == 0

@@ -9,12 +9,19 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
+from harmonicgap import counting
 from harmonicgap.counting import (
     PointSet,
     _cos_sin_fp,
+    _count_in_window,
     _magnitude,
+    _pack,
     _pi_fp,
+    _power_step,
     _PowerSums,
+    _series_eval,
+    _series_plan,
+    _unpack,
     cos_sin_2pi,
     count_quadratic,
     count_quadratic_modular,
@@ -180,6 +187,140 @@ def _mp_weyl(points, m) -> Fraction:
         total = mpmath.fsum(mpmath.expjpi(2 * m * mpmath.mpf(x.numerator) / x.denominator) for x in points)
         man, exp = mpmath.mpf(abs(total)).man_exp
         return Fraction(man) * Fraction(2) ** exp
+
+
+def _ball_key(ball):
+    return (ball.lo.man, ball.lo.exp, ball.hi.man, ball.hi.exp, ball.prec)
+
+
+class TestWeylKernel:
+    """The C kernel (built by the `weyl_c` fixture) against the pure loops."""
+
+    @settings(max_examples=300, deadline=None)
+    @given(w=st.integers(0, 125), data=st.data())
+    def test_series_eval_matches_pure(self, weyl_c, w, data):
+        z = data.draw(st.integers(0, (1 << w) - 1), label="z")
+        terms = data.draw(st.integers(1, 40) | st.just(_series_plan(w)[0]), label="terms")
+        assert weyl_c.series_eval(z, w, terms) == _series_eval(z, w, terms)
+
+    @pytest.mark.parametrize("w", [0, 1, 24, 88, 124, 125])
+    def test_series_eval_edges(self, weyl_c, w):
+        # the largest argument it takes and the largest _cos_sin_fp passes, pi/4
+        terms = _series_plan(w)[0]
+        for z in ((1 << w) - 1, (2 * _pi_fp(w)) >> 3, 0):
+            assert weyl_c.series_eval(z, w, terms) == _series_eval(z, w, terms), (w, z)
+
+    @settings(max_examples=300, deadline=None)
+    @given(w=st.integers(24, 125), data=st.data())
+    def test_power_step_matches_pure(self, weyl_c, w, data):
+        # components up to 2^w + 2^(w-4), of either sign; every new component
+        # is then below 2.3 * 2^w, and n of them sum to less than 2^127
+        n = data.draw(st.integers(1, min(8, (1 << 127) // (3 << w))), label="n")
+        bound = (1 << w) + (1 << (w - 4))
+        comp = st.integers(-bound, bound) | st.sampled_from([-bound, bound, -(1 << w), 0, -1])
+        pair = st.tuples(comp, comp)
+        powers = data.draw(st.lists(pair, min_size=n, max_size=n), label="powers")
+        base = data.draw(st.lists(pair, min_size=n, max_size=n), label="base")
+        packed = bytearray(_pack(powers))
+        sums = weyl_c.power_step(packed, _pack(base), w)
+        want = _power_step(powers, base, w)
+        assert _unpack(packed) == want
+        assert sums == (sum(c for c, _ in want), sum(s for _, s in want))
+
+    @pytest.mark.parametrize(
+        "call, error",
+        [
+            (lambda k: k.series_eval(0, 126, 5), ValueError),
+            (lambda k: k.series_eval(1 << 10, 10, 5), ValueError),
+            (lambda k: k.series_eval(-1, 10, 5), OverflowError),
+            (lambda k: k.series_eval(1, 10, 0), ValueError),
+            (lambda k: k.power_step(bytearray(32), bytes(32), 126), ValueError),
+            (lambda k: k.power_step(bytearray(32), bytes(64), 30), ValueError),
+            (lambda k: k.power_step(bytearray(16), bytes(16), 30), ValueError),
+            (lambda k: k.power_step(bytes(32), bytes(32), 30), TypeError),
+            # two new real parts of 9 * 2^123 each sum past 2^127
+            (lambda k: k.power_step(bytearray(_pack([(3 << 124, 0)] * 2)), _pack([(3 << 124, 0)] * 2), 125),
+             OverflowError),
+        ],
+        ids=["width", "z-range", "z-negative", "terms", "step-width", "lengths", "partial-point",
+             "read-only", "sum-overflow"],
+    )
+    def test_out_of_range_raises(self, weyl_c, call, error):
+        with pytest.raises(error):
+            call(weyl_c)
+
+    def test_selector_edges(self, weyl_c, monkeypatch):
+        pts = tuple(Fraction(k, 7) for k in range(3))
+        monkeypatch.setattr(counting, "_weyl_c", None)
+        want = {(p, b): [_ball_key(_PowerSums(p, b).get(m)) for m in range(1, 13)]
+                for p in (pts, pts + (Fraction(1, 2),)) for b in (108, 109, 110)}
+        monkeypatch.setattr(counting, "_weyl_c", weyl_c)
+        for (p, bits), balls in want.items():
+            sums = _PowerSums(p, bits)
+            # w = bits + 16 <= 125, and N (2^w + E_m) < 2^127 holds for 3 points
+            # at w = 125 but not for 4
+            assert sums.packed == (bits + 16 <= 125 and (len(p) < 4 or bits < 109)), (len(p), bits)
+            assert [_ball_key(sums.get(m)) for m in range(1, 13)] == balls, (len(p), bits)
+
+    def test_falls_back_mid_stream(self, weyl_c, monkeypatch):
+        pts = tuple(Fraction(k * k % 101, 101) for k in range(40))
+        monkeypatch.setattr(counting, "_weyl_c", None)
+        pure = _PowerSums(pts, 72)
+        want = [_ball_key(pure.get(m)) for m in range(1, 21)]
+        monkeypatch.setattr(counting, "_weyl_c", weyl_c)
+        sums = _PowerSums(pts, 72)
+        got = [_ball_key(sums.get(m)) for m in range(1, 8)]
+        assert sums.packed
+        monkeypatch.setattr(counting, "_COMPILED_SUM_LIMIT", 0)  # the bound fails from E_8 on
+        got += [_ball_key(sums.get(m)) for m in range(8, 21)]
+        assert not sums.packed
+        assert got == want
+        assert sums.powers == pure.powers
+
+    @pytest.mark.parametrize("bits", [8, 72, 120])
+    def test_reports_same_with_kernel_hidden_and_shown(self, weyl_c, monkeypatch, bits):
+        def reports():
+            rng = random.Random(bits)
+            out = []
+            for _ in range(6):
+                rep = erdos_turan_check(*random_et_instance(rng), bits=bits)
+                out.append((rep.count, rep.lhs, _ball_key(rep.rhs), rep.holds))
+            return out
+
+        monkeypatch.setattr(counting, "_weyl_c", None)
+        hidden = reports()
+        monkeypatch.setattr(counting, "_weyl_c", weyl_c)
+        assert reports() == hidden
+
+
+_FRACTIONS = st.builds(Fraction, st.integers(-(1 << 20), 1 << 20), st.integers(1, 1 << 16))
+
+
+class TestErdosTuranParts:
+    @settings(max_examples=200, deadline=None)
+    @given(
+        points=st.lists(_FRACTIONS, max_size=30),
+        a=_FRACTIONS,
+        delta=st.fractions(0, 1).filter(lambda d: 0 < d < 1),
+    )
+    @example(points=[Fraction(1, 3), Fraction(2, 3), Fraction(0)], a=Fraction(-2, 3), delta=Fraction(1, 3))
+    @example(points=[Fraction(5, 7)], a=Fraction(12, 7), delta=Fraction(1, 2))
+    def test_count_matches_fraction_twin(self, points, a, delta):
+        # the boundary examples put points at a and at a + delta mod 1
+        ps = PointSet.of(points)
+        want = sum(1 for x in ps.points if (x - a) % 1 <= delta)
+        assert _count_in_window(ps.points, a, delta) == want
+
+    def test_point_set_keeps_fractions_in_unit_interval(self):
+        inside = Fraction(3, 7)
+        raw = [inside, Fraction(0), Fraction(-1, 3), Fraction(7, 3), Fraction(1), 2, 0.5]
+        ps = PointSet.of(raw)
+        assert ps.points[0] is inside
+        ref = tuple(Fraction(x) % 1 for x in raw)
+        assert ps.points == ref
+        assert all(type(x) is Fraction for x in ps.points)
+        assert hash(ps) == hash(PointSet.of(ref))
+        assert repr(ps) == f"PointSet(points={ref!r})"
 
 
 class TestErdosTuran:

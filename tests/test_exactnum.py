@@ -92,16 +92,25 @@ class TestDyadicDecimalStr:
     @given(
         man=st.integers(-(2**80), 2**80),
         exp=st.integers(-400, 20_000),
-        digits=st.integers(1, 40),
+        digits=st.integers(0, 40),
         round_up=st.booleans(),
     )
     @example(man=10**5001 + 7, exp=-3, digits=24, round_up=False)  # over 5000 integer digits
+    @example(man=-7, exp=-1, digits=0, round_up=False)  # no fraction digits
     @example(man=-(10**5001) - 7, exp=-3, digits=24, round_up=True)
     @example(man=3, exp=18_000, digits=20, round_up=True)
     @example(man=-1, exp=-200, digits=12, round_up=True)  # rounds up to zero
     def test_matches_str_reference(self, man, exp, digits, round_up):
         d = Dyadic(man, exp)
         assert d.decimal_str(digits, round_up) == _decimal_str_reference(d, digits, round_up)
+
+    def test_zero_digits_is_the_rounded_integer(self):
+        assert Dyadic(120).decimal_str(0, False) == "120"
+        assert Dyadic(7, -1).decimal_str(0, True) == "4"
+        assert Dyadic(7, -1).decimal_str(0, False) == "3"
+        assert Dyadic(-7, -1).decimal_str(0, True) == "-3"
+        assert Dyadic(-7, -1).decimal_str(0, False) == "-4"
+        assert Dyadic(-1, -1).decimal_str(0, True) == "0"
 
 
 class TestBallOps:
