@@ -1,10 +1,12 @@
-"""Build hook for the two optional compiled kernels.
+"""Build hook for the three optional compiled kernels.
 
-The package is pure Python; two hand-written C extensions accelerate inner
-loops: `harmonicgap._screen_c`, the record scan's screen, and
+The package is pure Python; three hand-written C extensions accelerate inner
+loops: `harmonicgap._screen_c`, the record scan's screen,
 `harmonicgap._weyl_c`, the fixed-point Taylor evaluation and power step of
-`counting`'s certified Weyl sums.  Without a C compiler the build proceeds
-without them, and the pure-Python twins are selected at import time.
+`counting`'s certified Weyl sums, and `harmonicgap._sum_c`, the prime split
+of `_intops`' exact segment sums on 64-bit limbs.  Without a C compiler the
+build proceeds without them, and the pure-Python twins are selected at
+import time.
 """
 
 from setuptools import Extension, setup
@@ -19,4 +21,4 @@ def kernel(name: str) -> Extension:
     )
 
 
-setup(ext_modules=[kernel("_screen_c"), kernel("_weyl_c")])
+setup(ext_modules=[kernel("_screen_c"), kernel("_weyl_c"), kernel("_sum_c")])

@@ -18,6 +18,11 @@ Karatsuba).  With B = isqrt(hi):
   reduce shares only small primes with Ls: gcd(N % Ls, Ls), a small number.
 
 A range far from 1 (hi above 64 times its length) skips that sieve up to hi.
+
+The split ships twice: a hand-written C kernel on 64-bit limbs with its own
+Karatsuba products (`_sum_c`, from `_sum_c.c`, built whenever a C compiler is
+present), used whenever it imports, and the pure `_prime_split`, its twin and
+fallback.  Both leave the final reduction to `_lowest`.
 """
 
 from __future__ import annotations
@@ -27,6 +32,11 @@ from decimal import MAX_EMAX, MAX_PREC, MIN_EMIN, Context, Decimal, Inexact, Rou
 from fractions import Fraction
 from functools import lru_cache
 from itertools import accumulate, compress
+
+try:
+    from . import _sum_c  # type: ignore[attr-defined]
+except ImportError:  # no C compiler at build time: the pure split runs
+    _sum_c = None
 
 HAVE_GMPY2 = False  # perfbench/worker.py writes it into every report's environment block
 
@@ -59,8 +69,12 @@ def harmonic_pair(lo: int, hi: int) -> tuple[int, int]:
     split of the module docstring, whose den is lcm(lo..hi) before the final
     small reduction.
     """
+    if not 1 <= lo <= hi:
+        raise ValueError(f"harmonic_pair needs 1 <= lo <= hi, got lo={lo}, hi={hi}")
     if hi <= _FAR * (hi - lo + 1):
-        return _prime_split(lo, hi)
+        if _sum_c is None:
+            return _prime_split(lo, hi)
+        return _lowest(*(int.from_bytes(b, "little") for b in _sum_c.prime_split(lo, hi)))
     num, den = _tree((1, k) for k in range(lo, hi + 1))
     g = math.gcd(num, den)
     return num // g, den // g
@@ -121,6 +135,11 @@ def _prime_split(lo: int, hi: int) -> tuple[int, int]:
 
     num, q = _tree(big_leaves())
     num += q * sum(small // k for k in compress(range(lo, hi + 1), smooth))
+    return _lowest(num, small, q)
+
+
+def _lowest(num: int, small: int, q: int) -> tuple[int, int]:
+    """num / (small * q) in lowest terms, when no prime of q divides num."""
     g = math.gcd(num % small, small)
     return num // g, small // g * q
 

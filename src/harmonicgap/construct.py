@@ -40,10 +40,11 @@ QUALITY_BOUND = 1001  # certified: n^2 * overshoot * sqrt(k) <= this
 DEFAULT_WINDOW = 5  # the joint search's odd multipliers within +-this of the ideal
 
 # certify sums the overshoot exactly up to this m, by balls beyond.  Measured
-# on one 2-core machine (Python 3.11): the exact sum takes 0.15 s at
+# on one 2-core machine (Python 3.11.7): the exact sum takes 17-18 ms at
 # m = 172,098 (k = 4, d = 7, the largest exact pair of the k <= 60 joint
-# search) and 0.27 s at m = 2^18 (n = 96,437), growing superlinearly; the
-# ball route works at a fixed 224 bits and takes milliseconds at k <= 1000.
+# search) and 32-34 ms at m = 2^18 (n = 96,437) with the C kernel _sum_c,
+# 72-139 ms and 124-149 ms without it, growing superlinearly; the ball
+# route works at a fixed 224 bits and takes milliseconds at k <= 1000.
 # Raising the cap turns overshoot_exact from null into a fraction for the
 # pairs it admits, so it is an output change.
 EXACT_ROUTE_CAP = 1 << 18

@@ -174,3 +174,9 @@ def screen_c(compiled):
 def weyl_c(compiled):
     """The C Weyl-sum kernel (`_weyl_c.c`), built by `compiled`."""
     return compiled("_weyl_c")
+
+
+@pytest.fixture(scope="session")
+def sum_c(compiled):
+    """The C prime-split kernel (`_sum_c.c`), built by `compiled`."""
+    return compiled("_sum_c")

@@ -4,11 +4,14 @@ roots, decimal output."""
 import math
 import os
 import random
+import signal
 import subprocess
 import sys
+import time
 from concurrent.futures import ThreadPoolExecutor
 from fractions import Fraction
 from pathlib import Path
+from unittest.mock import patch
 
 import pytest
 from hypothesis import example, given, settings
@@ -19,6 +22,13 @@ from harmonicgap import _intops
 from conftest import harmonic_pair_lcm_split, int_str_limit
 
 SRC = Path(__file__).resolve().parents[1] / "src"
+
+
+def pair_by(kernel, lo: int, hi: int) -> tuple[int, int]:
+    """harmonic_pair with its prime split pinned: the C kernel module
+    `kernel`, or the pure _prime_split for None."""
+    with patch.object(_intops, "_sum_c", kernel):
+        return _intops.harmonic_pair(lo, hi)
 
 
 def test_harmonic_pair_paths_agree():
@@ -62,7 +72,28 @@ def test_harmonic_pair_matches_fraction_fold(lo, terms):
     expected = Fraction(0)
     for k in range(lo, hi + 1):
         expected += Fraction(1, k)
-    assert _intops.harmonic_pair(lo, hi) == (expected.numerator, expected.denominator)
+    assert pair_by(None, lo, hi) == (expected.numerator, expected.denominator)
+
+
+@pytest.mark.parametrize("lo, hi", [(0, 5), (-2, 5), (5, 4)])
+def test_harmonic_pair_rejects_bad_ranges(lo, hi):
+    # unchecked, lo <= 0 never returned from the pure split (its prime-power
+    # loop ran forever, its memory growing) and lo > hi returned (0, 1); a
+    # child with a timeout turns a hang into a failure
+    script = (
+        "from harmonicgap import _intops\n"
+        "_intops._sum_c = None\n"
+        "try:\n"
+        f"    _intops.harmonic_pair({lo}, {hi})\n"
+        "except ValueError as exc:\n"
+        "    print(exc)\n"
+    )
+    proc = subprocess.run(
+        [sys.executable, "-c", script], capture_output=True, text=True, timeout=30,
+        env=dict(os.environ, PYTHONPATH=str(SRC)),
+    )
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout.startswith("harmonic_pair needs 1 <= lo <= hi")
 
 
 # the four k = 4 pairs of the k <= 60 joint search, (n, m) for d = 1, 3, 5, 7;
@@ -72,7 +103,12 @@ K4_PAIRS = [(9045, 24585), (27134, 73756), (45223, 122927), (63312, 172098)]
 
 @pytest.mark.parametrize("lo, hi", K4_PAIRS)
 def test_harmonic_pair_matches_lcm_split_on_pairs(lo, hi):
-    assert _intops.harmonic_pair(lo, hi) == harmonic_pair_lcm_split(lo, hi)
+    assert pair_by(None, lo, hi) == harmonic_pair_lcm_split(lo, hi)
+
+
+@pytest.mark.parametrize("lo, hi", K4_PAIRS)
+def test_kernel_matches_twins_on_pairs(sum_c, lo, hi):
+    assert pair_by(sum_c, lo, hi) == _intops._prime_split(lo, hi) == harmonic_pair_lcm_split(lo, hi)
 
 
 # (lo, terms) spans: anywhere; from 1; across a prime square, where the sieve's
@@ -91,19 +127,43 @@ SPANS = st.one_of(
     ),
 )
 
+SPAN_EDGES = [
+    (1, 1),
+    (1, 513),
+    (97 * 97 - 600, 600),  # hi = 97^2 - 1: 97 is a big prime
+    (97 * 97 - 599, 600),  # hi = 97^2: 97 is small, with p^2 in range
+    (_intops._FAR * 600 - 599, 600),  # the last span through the sieve
+    (_intops._FAR * 600 - 598, 600),  # the first span skipping it
+]
+
+
+def span_edges(test):
+    """The test, with every SPAN_EDGES span as an explicit example."""
+    for span in SPAN_EDGES:
+        test = example(span=span)(test)
+    return test
+
 
 @settings(max_examples=150, deadline=None)
 @given(span=SPANS)
-@example(span=(1, 1))
-@example(span=(1, 513))
-@example(span=(97 * 97 - 600, 600))  # hi = 97^2 - 1: 97 is a big prime
-@example(span=(97 * 97 - 599, 600))  # hi = 97^2: 97 is small, with p^2 in range
-@example(span=(_intops._FAR * 600 - 599, 600))  # the last span through the sieve
-@example(span=(_intops._FAR * 600 - 598, 600))  # the first span skipping it
+@span_edges
 def test_harmonic_pair_matches_lcm_split(span):
     lo, terms = span
     hi = lo + terms - 1
-    assert _intops.harmonic_pair(lo, hi) == harmonic_pair_lcm_split(lo, hi)
+    assert pair_by(None, lo, hi) == harmonic_pair_lcm_split(lo, hi)
+
+
+@settings(max_examples=150, deadline=None)
+@given(span=SPANS)
+@span_edges
+def test_kernel_matches_twins(sum_c, span):
+    # past the _FAR switch harmonic_pair does not call the kernel, so the
+    # kernel's own split is compared there too
+    lo, terms = span
+    hi = lo + terms - 1
+    expected = harmonic_pair_lcm_split(lo, hi)
+    assert pair_by(sum_c, lo, hi) == _intops._prime_split(lo, hi) == expected
+    assert _intops._lowest(*(int.from_bytes(b, "little") for b in sum_c.prime_split(lo, hi))) == expected
 
 
 def test_harmonic_pair_denominator_is_the_reduced_lcm_divisor():
@@ -121,12 +181,14 @@ def test_harmonic_pair_denominator_is_the_reduced_lcm_divisor():
 def test_harmonic_pair_streams_its_primes():
     # the big primes and their leaves stream through the product tree; a list
     # of them at m = 172,098 would add about 4.4 MB of allocations.  A fresh
-    # interpreter keeps earlier tests' caches out of the count.
+    # interpreter keeps earlier tests' caches out of the count.  tracemalloc
+    # sees no C allocation, so this pins the pure split.
     script = (
         "import tracemalloc\n"
-        "from harmonicgap._intops import harmonic_pair\n"
+        "from harmonicgap import _intops\n"
+        "_intops._sum_c = None\n"
         "tracemalloc.start()\n"
-        "harmonic_pair(63312, 172098)\n"
+        "_intops.harmonic_pair(63312, 172098)\n"
         "print(tracemalloc.get_traced_memory()[1])\n"
     )
     proc = subprocess.run(
@@ -135,6 +197,119 @@ def test_harmonic_pair_streams_its_primes():
     )
     assert proc.returncode == 0, proc.stderr
     assert int(proc.stdout) < 2 << 20
+
+
+def _load_kernel_lines(sum_c) -> str:
+    """Script lines that load the built kernel `sum_c` as _intops' kernel."""
+    return (
+        "import importlib.util\n"
+        "from harmonicgap import _intops\n"
+        f"spec = importlib.util.spec_from_file_location('harmonicgap._sum_c', {sum_c.__file__!r})\n"
+        "_intops._sum_c = importlib.util.module_from_spec(spec)\n"
+        "spec.loader.exec_module(_intops._sum_c)\n"
+    )
+
+
+@pytest.mark.skipif(not Path("/proc/self/status").is_file(), reason="reads VmHWM from /proc")
+def test_kernel_streams_its_primes(sum_c):
+    # the peak resident memory of a fresh interpreter, before and after the
+    # sum: about 0.3 MB here (the sieve and the smooth flags); holding every
+    # leaf before the tree would add about 3.5 MB
+    script = _load_kernel_lines(sum_c) + (
+        "import re\n"
+        "def hwm():\n"
+        "    with open('/proc/self/status') as fh:\n"
+        "        return int(re.search(r'VmHWM:\\s+(\\d+) kB', fh.read()).group(1))\n"
+        "before = hwm()\n"
+        "_intops.harmonic_pair(63312, 172098)\n"
+        "print(hwm() - before)\n"
+    )
+    proc = subprocess.run(
+        [sys.executable, "-c", script], capture_output=True, text=True, timeout=120,
+        env=dict(os.environ, PYTHONPATH=str(SRC)),
+    )
+    assert proc.returncode == 0, proc.stderr
+    assert int(proc.stdout) < 2048  # kB
+
+
+def test_kernel_rejects_bad_ranges(sum_c):
+    for lo, hi in [(0, 5), (-2, 5), (5, 4)]:
+        with pytest.raises(ValueError):
+            sum_c.prime_split(lo, hi)
+    with pytest.raises(OverflowError):
+        sum_c.prime_split(1, 1 << 63)
+
+
+@pytest.mark.skipif(not Path("/proc/self/status").is_file(), reason="reads VmSize from /proc")
+def test_kernel_raises_memory_error(sum_c):
+    # an address-space limit 64 MB above the child's size: the sieve to 2^28
+    # cannot be allocated, and the kernel must say so rather than crash
+    script = _load_kernel_lines(sum_c) + (
+        "import re, resource\n"
+        "with open('/proc/self/status') as fh:\n"
+        "    size = int(re.search(r'VmSize:\\s+(\\d+) kB', fh.read()).group(1)) * 1024\n"
+        "resource.setrlimit(resource.RLIMIT_AS, (size + (64 << 20),) * 2)\n"
+        "try:\n"
+        "    _intops.harmonic_pair(1, 1 << 28)\n"
+        "except MemoryError:\n"
+        "    print('MemoryError')\n"
+    )
+    proc = subprocess.run(
+        [sys.executable, "-c", script], capture_output=True, text=True, timeout=120,
+        env=dict(os.environ, PYTHONPATH=str(SRC)),
+    )
+    assert (proc.returncode, proc.stdout) == (0, "MemoryError\n"), proc.stderr
+
+
+def _le(x: int) -> bytes:
+    return x.to_bytes((x.bit_length() + 7) // 8, "little")
+
+
+def test_kernel_products_match_python(sum_c):
+    # limb counts at and around the Karatsuba cutoff c and its second level,
+    # balanced and lopsided (cut into pieces of the shorter operand), with
+    # random, all-ones (every carry set) and mixed operands
+    c = sum_c.KARATSUBA_CUTOFF
+    sizes = [(n, n) for n in (1, c - 1, c, c + 1, 2 * c - 1, 2 * c, 2 * c + 1, 4 * c + 3, 9 * c)]
+    sizes += [(c, 1), (c + 1, c - 1), (2 * c + 1, c), (3 * c + 5, c), (10 * c + 3, 2 * c + 1), (5, 0)]
+    for seed, (an, bn) in enumerate(sizes):
+        ones_a, ones_b = (1 << 64 * an) - 1, (1 << 64 * bn) - 1
+        rand_a, rand_b = _of_width(64 * an, 2 * seed), _of_width(64 * bn, 2 * seed + 1)
+        for a, b in [(rand_a, rand_b), (ones_a, ones_b), (ones_a, rand_b), (rand_a, ones_b)]:
+            for x, y in [(a, b), (b, a)]:
+                # bytes, not ints, so that a failure prints past the int-string limit
+                assert sum_c.mul(_le(x), _le(y)) == (x * y).to_bytes(8 * (an + bn), "little"), (an, bn)
+
+
+@pytest.mark.skipif(sys.platform == "win32", reason="POSIX signals")
+def test_kernel_stops_on_sigint(sum_c):
+    # the sum to 2^24 runs for 20 to 30 s uninterrupted on a 2-core machine;
+    # a kernel that never checked for signals would raise KeyboardInterrupt
+    # only once it returned
+    script = (
+        "import signal\n"
+        # a test run started as a background job passes an ignored SIGINT on
+        "signal.signal(signal.SIGINT, signal.default_int_handler)\n"
+    ) + _load_kernel_lines(sum_c) + (
+        "print('ready', flush=True)\n"
+        "_intops.harmonic_pair(1, 1 << 24)\n"
+    )
+    proc = subprocess.Popen(
+        [sys.executable, "-c", script], stdout=subprocess.PIPE, stderr=subprocess.PIPE, text=True,
+        env=dict(os.environ, PYTHONPATH=str(SRC)),
+    )
+    try:
+        assert proc.stdout.readline() == "ready\n"
+        time.sleep(0.5)
+        proc.send_signal(signal.SIGINT)
+        sent = time.monotonic()
+        _, err = proc.communicate(timeout=120)
+        stopped = time.monotonic() - sent
+    finally:
+        proc.kill()
+        proc.wait()
+    assert proc.returncode != 0 and "KeyboardInterrupt" in err
+    assert stopped < 3
 
 
 def _of_width(width: int, seed: int) -> int:
