@@ -22,8 +22,8 @@ from functools import lru_cache
 from ._pool import ordered_map
 from .contfrac import OddConvergent, odd_convergent
 from .errors import PrecisionError
-from .exactnum import Ball, _two_atanh, const_e, constants, escalating, ln_ball
-from .harmonic import exact_sum
+from .exactnum import Ball, constants, escalating, ln_ball
+from .harmonic import em_overshoot, exact_sum
 
 __all__ = [
     "CandidatePair",
@@ -156,30 +156,15 @@ def _delta(k: int, d: int, w: int) -> Ball:
 
 
 def _overshoot_ball(k: int, d: int, m: int, n: int) -> tuple[Ball, Fraction | None]:
-    """S - 1 for S = 1/n + ... + 1/m: exact up to EXACT_ROUTE_CAP, else the
-    Euler-Maclaurin difference with its order-1/n terms combined free of
-    cancellation, for N = n - 1, a = m - eN = (e-1)/2 + delta, u = a/(m + eN):
-
-        [4 e delta N^2 + (4a^2 - (3e-1) a) N - a^2] / (2 m N (m + eN))
-            + (2 atanh u - 2u) + 1/(12N^2) - 1/(12m^2) + R,
-
-    R in (-1/(120 N^4), 1/(120 m^4)), every term a ball 32 bits above the
-    attempt's precision, which starts at WORK_PREC and in practice decides."""
+    """S - 1 for S = 1/n + ... + 1/m: exact up to EXACT_ROUTE_CAP, else
+    harmonic.em_overshoot with delta from the convergent's remainder, at a
+    precision that starts at WORK_PREC and in practice decides its sign."""
     if m <= EXACT_ROUTE_CAP:
         eps = exact_sum(n, m) - 1
         return Ball.from_fraction(eps, WORK_PREC), eps
 
     def attempt(w: int) -> Ball | None:
-        W = w + 32
-        e, delta = const_e(W), _delta(k, d, w)
-        nb, mb = Ball.point(n - 1, W).at(W), Ball.point(m, W).at(W)
-        a = (e - 1) / 2 + delta
-        men = mb + e * nb
-        u = a / men
-        n2, m2 = nb * nb, mb * mb
-        lead = (4 * e * delta * n2 + (4 * a * a - (3 * e - 1) * a) * nb - a * a) / (2 * mb * nb * men)
-        out = lead + _two_atanh(u, -abs(u).hi.bit_magnitude(), w) + 1 / (12 * n2) - 1 / (12 * m2)
-        out = out + Ball(-(1 / (120 * n2 * n2)).hi, (1 / (120 * m2 * m2)).hi, W)
+        out = em_overshoot(n, m, _delta(k, d, w), w)
         return out if out.sign() is not None else None
 
     return escalating(attempt, start=WORK_PREC, what=f"overshoot sign of pair k={k}, d={d}"), None

@@ -5,11 +5,18 @@ crossing index t(n) where the segment starting at n first reaches 1, the
 exact overshoot at the crossing, and the second-order prediction of the
 overshoot in terms of the offset y defined by m = e*n - (1+e)/2 + y/n.
 
-The Euler-Maclaurin route evaluates the difference of the expansions
-ln N + 1/(2N) - 1/(12N^2) at both endpoints; Euler's constant cancels in
-the difference and is never computed.  The expansion truncated after the
--1/(12 N^2) term has error within (0, 1/(120 N^4)) (enveloping alternating
-tail), applied at both endpoints and summed.
+Both certified routes stand on H_N = ln N + gamma + 1/(2N) - 1/(12N^2) + r_N,
+r_N in (0, 1/(120 N^4)); gamma cancels in a difference.  For n <= m write
+N = n - 1, delta = m - e*n + (1+e)/2 (so y = n*delta), a = m - eN =
+(e-1)/2 + delta and u = a/(m + eN), so ln(m/N) = 1 + 2 atanh u and, with
+the order-1/n terms combined free of cancellation, S(n, m) = H_m - H_N has
+
+    S - 1 = [4 e delta N^2 + (4a^2 - (3e-1) a) N - a^2] / (2 m N (m + eN))
+            + (2 atanh u - 2u) + 1/(12N^2) - 1/(12m^2) + R,
+    R = r_m - r_N in (-1/(120 N^4), 1/(120 m^4)).
+
+em_overshoot evaluates it from any enclosure of delta; ball_sum, its slow
+twin, takes ln(m/N) directly.
 """
 
 from __future__ import annotations
@@ -19,13 +26,14 @@ from fractions import Fraction
 from typing import Iterator
 
 from ._intops import fraction_from, harmonic_pair
-from .exactnum import Ball, _operand, const_e, escalating
+from .exactnum import Ball, _operand, _two_atanh, const_e, escalating
 
 __all__ = [
     "Crossing",
     "exact_sum",
     "ball_sum",
-    "em_difference",
+    "em_overshoot",
+    "pair_delta",
     "crossing",
     "iter_crossings",
     "pair_offset",
@@ -41,42 +49,17 @@ def exact_sum(first: int, last: int) -> Fraction:
     return fraction_from(num, den)
 
 
-def _endpoint_tail(n: int) -> Fraction:
-    # |H_N - (ln N + gamma + 1/(2N) - 1/(12N^2))| < 1/(120 N^4)
-    return Fraction(1, 120 * n**4)
-
-
-def em_difference(first: int, last: int, prec: int = 128) -> Ball:
-    """The expansion difference itself, without the remainder padding:
-
-        ln(last/(first-1)) + 1/(2 last) - 1/(2(first-1))
-                           - 1/(12 last^2) + 1/(12 (first-1)^2)
-
-    Euler's constant cancels and is never evaluated.  The true segment sum
-    differs from this by at most the per-endpoint remainder 1/(120 N^4).
-    """
-    if not 2 <= first <= last:
-        raise ValueError("need 2 <= first <= last")
-    from .exactnum import ln_ball
-
-    n1 = first - 1
-    m = last
-    out = ln_ball(Fraction(m, n1), prec)
-    out = out + Ball.from_fraction(Fraction(1, 2 * m) - Fraction(1, 2 * n1), prec)
-    return out + Ball.from_fraction(Fraction(1, 12 * n1 * n1) - Fraction(1, 12 * m * m), prec)
-
-
 def ball_sum(first: int, last: int, target_width: Fraction) -> Ball:
-    """Certified segment sum via the Euler-Maclaurin difference.
+    """Certified segment sum via the Euler-Maclaurin difference, from
+    ln(m/(first-1)) with last = m.
 
     Sound for first >= 2 at any segment length; the width target drives the
     working precision, escalating from a size-informed start.
     """
     if not 2 <= first <= last:
         raise ValueError("need 2 <= first <= last")
-    n1 = first - 1
-    m = last
-    remainder = _endpoint_tail(m) + _endpoint_tail(n1)
+    n1, m = first - 1, last
+    remainder = Fraction(1, 120 * m**4) + Fraction(1, 120 * n1**4)  # |r_m| + |r_N|
     if Fraction(target_width) <= 2 * remainder:
         raise ValueError(
             "target width below the Euler-Maclaurin remainder floor "
@@ -85,11 +68,13 @@ def ball_sum(first: int, last: int, target_width: Fraction) -> Ball:
     tw = Fraction(target_width) - 2 * remainder
     bits = max(64, _width_bits(tw) + 16)
 
+    from .exactnum import ln_ball  # looked up per call, so a rebound exactnum.ln_ball is seen
+
     def attempt(w: int) -> Ball | None:
-        out = em_difference(first, last, w).widen_by(remainder)
-        if out.width().cmp_fraction(Fraction(target_width)) <= 0:
-            return out
-        return None
+        out = ln_ball(Fraction(m, n1), w) + Ball.from_fraction(Fraction(1, 2 * m) - Fraction(1, 2 * n1), w)
+        out = out + Ball.from_fraction(Fraction(1, 12 * n1 * n1) - Fraction(1, 12 * m * m), w)
+        out = out.widen_by(remainder)
+        return out if out.width().cmp_fraction(Fraction(target_width)) <= 0 else None
 
     return escalating(attempt, start=bits, what=f"segment sum [{_operand(first)}, {_operand(last)}]")
 
@@ -161,24 +146,49 @@ def iter_crossings(n_lo: int, n_hi: int) -> Iterator[Crossing]:
         yield Crossing(n, t, total - 1)
 
 
+def em_overshoot(n: int, m: int, delta: Ball, w: int) -> Ball:
+    """S(n, m) - 1 by the identity of the module docstring, for any
+    enclosure delta of m - e*n + (1+e)/2, every term a ball 32 bits above w.
+    ValueError outside its domain: n >= 2 and |u| < 1/2 (m < 3e(n-1) or so)."""
+    if n < 2:
+        raise ValueError("need n >= 2")
+    W = w + 32
+    e = const_e(W)
+    nb, mb = Ball.point(n - 1, W).at(W), Ball.point(m, W).at(W)
+    a = (e - 1) / 2 + delta
+    men = mb + e * nb
+    u = a / men
+    ell = -abs(u).hi.bit_magnitude()  # |u| < 2^-ell
+    if ell < 1:
+        raise ValueError(f"pair ({_operand(n)}, {_operand(m)}) outside |u| < 1/2")
+    n2, m2 = nb * nb, mb * mb
+    lead = (4 * e * delta * n2 + (4 * a * a - (3 * e - 1) * a) * nb - a * a) / (2 * mb * nb * men)
+    out = lead + _two_atanh(u, ell, w) + 1 / (12 * n2) - 1 / (12 * m2)
+    return out + Ball(-(1 / (120 * n2 * n2)).hi, (1 / (120 * m2 * m2)).hi, W)
+
+
+def pair_delta(n: int, m: int, w: int) -> Ball:
+    """delta = m - e*n + (1+e)/2 from e at w + 2 bitlen(m) bits, rounded to
+    w + 32 bits like em_overshoot's terms."""
+    W = w + 2 * m.bit_length()
+    e = const_e(W)
+    return (Ball.point(m, W) - e * Ball.point(n, W) + (1 + e) / 2).at(w + 32)
+
+
 def pair_offset(n: int, m: int, prec: int = 0) -> Ball:
-    """The offset y with m = e*n - (1+e)/2 + y/n, certified.
+    """The offset y = n*delta with m = e*n - (1+e)/2 + y/n, certified.
 
     Nonzero for every integer pair since e is irrational; the enclosure
     tightens with precision but never decides y = 0.
     """
     if n < 1:
         raise ValueError("n must be >= 1")
-    start = max(prec, 2 * n.bit_length() + m.bit_length() + 64)
 
     def attempt(w: int) -> Ball | None:
-        e = const_e(w)
-        nn = Ball.from_fraction(n, w)
-        inner = Ball.from_fraction(m, w) - e * nn + (1 + e) / Ball.from_fraction(2, w)
-        out = nn * inner
+        out = pair_delta(n, m, w) * n
         return out if out.width_leq(-max(prec, 32)) else None
 
-    return escalating(attempt, start=start, what=f"pair offset ({_operand(n)}, {_operand(m)})")
+    return escalating(attempt, start=max(prec, 64), what=f"pair offset ({_operand(n)}, {_operand(m)})")
 
 
 def _scaled_prediction(offset: Ball, w: int) -> Ball:

@@ -84,10 +84,10 @@ def multiplier_from_mpmath(k: int) -> tuple[Fraction, int]:
 
 
 def overshoot_by_ball_sum(n: int, m: int) -> Ball:
-    """Slow twin of construct's ball route: the segment sum minus 1 by
+    """Slow twin of harmonic.em_overshoot: the segment sum minus 1 by
     ball_sum, whose ln(m/(n-1)) runs at about 2 log2(n) bits, to a width of
-    a quarter of the second-order prediction from pair_offset (about
-    3 log2(n) bits) plus twice the Euler-Maclaurin floor."""
+    a quarter of the second-order prediction from pair_offset plus twice
+    the Euler-Maclaurin floor."""
     pred = predicted_overshoot(n, pair_offset(n, m), prec=64)
     mag = max(abs(pred.lo.as_fraction()), abs(pred.hi.as_fraction()))
     floor = Fraction(1, 15 * (n - 1) ** 4)

@@ -154,29 +154,29 @@ def test_criterion_05_scan_and_connection():
     assert connection_ok
 
 
+@pytest.fixture(scope="module")
+def prediction_errors() -> list[tuple[int, Ball, Fraction]]:
+    """(n, y, n^3 |prediction - overshoot|) at every crossing 100 <= n <= 10^4:
+    the data of both criterion-6 tests, computed once."""
+    out = []
+    for rec in iter_crossings(100, 10000):
+        y = pair_offset(rec.n, rec.t, prec=64)
+        pred = predicted_overshoot(rec.n, y, prec=96)
+        diff = abs(pred - Ball.from_fraction(rec.overshoot, 128))
+        out.append((rec.n, y, diff.hi.as_fraction() * rec.n**3))
+    return out
+
+
 @pytest.mark.xfail(
     strict=True,
     reason="criterion as stated is unattainable: the prediction's remainder "
     "has an exact y/(2e n^3) term and y(n, t(n)) ~ n*U; measured fit constant "
     "is ~230, not < 10 (see decisions ledger)",
 )
-def test_criterion_06_asymptotics_crosscheck():
-    fit_c = Fraction(0)
-    for rec in iter_crossings(100, 2000):
-        y = pair_offset(rec.n, rec.t, prec=64)
-        pred = predicted_overshoot(rec.n, y, prec=96)
-        diff = abs(pred - Ball.from_fraction(rec.overshoot, 128))
-        fit_c = max(fit_c, diff.hi.as_fraction() * rec.n**3)
-    holdout_ok = True
-    worst_holdout = Fraction(0)
-    for rec in iter_crossings(2001, 10000):
-        y = pair_offset(rec.n, rec.t, prec=64)
-        pred = predicted_overshoot(rec.n, y, prec=96)
-        diff = abs(pred - Ball.from_fraction(rec.overshoot, 128))
-        scaled = diff.hi.as_fraction() * rec.n**3
-        worst_holdout = max(worst_holdout, scaled)
-        if scaled > fit_c:
-            holdout_ok = False
+def test_criterion_06_asymptotics_crosscheck(prediction_errors):
+    fit_c = max(scaled for n, _, scaled in prediction_errors if n <= 2000)
+    worst_holdout = max(scaled for n, _, scaled in prediction_errors if n > 2000)
+    holdout_ok = worst_holdout <= fit_c
     ok = fit_c < 10 and holdout_ok
     _report(
         6,
@@ -189,22 +189,14 @@ def test_criterion_06_asymptotics_crosscheck():
     assert holdout_ok
 
 
-def test_criterion_06_supplementary_asymptotics_in_validity_domain():
+def test_criterion_06_supplementary_asymptotics_in_validity_domain(prediction_errors):
     """Not a stated criterion: the second-order prediction restricted to
     bounded offsets (|y| <= 10, the compact-interval regime the expansion is
     valid for) meets C/n^3 with C < 10, evidencing that the formula and its
     implementation are right and criterion 6's defect lies in applying it to
     unbounded offsets."""
-    worst = Fraction(0)
-    used = 0
-    for rec in iter_crossings(100, 10000):
-        y = pair_offset(rec.n, rec.t, prec=64)
-        if abs(y).hi.cmp_fraction(Fraction(10)) > 0:
-            continue
-        used += 1
-        pred = predicted_overshoot(rec.n, y, prec=96)
-        diff = abs(pred - Ball.from_fraction(rec.overshoot, 128))
-        worst = max(worst, diff.hi.as_fraction() * rec.n**3)
+    inside = [scaled for _, y, scaled in prediction_errors if abs(y).hi.cmp_fraction(Fraction(10)) <= 0]
+    worst, used = max(inside, default=Fraction(0)), len(inside)
     ok = worst < 10 and used > 20
     _report(
         6,

@@ -281,21 +281,6 @@ class TestGapBracket:
             assert gap.decide_le(rhs) is True, k
 
 
-class TestExpansionConsistency:
-    def test_f_difference_tracks_exact_sum(self):
-        # |exact segment sum - expansion difference| <= 1/(15 n^4) for
-        # constructed pairs with n <= 1e4
-        from harmonicgap.harmonic import em_difference, exact_sum
-
-        for k, d in ((2, 1), (2, 3), (2, 5), (4, 1)):
-            m, n = pair_from(k, d)
-            assert n <= 10**4
-            exact = exact_sum(n, m)
-            approx = em_difference(n, m, prec=160)
-            diff = abs(approx - Ball.from_fraction(exact, 160))
-            assert diff.hi.cmp_fraction(Fraction(1, 15 * n**4)) < 0, (k, d)
-
-
 class TestJointSearch:
     @pytest.mark.parametrize("k, window", [(4, 2), (4, 5), (46, 5), (60, 5), (60, 1)])
     def test_window_is_every_odd_d_in_range(self, k, window):

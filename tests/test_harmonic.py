@@ -1,22 +1,28 @@
 """Harmonic segment sums, crossings, and the second-order prediction."""
 
+import math
 import random
 from fractions import Fraction
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
+from harmonicgap.construct import certify, pair_from
 from harmonicgap.exactnum import Ball, constants
 from harmonicgap.harmonic import (
     _walk,
     ball_sum,
     crossing,
+    em_overshoot,
     exact_sum,
     iter_crossings,
+    pair_delta,
     pair_offset,
     predicted_overshoot,
 )
+
+from conftest import overshoot_by_ball_sum
 
 
 def _naive_sum(a: int, b: int) -> Fraction:
@@ -166,6 +172,75 @@ class TestOffset:
             n = rng.randint(2, 10**6)
             m = rng.randint(n, 4 * n)
             assert pair_offset(n, m).sign() in (-1, 1)
+
+
+E = constants(128).e.midpoint().as_fraction()  # e to 2^-120, to place pairs
+
+
+def _em(n: int, m: int, w: int = 192) -> Ball:
+    return em_overshoot(n, m, pair_delta(n, m, w), w)
+
+
+@st.composite
+def _near_crossing(draw, n_lo: int, n_hi: int) -> tuple[int, int]:
+    """(n, m) with m within 20 of e*n - (1+e)/2, the crossing's location."""
+    n = draw(st.integers(n_lo, n_hi))
+    return n, max(n, math.floor(E * n - (1 + E) / 2) + draw(st.integers(-20, 20)))
+
+
+class TestEmOvershoot:
+    """em_overshoot from the generic pair_delta, against exact_sum up to
+    n = 10^5 and against ball_sum's ln route beyond."""
+
+    @settings(max_examples=40, deadline=None)
+    @given(nm=_near_crossing(4, 10**5), w=st.sampled_from([64, 192]))
+    # the constructed pairs (k, d) = (2, 1), (2, 3), (2, 5) and (4, 1)
+    @example(nm=(36, 96), w=160)
+    @example(nm=(107, 289), w=160)
+    @example(nm=(178, 482), w=160)
+    @example(nm=(9045, 24585), w=160)
+    def test_contains_exact_sum(self, nm, w):
+        n, m = nm
+        eps = exact_sum(n, m) - 1
+        ball = _em(n, m, w)
+        assert ball.contains(eps)
+        # R's interval is 1/(120 N^4) + 1/(120 m^4) wide: under 1/(15 n^4) from n = 4
+        assert abs(ball - Ball.from_fraction(eps, w)).hi.cmp_fraction(Fraction(1, 15 * n**4)) < 0
+
+    @settings(max_examples=25, deadline=None)
+    @given(nm=_near_crossing(10**5, 10**15))
+    def test_overlaps_ball_sum_twin(self, nm):
+        n, m = nm
+        assert _em(n, m).overlaps(overshoot_by_ball_sum(n, m))
+
+    def test_domain(self):
+        # n >= 2, and |u| < 1/2 for u = (m - eN)/(m + eN): eN/3 < m < 3eN
+        for n, m in ((1, 5), (3, 20), (10, 100)):
+            with pytest.raises(ValueError):
+                _em(n, m)
+        for n, m in ((2, 2), (1000, 1000)):
+            assert _em(n, m).contains(exact_sum(n, m) - 1)
+        for n in (2, 3, 10, 1000):
+            top = math.floor(3 * E * (n - 1))
+            assert _em(n, top).contains(exact_sum(n, top) - 1)
+            with pytest.raises(ValueError):
+                _em(n, top + 1)
+        # below n the identity gives H_m - H_N - 1, a sum taken away
+        bottom = math.ceil(E * 999 / 3)
+        assert _em(1000, bottom).contains(-exact_sum(bottom + 1, 999) - 1)
+        with pytest.raises(ValueError):
+            _em(1000, bottom - 1)
+
+    def test_record_past_the_exact_frontier(self):
+        # the scan's row n = 15,586,535 is pair_from(6, 3): the signs at t and
+        # t - 1 certify t(n), and n^2 eps matches certify(6, 3)
+        n, t = 15586535, 42368593
+        assert pair_from(6, 3) == (t, n)
+        assert (_em(n, t).sign(), _em(n, t - 1).sign()) == (1, -1)
+        scaled = _em(n, t) * (n * n)
+        assert scaled.overlaps(certify(6, 3).quality)
+        lo, hi = Fraction("0.01902982094775"), Fraction("0.01902982094776")
+        assert scaled.overlaps(Ball.from_endpoints(lo, hi, 128))
 
 
 class TestPrediction:
