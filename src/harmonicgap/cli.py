@@ -6,9 +6,12 @@ byte-identical across runs.  All numbers are exact rational strings or
 certified lo/hi decimal intervals; no bare floating point appears in
 machine formats.
 
-Exit codes: 0 success, 2 usage or domain violation, 3 undecidable at the
-precision cap, 4 I/O or checkpoint failure, 5 a worker process died, 130
-interrupted.  A scan stopped by 5 or 130 keeps its last complete checkpoint.
+Exit codes: 0 success, 1 a self-check failed (`count --verify` found the
+twin count different, an `approx` hit failed its re-check at doubled
+precision, or an `et` inequality failed), 2 usage or domain violation, 3
+undecidable at the precision cap, 4 I/O or checkpoint failure, 5 a worker
+process died, 130 interrupted.  A scan stopped by 5 or 130 keeps its last
+complete checkpoint.
 """
 
 from __future__ import annotations
@@ -256,8 +259,8 @@ def cmd_count(args) -> int:
         "within_bound": rep.within_bound,
     }
     if args.verify:
-        c2, t2 = counting.count_quadratic_modular(
-            args.p, args.q, args.r, args.delta, args.n_max, args.mod[0], args.mod[1]
+        c2, t2 = counting._count_by_fractions(
+            args.p, args.q, rep.shift, rep.delta, args.n_max, args.mod[0], args.mod[1]
         )
         obj["verified"] = (rep.count, rep.boundary_ties) == (c2, t2)
         if not obj["verified"]:
@@ -306,7 +309,10 @@ def cmd_approx(args) -> int:
         ],
     }
     _emit(_dump(obj), args.output)
-    return 0 if verified else 1
+    if not verified:
+        print("a hit failed its re-check: implementation bug", file=sys.stderr)
+        return 1
+    return 0
 
 
 def cmd_et(args) -> int:
@@ -320,7 +326,11 @@ def cmd_et(args) -> int:
         if rep.holds:
             held += 1
     _emit(f"{held}/{args.trials} hold", args.output)
-    return 0 if held == args.trials else 1
+    if held < args.trials:
+        failed = f"{args.trials - held} of {args.trials}"
+        print(f"the inequality failed in {failed} trials: implementation bug", file=sys.stderr)
+        return 1
+    return 0
 
 
 # ----------------------------------------------------------------------
@@ -376,7 +386,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--mod", type=_mod_pair, default=(0, 1), help="residue,modulus for n")
     p.add_argument("--eta", type=_frac, default=Fraction(1, 10))
     p.add_argument("--multiplier", type=int, default=10)
-    p.add_argument("--verify", action="store_true", help="cross-check the modular path")
+    p.add_argument("--verify", action="store_true", help="cross-check with the per-n Fraction twin")
     p.set_defaults(fn=cmd_count)
 
     p = sub.add_parser("approx", help="search |alpha - m/n^2| < n^-exponent")

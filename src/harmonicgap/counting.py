@@ -47,7 +47,6 @@ __all__ = [
     "weyl_sum_abs",
     "erdos_turan_check",
     "count_quadratic",
-    "count_quadratic_modular",
     "square_denominator_search",
     "verify_hit",
     "random_et_instance",
@@ -401,21 +400,9 @@ class CountReport:
     within_bound: bool | None
 
 
-def _dist_to_nearest_int(v: Fraction) -> Fraction:
-    f = v - (v // 1)
-    return min(f, 1 - f)
-
-
-def _check_count_args(p: int, q: int, delta: Fraction, n_max: int, modulus: int) -> None:
-    """The argument checks shared by the two enumeration twins."""
-    if q < 1 or gcd(p, q) != 1:
-        raise ValueError("need q >= 1 and p coprime to q")
-    if not 0 < delta < Fraction(1, 2):
-        raise ValueError("need 0 < delta < 1/2")
-    if n_max < 1:
-        raise ValueError("n_max must be >= 1")
-    if modulus < 1:
-        raise ValueError("modulus must be >= 1")
+def _class(residue: int, modulus: int, n_max: int) -> range:
+    """The n in [1, n_max] with n = residue (mod modulus), ascending."""
+    return range(residue % modulus or modulus, n_max + 1, modulus)
 
 
 def count_quadratic(
@@ -431,22 +418,34 @@ def count_quadratic(
 ) -> CountReport:
     """Exact count of n <= n_max, n = residue (mod modulus), with
     ||p n^2 / q - shift|| < delta, plus the lemma's main term and error
-    expression for comparison."""
-    _check_count_args(p, q, delta, n_max, modulus)
+    expression for comparison.
+
+    The count runs in integers: with shift = rn/rd and Q = q rd, the
+    distance is min(w, Q - w)/Q for w = (p n^2 rd - rn q) mod Q, compared
+    with delta by cross-multiplication.  `_count_by_fractions` is its twin."""
+    shift, delta = Fraction(shift), Fraction(delta)
+    if q < 1 or gcd(p, q) != 1:
+        raise ValueError("need q >= 1 and p coprime to q")
+    if not 0 < delta < Fraction(1, 2):
+        raise ValueError("need 0 < delta < 1/2")
+    if n_max < 1:
+        raise ValueError("n_max must be >= 1")
+    if modulus < 1:
+        raise ValueError("modulus must be >= 1")
     if eta <= 0 or multiplier <= 0:
         raise ValueError("the lemma needs eta > 0 and a positive multiplier")
     # first, so that an exponent that pow_frac refuses fails before the count
     err = _error_expression(q, delta, n_max, eta)
-    shift = Fraction(shift)
+    big_q = q * shift.denominator
+    prd, off = p * shift.denominator, shift.numerator * q
+    dd, edge = delta.denominator, delta.numerator * big_q
     count = ties = 0
-    start = residue % modulus
-    if start == 0:
-        start = modulus
-    for n in range(start, n_max + 1, modulus):
-        d = _dist_to_nearest_int(Fraction(p * n * n, q) - shift)
-        if d < delta:
+    for n in _class(residue, modulus, n_max):
+        w = (prd * n * n - off) % big_q
+        d = min(w, big_q - w) * dd
+        if d < edge:
             count += 1
-        elif d == delta:
+        elif d == edge:
             ties += 1
 
     main = Fraction(2 * n_max * delta, modulus)
@@ -457,6 +456,23 @@ def count_quadratic(
         p, q, shift, delta, n_max, residue, modulus, count, ties, main, eta, err,
         multiplier, within,
     )
+
+
+def _count_by_fractions(
+    p: int, q: int, shift: Fraction, delta: Fraction, n_max: int, residue: int, modulus: int
+) -> tuple[int, int]:
+    """(count, boundary_ties) of `count_quadratic` with one Fraction per n:
+    its independent twin, unvalidated."""
+    count = ties = 0
+    for n in _class(residue, modulus, n_max):
+        v = Fraction(p * n * n, q) - shift
+        f = v - v // 1
+        d = min(f, 1 - f)
+        if d < delta:
+            count += 1
+        elif d == delta:
+            ties += 1
+    return count, ties
 
 
 def _error_expression(q: int, delta: Fraction, n_max: int, eta: Fraction) -> Ball:
@@ -473,40 +489,6 @@ def _error_expression(q: int, delta: Fraction, n_max: int, eta: Fraction) -> Bal
         + Ball.from_fraction(q * delta, prec) * lq / Ball.from_fraction(n_max * n_max, prec)
     )
     return lead.mul(inner.sqrt())
-
-
-def count_quadratic_modular(
-    p: int,
-    q: int,
-    shift: Fraction = Fraction(0),
-    delta: Fraction = Fraction(1, 4),
-    n_max: int = 100,
-    residue: int = 0,
-    modulus: int = 1,
-) -> tuple[int, int]:
-    """Independent enumeration path: residue tables, no Fraction arithmetic.
-
-    Returns (count, boundary_ties); must agree exactly with count_quadratic.
-    """
-    _check_count_args(p, q, delta, n_max, modulus)
-    rn, rd = shift.numerator, shift.denominator
-    dn, dd = delta.numerator, delta.denominator
-    big_q = q * rd
-    count = ties = 0
-    start = residue % modulus
-    if start == 0:
-        start = modulus
-    for n in range(start, n_max + 1, modulus):
-        c = (p * ((n % q) * (n % q) % q)) % q
-        w = (c * rd - rn * q) % big_q
-        dist_num = min(w, big_q - w)  # ||...|| = dist_num / big_q
-        lhs = dist_num * dd
-        rhs = dn * big_q
-        if lhs < rhs:
-            count += 1
-        elif lhs == rhs:
-            ties += 1
-    return count, ties
 
 
 # ----------------------------------------------------------------------
@@ -547,10 +529,7 @@ def square_denominator_search(
         raise ValueError("alpha must be decidedly positive")
     hits: list[ApproxHit] = []
     skipped = 0
-    start = a_n % b_n
-    if start == 0:
-        start = b_n
-    for n in range(start, n_max + 1, b_n):
+    for n in _class(a_n, b_n, n_max):
         if n < 2:
             continue
         got = _attempt_hit(av, exponent, n, a_m, b_m)

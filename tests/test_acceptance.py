@@ -23,8 +23,8 @@ from harmonicgap.contfrac import (
     odd_convergent,
 )
 from harmonicgap.counting import (
+    _count_by_fractions,
     count_quadratic,
-    count_quadratic_modular,
     erdos_turan_check,
     random_et_instance,
     square_denominator_search,
@@ -233,7 +233,7 @@ def test_criterion_08_counting_lemma_extensional():
     assert big.within_bound is True
     paths_agree = True
     for r in (rep, big):
-        c2, t2 = count_quadratic_modular(
+        c2, t2 = _count_by_fractions(
             r.p, r.q, r.shift, r.delta, r.n_max, r.residue, r.modulus
         )
         if (r.count, r.boundary_ties) != (c2, t2):

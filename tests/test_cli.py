@@ -1,5 +1,6 @@
 """Command-line surface: flags, exit codes, output contracts."""
 
+import dataclasses
 import json
 import os
 import re
@@ -11,7 +12,7 @@ from fractions import Fraction
 
 import pytest
 
-from harmonicgap import construct, scan
+from harmonicgap import construct, counting, scan
 from harmonicgap._pool import ordered_map
 from harmonicgap.cli import main
 from harmonicgap.harmonic import exact_sum
@@ -377,6 +378,17 @@ class TestCount:
         assert code == 0
         assert json.loads(out)["verified"] is True
 
+    def test_verify_disagreement_exit_1(self, capsys, monkeypatch):
+        monkeypatch.setattr(counting, "_count_by_fractions", lambda *args: (0, 0))
+        code, out, err = run(
+            capsys,
+            "count", "--p", "3", "--q", "101", "--delta", "1/9", "--n-max", "500",
+            "--verify",
+        )
+        assert code == 1
+        assert err == "enumeration paths disagree: implementation bug\n"
+        assert json.loads(out)["verified"] is False
+
 
 class TestApprox:
     def test_includes_23_3(self, capsys):
@@ -396,6 +408,17 @@ class TestApprox:
         )
         assert code == 0
         obj = json.loads(out)
+        assert ("16", "2") in {(h["m"], h["n"]) for h in obj["hits"]}
+
+    def test_failed_recheck_exit_1(self, capsys, monkeypatch):
+        monkeypatch.setattr(counting, "verify_hit", lambda *args: False)
+        code, out, err = run(
+            capsys, "approx", "--alpha", "4", "--exponent", "2", "--n-max", "20"
+        )
+        assert code == 1
+        assert err == "a hit failed its re-check: implementation bug\n"
+        obj = json.loads(out)
+        assert obj["verified_at_doubled_precision"] is False
         assert ("16", "2") in {(h["m"], h["n"]) for h in obj["hits"]}
 
 
@@ -421,6 +444,20 @@ class TestEt:
         code, out, _ = run(capsys, "et", "--seed", "1", "--trials", "2", "--bits", "8")
         assert code == 0
         assert out.strip() == "2/2 hold"
+
+    def test_failed_inequality_exit_1(self, capsys, monkeypatch):
+        check = counting.erdos_turan_check
+        calls = []
+
+        def second_fails(*args, **kwargs):
+            calls.append(None)
+            return dataclasses.replace(check(*args, **kwargs), holds=len(calls) != 2)
+
+        monkeypatch.setattr(counting, "erdos_turan_check", second_fails)
+        code, out, err = run(capsys, "et", "--seed", "7", "--trials", "3")
+        assert code == 1
+        assert err == "the inequality failed in 1 of 3 trials: implementation bug\n"
+        assert out == "2/3 hold\n"
 
 
 class TestUsageErrors:

@@ -6,13 +6,15 @@ from fractions import Fraction
 
 import mpmath
 import pytest
-from hypothesis import example, given, settings
+from hypothesis import assume, example, given, settings
 from hypothesis import strategies as st
 
 from harmonicgap import counting
 from harmonicgap.counting import (
     PointSet,
+    _class,
     _cos_sin_fp,
+    _count_by_fractions,
     _count_in_window,
     _magnitude,
     _pack,
@@ -24,7 +26,6 @@ from harmonicgap.counting import (
     _unpack,
     cos_sin_2pi,
     count_quadratic,
-    count_quadratic_modular,
     erdos_turan_check,
     random_et_instance,
     square_denominator_search,
@@ -366,6 +367,38 @@ class TestErdosTuran:
             assert rep.holds
 
 
+def _seeded_count_cases() -> list[dict]:
+    """Forty seeded instances: p and q up to 400, residue in [0, modulus)."""
+    rng = random.Random(31)
+    cases = []
+    for _ in range(40):
+        q = rng.randint(1, 400)
+        p = rng.randint(1, 400)
+        while math.gcd(p, q) != 1:
+            p += 1
+        shift = Fraction(rng.randint(-50, 50), rng.randint(1, 50))
+        delta = Fraction(rng.randint(1, 48), 100)
+        n_max = rng.randint(1, 300)
+        modulus = rng.randint(1, 5)
+        residue = rng.randrange(modulus)
+        cases.append(dict(
+            p=p, q=q, shift=shift, delta=delta, n_max=n_max, residue=residue, modulus=modulus
+        ))
+    return cases
+
+
+SEEDED_COUNT_CASES = _seeded_count_cases()
+
+
+def _with_examples(cases):
+    """Apply hypothesis's @example once per case."""
+    def apply(test):
+        for case in cases:
+            test = example(**case)(test)
+        return test
+    return apply
+
+
 class TestCountQuadratic:
     def test_even_squares_mod_2(self):
         rep = count_quadratic(1, 2, Fraction(0), Fraction(3, 10), 10)
@@ -380,13 +413,13 @@ class TestCountQuadratic:
         with pytest.raises(ValueError):
             count_quadratic(1, 2, Fraction(0), Fraction(1, 2), 10)
 
-    @pytest.mark.parametrize("count", [count_quadratic, count_quadratic_modular])
+    @pytest.mark.parametrize("count", [count_quadratic])
     @pytest.mark.parametrize("n_max", [0, -5])
     def test_n_max_domain(self, count, n_max):
         with pytest.raises(ValueError):
             count(1, 2, Fraction(0), Fraction(1, 4), n_max)
 
-    @pytest.mark.parametrize("count", [count_quadratic, count_quadratic_modular])
+    @pytest.mark.parametrize("count", [count_quadratic])
     @pytest.mark.parametrize("modulus", [0, -1])
     def test_modulus_domain(self, count, modulus):
         with pytest.raises(ValueError, match="modulus must be >= 1"):
@@ -410,21 +443,40 @@ class TestCountQuadratic:
         assert rep.boundary_ties == 4
         assert rep.count == 4
 
-    def test_modular_path_agrees(self):
-        rng = random.Random(31)
-        for _ in range(40):
-            q = rng.randint(1, 400)
-            p = rng.randint(1, 400)
-            while math.gcd(p, q) != 1:
-                p += 1
-            shift = Fraction(rng.randint(-50, 50), rng.randint(1, 50))
-            delta = Fraction(rng.randint(1, 48), 100)
-            n_max = rng.randint(1, 300)
-            modulus = rng.randint(1, 5)
-            residue = rng.randrange(modulus)
-            rep = count_quadratic(p, q, shift, delta, n_max, residue, modulus)
-            c2, t2 = count_quadratic_modular(p, q, shift, delta, n_max, residue, modulus)
-            assert (rep.count, rep.boundary_ties) == (c2, t2)
+    @settings(max_examples=100, deadline=None)
+    @given(
+        q=st.one_of(st.just(1), st.integers(2, 400), st.integers(2**64, 2**66)),
+        p=st.one_of(st.integers(-400, 400), st.integers(-(2**66), 2**66)),
+        shift=st.fractions(min_value=-50, max_value=50, max_denominator=60),
+        delta=st.integers(3, 120).flatmap(
+            lambda dd: st.integers(1, (dd - 1) // 2).map(lambda dn: Fraction(dn, dd))
+        ),
+        n_max=st.integers(1, 300),
+        residue=st.integers(-7, 11),
+        modulus=st.integers(1, 5),
+    )
+    @example(p=1, q=4, shift=Fraction(0), delta=Fraction(1, 4), n_max=8, residue=0, modulus=1)
+    @example(p=3, q=7, shift=Fraction(0), delta=Fraction(1, 7), n_max=50, residue=-3, modulus=4)
+    @example(p=2, q=9, shift=Fraction(1, 3), delta=Fraction(1, 9), n_max=40, residue=12, modulus=5)
+    @example(p=1, q=5, shift=Fraction(0), delta=Fraction(1, 4), n_max=2, residue=3, modulus=5)
+    @example(p=-7, q=1, shift=Fraction(-1, 3), delta=Fraction(1, 3), n_max=30, residue=1, modulus=2)
+    @example(p=-5, q=12, shift=Fraction(-5, 18), delta=Fraction(5, 36), n_max=200, residue=-1, modulus=3)
+    @example(p=-5, q=12, shift=Fraction(-5, 18), delta=Fraction(1, 4), n_max=200, residue=-1, modulus=3)
+    @example(
+        p=3 * (2**64 + 13) // 7, q=2**64 + 13, shift=Fraction(-7, 4), delta=Fraction(1, 5),
+        n_max=300, residue=0, modulus=1,
+    )
+    @_with_examples(SEEDED_COUNT_CASES)
+    def test_modular_path_agrees(self, p, q, shift, delta, n_max, residue, modulus):
+        """The integer count equals its Fraction twin, and the class walk
+        visits exactly the n in [1, n_max] congruent to residue."""
+        assume(math.gcd(p, q) == 1)
+        rep = count_quadratic(p, q, shift, delta, n_max, residue, modulus)
+        twin = _count_by_fractions(p, q, shift, delta, n_max, residue, modulus)
+        assert (rep.count, rep.boundary_ties) == twin
+        assert list(_class(residue, modulus, n_max)) == [
+            n for n in range(1, n_max + 1) if (n - residue) % modulus == 0
+        ]
 
 
 class TestSquareDenominatorSearch:
