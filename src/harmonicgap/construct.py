@@ -81,12 +81,12 @@ def _ideal(s: OddConvergent, w: int) -> Ball | None:
     """The ideal multiplier from one remainder at w bits: the crude d0 under
     (2n-1)/n ~ 2, its n0, then the refined value (None if d0 is undecided)."""
     c = constants(w)
-    d0 = closest_odd((2 * c.gap_target.div(s.remainder)).sqrt() + 2)
+    d0 = closest_odd((2 * (c.gap_target / s.remainder)).sqrt() + 2)
     if d0 is None:
         return None
     n0 = (d0 * s.q + 1) // 2
     ratio = Ball.from_fraction(Fraction(2 * n0 - 1, n0), w)
-    return ratio.mul(c.gap_target).div(s.remainder).sqrt()
+    return (ratio * c.gap_target / s.remainder).sqrt()
 
 
 @lru_cache(maxsize=64)
@@ -143,7 +143,7 @@ class CandidatePair:
     def scaled_quality(self, prec: int = 128) -> Ball:
         """|quality| * (ln n)^(5/4), the refined-rate yardstick."""
         logn = ln_ball(Fraction(self.n), prec)
-        return abs(self.quality).mul(logn.pow_frac(Fraction(5, 4), prec))
+        return abs(self.quality) * logn.pow_frac(Fraction(5, 4), prec)
 
 
 def _delta(k: int, d: int, w: int) -> Ball:
@@ -152,7 +152,7 @@ def _delta(k: int, d: int, w: int) -> Ball:
     and offset y = n delta."""
     s = odd_convergent(k, w)
     W = w + 32
-    return s.remainder.mul(Ball.from_fraction(-s.sign * d, W)).div(Ball.point(2 * s.q, W).at(W))
+    return s.remainder * Ball.from_fraction(-s.sign * d, W) / Ball.from_fraction(2 * s.q, W).at(W)
 
 
 def _overshoot_ball(k: int, d: int, m: int, n: int) -> tuple[Ball, Fraction | None]:
@@ -190,14 +190,14 @@ def certify(k: int, d: int | None = None) -> CandidatePair:
         d = canonical_d
     m, n = pair_from(k, d)
     overshoot, overshoot_exact = _overshoot_ball(k, d, m, n)
-    quality = overshoot.mul(Ball.from_fraction(n * n, overshoot.prec))
+    quality = overshoot * Ball.from_fraction(n * n, overshoot.prec)
     offset = _delta(k, d, WORK_PREC) * n
     canonical = d == canonical_d
 
     bound_ok: bool | None = None
     if k >= 2:
         sqrt_k = Ball.from_fraction(k, WORK_PREC).sqrt()
-        within = quality.mul(sqrt_k).decide_le(Ball.from_fraction(QUALITY_BOUND, WORK_PREC))
+        within = (quality * sqrt_k).decide_le(Ball.from_fraction(QUALITY_BOUND, WORK_PREC))
         positive = overshoot.sign()
         if within is None or positive is None:
             raise PrecisionError(f"certification undecided for k={k}, d={d}")

@@ -479,16 +479,14 @@ def _error_expression(q: int, delta: Fraction, n_max: int, eta: Fraction) -> Bal
     # N^(1+2 eta) / delta^eta * (ln q / N + 1/q + q delta ln q / N^2)^(1/2)
     prec = 128
     n_ball = Ball.from_fraction(n_max, prec)
-    lead = n_ball.pow_frac(1 + 2 * eta, prec).div(
-        Ball.from_fraction(delta, prec).pow_frac(eta, prec)
-    )
-    lq = ln_ball(q, prec) if q > 1 else Ball.point(0, prec)
+    lead = n_ball.pow_frac(1 + 2 * eta, prec) / Ball.from_fraction(delta, prec).pow_frac(eta, prec)
+    lq = ln_ball(q, prec) if q > 1 else Ball.from_fraction(0, prec)
     inner = (
-        lq.div(n_ball)
+        lq / n_ball
         + Ball.from_fraction(Fraction(1, q), prec)
         + Ball.from_fraction(q * delta, prec) * lq / Ball.from_fraction(n_max * n_max, prec)
     )
-    return lead.mul(inner.sqrt())
+    return lead * inner.sqrt()
 
 
 # ----------------------------------------------------------------------
@@ -561,7 +559,7 @@ def _attempt_hit(av: Ball, exponent: Fraction, n: int, a_m: int, b_m: int):
         return "skip"
     if not decided:
         return None
-    err = err_scaled.div(Ball.from_fraction(n * n, prec))
+    err = err_scaled / Ball.from_fraction(n * n, prec)
     return ApproxHit(m, n, err)
 
 

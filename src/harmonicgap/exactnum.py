@@ -42,24 +42,13 @@ MAX_ROOT_DEGREE = 64
 # ----------------------------------------------------------------------
 
 class Dyadic:
-    """Exact dyadic real man * 2**exp, normalized to odd (or zero) mantissa."""
+    """Exact dyadic real man * 2**exp, stored as given (exp 0 for zero): one
+    value has many stored forms, so equality, order and every operation go by value."""
 
     __slots__ = ("man", "exp")
 
     def __init__(self, man: int, exp: int = 0):
-        if man == 0:
-            self.man = 0
-            self.exp = 0
-        else:
-            s = (man & -man).bit_length() - 1
-            self.man = man >> s
-            self.exp = exp + s
-
-    def is_zero(self) -> bool:
-        return self.man == 0
-
-    def sign(self) -> int:
-        return (self.man > 0) - (self.man < 0)
+        self.man, self.exp = man, (exp if man else 0)
 
     def as_fraction(self) -> Fraction:
         if self.exp >= 0:
@@ -107,10 +96,7 @@ class Dyadic:
         return self._cmp(other) >= 0
 
     def __eq__(self, other):
-        return isinstance(other, Dyadic) and self.man == other.man and self.exp == other.exp
-
-    def __hash__(self):
-        return hash((self.man, self.exp))
+        return isinstance(other, Dyadic) and self._cmp(other) == 0
 
     def cmp_fraction(self, fr: Fraction) -> int:
         # man*2^exp vs num/den, den > 0: cross-multiply exactly
@@ -200,7 +186,8 @@ def _dyadic_root(a: Dyadic, n: int, prec: int, up: bool) -> Dyadic:
         raise ValueError("root of a negative dyadic")
     if a.man == 0:
         return ZERO
-    m, e = a.man, a.exp
+    z = (a.man & -a.man).bit_length() - 1  # root the odd mantissa: its length sets the shift
+    m, e = a.man >> z, a.exp + z
     shift = max(0, n * (prec + 2) - m.bit_length())
     shift += (e - shift) % n  # make the final exponent divisible by n
     m <<= shift
@@ -230,11 +217,6 @@ class Ball:
         self.prec = prec
 
     # -- constructors --------------------------------------------------
-
-    @staticmethod
-    def point(v: Dyadic | int, prec: int = DEFAULT_PREC) -> "Ball":
-        d = Dyadic(v) if isinstance(v, int) else v
-        return Ball(d, d, prec)
 
     @staticmethod
     def from_fraction(fr: Fraction | int, prec: int = DEFAULT_PREC) -> "Ball":
@@ -311,9 +293,6 @@ class Ball:
 
     # -- arithmetic ----------------------------------------------------
 
-    def _p(self, other) -> int:
-        return max(self.prec, other.prec) if isinstance(other, Ball) else self.prec
-
     def __neg__(self) -> "Ball":
         return Ball(-self.hi, -self.lo, self.prec)
 
@@ -325,62 +304,52 @@ class Ball:
         hi = self.hi if self.hi >= -self.lo else -self.lo
         return Ball(ZERO, hi, self.prec)
 
-    def add(self, other: "Ball") -> "Ball":
-        p = self._p(other)
+    def __add__(self, other) -> "Ball":
+        other = self._coerce(other)
+        p = max(self.prec, other.prec)
         return Ball((self.lo + other.lo).round_down(p), (self.hi + other.hi).round_up(p), p)
 
-    def sub(self, other: "Ball") -> "Ball":
-        return self.add(-other)
+    __radd__ = __add__
 
-    def mul(self, other: "Ball") -> "Ball":
-        p = self._p(other)
+    def __sub__(self, other) -> "Ball":
+        return self + -self._coerce(other)
+
+    def __rsub__(self, other) -> "Ball":
+        return self._coerce(other) - self
+
+    def __mul__(self, other) -> "Ball":
+        other = self._coerce(other)
+        p = max(self.prec, other.prec)
         cands = [self.lo * other.lo, self.lo * other.hi, self.hi * other.lo, self.hi * other.hi]
         return Ball(min(cands).round_down(p), max(cands).round_up(p), p)
 
-    def div(self, other: "Ball") -> "Ball":
-        p = self._p(other)
+    __rmul__ = __mul__
+
+    def __truediv__(self, other) -> "Ball":
+        other = self._coerce(other)
+        p = max(self.prec, other.prec)
         if other.lo.man <= 0 <= other.hi.man:
             raise PrecisionError("division by a ball containing zero")
         if other.hi.man < 0:
-            return (-self).div(-other)
+            return -self / -other
         # a positive divisor: each end of the quotient divides by the end of
         # the divisor that pushes it outward
         lo = _dyadic_div(self.lo, other.hi if self.lo.man >= 0 else other.lo, p, up=False)
         hi = _dyadic_div(self.hi, other.lo if self.hi.man >= 0 else other.hi, p, up=True)
         return Ball(lo, hi, p)
 
-    def __add__(self, other):
-        return self.add(self._coerce(other))
-
-    def __radd__(self, other):
-        return self.add(self._coerce(other))
-
-    def __sub__(self, other):
-        return self.sub(self._coerce(other))
-
-    def __rsub__(self, other):
-        return self._coerce(other).sub(self)
-
-    def __mul__(self, other):
-        return self.mul(self._coerce(other))
-
-    def __rmul__(self, other):
-        return self.mul(self._coerce(other))
-
-    def __truediv__(self, other):
-        return self.div(self._coerce(other))
-
-    def __rtruediv__(self, other):
-        return self._coerce(other).div(self)
+    def __rtruediv__(self, other) -> "Ball":
+        return self._coerce(other) / self
 
     def _coerce(self, other) -> "Ball":
+        """A Ball, int, Fraction or Dyadic operand as a ball; a float or any other type is refused."""
         if isinstance(other, Ball):
             return other
         if isinstance(other, (int, Fraction)):
             return Ball.from_fraction(other, self.prec)
         if isinstance(other, Dyadic):
             return Ball(other, other, self.prec)
-        return NotImplemented
+        raise TypeError(f"unsupported operand type for Ball arithmetic: {type(other).__name__!r}")
 
     def sqrt(self) -> "Ball":
         p = self.prec
@@ -403,15 +372,15 @@ class Ball:
         if b > MAX_ROOT_DEGREE:
             raise ValueError(f"exponent {a}/{b}: denominator above {MAX_ROOT_DEGREE}")
         if a < 0:
-            return Ball.from_fraction(1, p).div(self.pow_frac(-expo, p))
+            return Ball.from_fraction(1, p) / self.pow_frac(-expo, p)
         cur = Ball.from_fraction(1, p + 8)
         base = self.at(p + 8)
         while a:
             if a & 1:
-                cur = cur.mul(base)
+                cur = cur * base
             a >>= 1
             if a:
-                base = base.mul(base)
+                base = base * base
         return cur.root(b, p) if b > 1 else cur.at(p)
 
     def widen_by(self, radius: Fraction | Dyadic) -> "Ball":
@@ -501,12 +470,12 @@ def _two_atanh(u: Ball, ell: int, w: int) -> Ball:
     remainder.  The remainder is under 2^(-w-7-3*ell) and every step rounds
     relative to its term, so the error shrinks with u."""
     terms = (w + 8) // (2 * ell) + 2
-    u2 = u.mul(u)
+    u2 = u * u
     term = u
-    acc = Ball.point(0, u.prec)
+    acc = Ball.from_fraction(0, u.prec)
     for j in range(1, terms):
-        term = term.mul(u2)
-        acc = acc.add(term.div(Ball.from_fraction(2 * j + 1, w + 16)))
+        term = term * u2
+        acc = acc + term / Ball.from_fraction(2 * j + 1, w + 16)
     # tail <= |u|^(2T+1)/((2T+1)(1-u^2)) < 2^(-(2T+1)*ell), doubled
     return (acc + acc).widen_by(Dyadic(1, -(2 * terms + 1) * ell + 1))
 
@@ -536,12 +505,12 @@ def ln_ball(r: Fraction | int, prec: int = DEFAULT_PREC) -> Ball:
         ell -= 1  # now |u| < 2^-ell, and |u| <= 1/5 keeps ell >= 2
 
     def attempt(w: int) -> Ball | None:
-        out = Ball.point(0, w)
+        out = Ball.from_fraction(0, w)
         if unum:
             u = Ball.from_fraction(Fraction(unum, uden), w + 16)
-            out = _two_atanh(u, ell, w).add(u + u)
+            out = _two_atanh(u, ell, w) + (u + u)
         if s:
-            out = out.add(_ln2(_bucket(w + s.bit_length() + 8)).mul(Ball.from_fraction(s, w)))
+            out = out + _ln2(_bucket(w + s.bit_length() + 8)) * Ball.from_fraction(s, w)
         out = out.at(w)
         # keep the working precision: re-rounding to prec bits would break
         # the absolute width contract once |ln r| exceeds 2^4
@@ -595,7 +564,7 @@ def const_sinh1(prec: int = DEFAULT_PREC) -> Ball:
     w = prec + 16
     e = const_e(w)
     half = Ball.from_fraction(Fraction(1, 2), w)
-    return (e - Ball.from_fraction(1, w).div(e)).mul(half).at(prec)
+    return ((e - Ball.from_fraction(1, w) / e) * half).at(prec)
 
 
 @dataclass(frozen=True)
@@ -621,9 +590,9 @@ def _constants_cached(prec: int) -> Constants:
         prec=prec,
         e=e.at(prec),
         sinh1=sinh1.at(prec),
-        critical_offset=sinh1.div(twelve).at(prec),
-        gap_target=sinh1.div(six).at(prec),
-        three_over_sinh1=three.div(sinh1).at(prec),
+        critical_offset=(sinh1 / twelve).at(prec),
+        gap_target=(sinh1 / six).at(prec),
+        three_over_sinh1=(three / sinh1).at(prec),
     )
 
 

@@ -154,7 +154,7 @@ def em_overshoot(n: int, m: int, delta: Ball, w: int) -> Ball:
         raise ValueError("need n >= 2")
     W = w + 32
     e = const_e(W)
-    nb, mb = Ball.point(n - 1, W).at(W), Ball.point(m, W).at(W)
+    nb, mb = Ball.from_fraction(n - 1, W).at(W), Ball.from_fraction(m, W).at(W)
     a = (e - 1) / 2 + delta
     men = mb + e * nb
     u = a / men
@@ -172,7 +172,7 @@ def pair_delta(n: int, m: int, w: int) -> Ball:
     w + 32 bits like em_overshoot's terms."""
     W = w + 2 * m.bit_length()
     e = const_e(W)
-    return (Ball.point(m, W) - e * Ball.point(n, W) + (1 + e) / 2).at(w + 32)
+    return (Ball.from_fraction(m, W) - e * Ball.from_fraction(n, W) + (1 + e) / 2).at(w + 32)
 
 
 def pair_offset(n: int, m: int, prec: int = 0) -> Ball:
@@ -194,9 +194,9 @@ def pair_offset(n: int, m: int, prec: int = 0) -> Ball:
 def _scaled_prediction(offset: Ball, w: int) -> Ball:
     """(24 y/e + e^-2 - 1)/24 for y in offset: n^2 times the second-order
     prediction.  At y = 1/8 this is the scan's connection threshold tau."""
-    inv = Ball.from_fraction(1, w + 16).div(const_e(w + 16))
+    inv = Ball.from_fraction(1, w + 16) / const_e(w + 16)
     numer = Ball.from_fraction(24, w) * inv * offset + inv * inv - 1
-    return numer.div(Ball.from_fraction(24, w))
+    return numer / Ball.from_fraction(24, w)
 
 
 def predicted_overshoot(n: int, offset: Ball, prec: int = 128) -> Ball:
@@ -208,4 +208,4 @@ def predicted_overshoot(n: int, offset: Ball, prec: int = 128) -> Ball:
     if n < 2:
         raise ValueError("n must be >= 2")
     w = max(prec, 64)
-    return _scaled_prediction(offset, w).div(Ball.from_fraction(n * n, w))
+    return _scaled_prediction(offset, w) / Ball.from_fraction(n * n, w)

@@ -143,9 +143,8 @@ class RecordTable:
         """n^(2+delta) * overshoot per record: the conjectured-divergence view."""
         out = []
         for r in self.records:
-            v = Ball.from_fraction(r.n, prec).pow_frac(2 + Fraction(delta), prec).mul(
-                Ball.from_fraction(r.overshoot, prec)
-            )
+            power = Ball.from_fraction(r.n, prec).pow_frac(2 + Fraction(delta), prec)
+            v = power * Ball.from_fraction(r.overshoot, prec)
             lo, hi = v.interval_str(20)
             out.append((r.n, lo, hi))
         return out

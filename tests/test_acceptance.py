@@ -81,7 +81,7 @@ def test_criterion_03_remainder_refinement():
     worst = Fraction(0)
     for k in range(1, 301):
         s = odd_convergent(k, prec=96)
-        inv = Ball.from_fraction(1, 256).div(s.remainder)
+        inv = Ball.from_fraction(1, 256) / s.remainder
         dev = abs(inv - Ball.from_fraction(2 * k + 3, 256))
         assert dev.hi.cmp_fraction(Fraction(2, k)) <= 0, k
         worst = max(worst, k * dev.hi.as_fraction())

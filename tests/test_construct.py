@@ -48,7 +48,7 @@ class TestIdealMultiplier:
         for k, tol in ((20, Fraction(1, 10)), (100, Fraction(1, 45)), (200, Fraction(1, 90))):
             d = ideal_multiplier(k)
             ref = (Ball.from_fraction(2 * k, 128) * c.sinh1 / 3).sqrt()
-            ratio = d.div(ref)
+            ratio = d / ref
             assert abs(ratio - 1).hi.cmp_fraction(tol) < 0, k
 
     def test_odd_k_rejected(self):
@@ -80,8 +80,8 @@ class TestPickMultiplier:
 
     def test_tie_rule(self):
         # exact even-integer point ball: tie broken upward
-        assert closest_odd(Ball.point(4, 64)) == 5
-        assert closest_odd(Ball.point(3, 64)) == 3
+        assert closest_odd(Ball.from_fraction(4, 64)) == 5
+        assert closest_odd(Ball.from_fraction(3, 64)) == 3
         assert closest_odd(Ball.from_fraction(Fraction(366, 100), 64)) == 3
         assert closest_odd(Ball.from_fraction(Fraction(51, 10), 64)) == 5
 

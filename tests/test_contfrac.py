@@ -338,7 +338,7 @@ class TestRefinement:
         # |1/r - (2k+3)| <= 2/k on a prefix (acceptance covers k <= 300)
         for k in range(1, 50):
             s = odd_convergent(k, prec=96)
-            inv = Ball.from_fraction(1, 256).div(s.remainder)
+            inv = Ball.from_fraction(1, 256) / s.remainder
             dev = abs(inv - Ball.from_fraction(2 * k + 3, 256))
             assert dev.hi.cmp_fraction(Fraction(2, k)) <= 0, k
 

@@ -21,6 +21,8 @@ from harmonicgap.exactnum import (
     const_sinh1,
     constants,
     _exp_series,
+    _dyadic_div,
+    _dyadic_root,
     _ln2,
     ln_ball,
 )
@@ -55,9 +57,37 @@ def _e_oracle(K: int = 40) -> tuple[Fraction, Fraction]:
 
 
 class TestDyadic:
-    def test_normalization(self):
-        d = Dyadic(12, 0)
-        assert d.man == 3 and d.exp == 2
+    @settings(max_examples=200, deadline=None)
+    @given(
+        man=st.integers(-(2**80), 2**80),
+        exp=st.integers(-80, 80),
+        shift=st.integers(0, 80),
+        other_man=st.integers(-(2**80), 2**80),
+        other_exp=st.integers(-80, 80),
+        prec=st.integers(1, 40),
+    )
+    @example(man=3, exp=2, shift=2, other_man=3, other_exp=1, prec=1)  # 12 as (3, 2) and as (12, 0)
+    @example(man=0, exp=5, shift=7, other_man=-1, other_exp=0, prec=8)
+    def test_stored_form_does_not_matter(self, man, exp, shift, other_man, other_exp, prec):
+        # a value stored with trailing zero bits behaves as its odd form
+        a, b, c = Dyadic(man, exp), Dyadic(man << shift, exp - shift), Dyadic(other_man, other_exp)
+        assert a == b and b == a
+        assert [a < c, a <= c, a > c, a >= c, a == c] == [b < c, b <= c, b > c, b >= c, b == c]
+        assert a.as_fraction() == b.as_fraction()
+        assert a.bit_magnitude() == b.bit_magnitude()
+        for up in (False, True):
+            assert a.decimal_str(24, up) == b.decimal_str(24, up)
+            if c.man:
+                assert _dyadic_div(a, c, prec, up) == _dyadic_div(b, c, prec, up)
+            if a.man:
+                assert _dyadic_div(c, a, prec, up) == _dyadic_div(c, b, prec, up)
+            for n in (2, 3, 64):
+                # past n * (prec + 2) bits the mantissa's length stops setting the shift
+                for s in (shift, shift + n * (prec + 2)):
+                    wide = Dyadic(abs(man) << s, exp - s)
+                    assert _dyadic_root(wide, n, prec, up) == _dyadic_root(Dyadic(abs(man), exp), n, prec, up)
+        assert a.round_down(prec) == b.round_down(prec)
+        assert a.round_up(prec) == b.round_up(prec)
 
     def test_round_directed(self):
         d = Dyadic(0b10111, 0)  # 23
@@ -115,28 +145,41 @@ class TestDyadicDecimalStr:
 
 class TestBallOps:
     def test_add_exact_points(self):
-        b = Ball.point(1, 64) + Ball.point(1, 64)
+        b = Ball.from_fraction(1, 64) + Ball.from_fraction(1, 64)
         assert b.lo == b.hi and b.lo.as_fraction() == 2
 
     def test_sqrt_point(self):
-        b = Ball.point(4, 64).sqrt()
+        b = Ball.from_fraction(4, 64).sqrt()
         assert b.contains(2)
         w = b.width()
-        assert w.is_zero() or w.bit_magnitude() <= 1 - 64 + 2
+        assert w.man == 0 or w.bit_magnitude() <= 1 - 64 + 2
 
     def test_div_third(self):
-        third = Ball.point(1, 64).div(Ball.point(3, 64))
+        third = Ball.from_fraction(1, 64) / Ball.from_fraction(3, 64)
         assert third.contains(Fraction(1, 3))
         assert third.width_leq(-62)
 
     def test_div_by_zero_ball(self):
         straddling = Ball.from_endpoints(Fraction(-1), Fraction(1), 64)
         with pytest.raises(PrecisionError):
-            Ball.point(1, 64).div(straddling)
+            Ball.from_fraction(1, 64) / straddling
 
     def test_sqrt_negative_rejected(self):
         with pytest.raises(ValueError):
-            Ball.point(-1, 64).sqrt()
+            Ball.from_fraction(-1, 64).sqrt()
+
+    def test_float_operand_refused(self):
+        b = Ball.from_fraction(Fraction(3, 64))
+        for op in (
+            lambda: b + 1.5,
+            lambda: 1.5 * b,
+            lambda: b / 2.0,
+            lambda: b * "x",
+            lambda: 2.0 - b,
+            lambda: b - 0.5,
+        ):
+            with pytest.raises(TypeError, match="operand type"):
+                op()
 
     def test_containment_ten_thousand_rationals(self):
         # single-op containment over 10^4 random rationals
@@ -188,22 +231,22 @@ class TestBallOps:
                 b = Ball.from_fraction(Fraction(1, 3), prec)
                 for op, v in ops:
                     if op == "a":
-                        b = b.add(Ball.from_fraction(v, prec))
+                        b = b + Ball.from_fraction(v, prec)
                     elif op == "s":
-                        b = b.sub(Ball.from_fraction(v, prec))
+                        b = b - Ball.from_fraction(v, prec)
                     elif op == "m":
-                        b = b.mul(Ball.from_fraction(v, prec))
+                        b = b * Ball.from_fraction(v, prec)
                     else:
-                        b = b.div(Ball.from_fraction(v, prec))
+                        b = b / Ball.from_fraction(v, prec)
                 widths.append(b.width().as_fraction())
             assert widths[1] * 2 <= widths[0] or widths[0] == 0
 
     def test_pow_frac_root_degree_cap(self):
         x = Ball.from_fraction(10, 96)
         root = x.pow_frac(Fraction(1, MAX_ROOT_DEGREE))  # the largest degree accepted
-        power = Ball.point(1, 96)
+        power = Ball.from_fraction(1, 96)
         for _ in range(MAX_ROOT_DEGREE):
-            power = power.mul(root)
+            power = power * root
         assert power.contains(10)
         with pytest.raises(ValueError, match="denominator"):
             x.pow_frac(Fraction(1, MAX_ROOT_DEGREE + 1))
@@ -225,11 +268,11 @@ def _pow_frac_sequential(x: Ball, expo: Fraction, p: int) -> Ball:
     """x**(a/b) with the power taken by |a| sequential ball products."""
     a, b = expo.numerator, expo.denominator
     if a < 0:
-        return Ball.from_fraction(1, p).div(_pow_frac_sequential(x, -expo, p))
+        return Ball.from_fraction(1, p) / _pow_frac_sequential(x, -expo, p)
     cur = Ball.from_fraction(1, p + 8)
     base = x.at(p + 8)
     for _ in range(a):
-        cur = cur.mul(base)
+        cur = cur * base
     return cur.root(b, p) if b > 1 else cur.at(p)
 
 
@@ -265,8 +308,8 @@ class TestPowFrac:
     def test_large_exponent_by_squaring(self, monkeypatch):
         x = Ball.from_fraction(Fraction(3, 7), 192)
         calls = []
-        mul = Ball.mul
-        monkeypatch.setattr(Ball, "mul", lambda self, other: calls.append(1) or mul(self, other))
+        mul = Ball.__mul__
+        monkeypatch.setattr(Ball, "__mul__", lambda self, other: calls.append(1) or mul(self, other))
         start = time.perf_counter()
         out = x.pow_frac(Fraction(-20000))
         assert time.perf_counter() - start < 0.5
@@ -314,6 +357,15 @@ class TestLn:
         lo, tail = _ln_oracle(Fraction(19, 7))
         b = ln_ball(Fraction(19, 7), 96)
         assert b.lo.cmp_fraction(lo + tail) <= 0 and b.hi.cmp_fraction(lo) >= 0
+
+    @pytest.mark.parametrize("r", [Fraction(17, 31), Fraction(65, 127)])
+    def test_doubling_step(self, r):
+        # same bit length above and below with 3a < 2b: the reduction doubles
+        lo, tail = _ln_oracle(r)
+        for prec in (48, 192):
+            b = ln_ball(r, prec)
+            assert b.width_leq(4 - prec)
+            assert b.lo.cmp_fraction(lo + tail) <= 0 and b.hi.cmp_fraction(lo - tail) >= 0
 
     def test_domain_error(self):
         with pytest.raises(ValueError):

@@ -259,5 +259,5 @@ class TestPrediction:
         assert abs(diff).hi.cmp_fraction(Fraction(1, 107**3)) < 0
 
     def test_zero_offset_negative(self):
-        p = predicted_overshoot(50, Ball.point(0, 128))
+        p = predicted_overshoot(50, Ball.from_fraction(0, 128))
         assert p.sign() == -1

@@ -50,7 +50,7 @@ class TestThreshold:
         tau = quality_threshold(160)
         n = 1000
         pred = predicted_overshoot(n, Ball.from_fraction(Fraction(1, 8), 160))
-        scaled = pred.mul(Ball.from_fraction(n * n, 160))
+        scaled = pred * Ball.from_fraction(n * n, 160)
         assert scaled.overlaps(tau)
 
     @pytest.mark.parametrize("prec", [128, 160, 512])
