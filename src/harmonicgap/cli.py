@@ -50,8 +50,8 @@ def _frac_str(fr: Fraction) -> str:
     return f"{decimal_str(fr.numerator)}/{decimal_str(fr.denominator)}"
 
 
-def _ball_obj(b: Ball, digits: int = INTERVAL_DIGITS) -> dict:
-    lo, hi = b.interval_str(digits)
+def _ball_obj(b: Ball) -> dict:
+    lo, hi = b.interval_str(INTERVAL_DIGITS)
     return {"lo": lo, "hi": hi, "prec": b.prec}
 
 
@@ -322,7 +322,7 @@ def cmd_et(args) -> int:
     held = 0
     for _ in range(args.trials):
         ps, a, b, order = counting.random_et_instance(rng)
-        rep = counting.erdos_turan_check(ps, a, b, order, bits=args.bits)
+        rep = counting.erdos_turan_check(ps, a, b, order)
         if rep.holds:
             held += 1
     _emit(f"{held}/{args.trials} hold", args.output)
@@ -403,7 +403,6 @@ def build_parser() -> argparse.ArgumentParser:
     common(p)
     p.add_argument("--seed", type=int, required=True)
     p.add_argument("--trials", type=int, required=True)
-    p.add_argument("--bits", type=int, default=72)
     p.set_defaults(fn=cmd_et)
 
     return ap

@@ -135,15 +135,10 @@ class CandidatePair:
     canonical: bool          # d == pick_multiplier(k)
     bound_ok: bool | None    # overshoot > 0 and quality * sqrt(k) <= 1001; None at k = 0
 
-    @property
-    def overshoot_positive(self) -> bool | None:
-        s = self.overshoot.sign()
-        return None if s is None else s > 0
-
-    def scaled_quality(self, prec: int = 128) -> Ball:
-        """|quality| * (ln n)^(5/4), the refined-rate yardstick."""
-        logn = ln_ball(Fraction(self.n), prec)
-        return abs(self.quality) * logn.pow_frac(Fraction(5, 4), prec)
+    def scaled_quality(self) -> Ball:
+        """|quality| * (ln n)^(5/4), the refined-rate yardstick, at 128 bits."""
+        logn = ln_ball(Fraction(self.n), 128)
+        return abs(self.quality) * logn.pow_frac(Fraction(5, 4), 128)
 
 
 def _delta(k: int, d: int, w: int) -> Ball:

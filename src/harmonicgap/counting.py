@@ -38,6 +38,8 @@ except ImportError:  # pragma: no cover
 _COMPILED_WIDTH = 125
 _COMPILED_SUM_LIMIT = 1 << 127
 
+WEYL_BITS = 72  # the Weyl sums' first width; erdos_turan_check escalates to 4x it
+
 __all__ = [
     "PointSet",
     "ETReport",
@@ -137,7 +139,7 @@ def _cos_sin_fp(num: int, den: int, bits: int) -> tuple[int, int, int]:
     return s_fp, -c_fp, radius
 
 
-def cos_sin_2pi(t: Fraction, bits: int = 72) -> tuple[Ball, Ball]:
+def cos_sin_2pi(t: Fraction, bits: int = WEYL_BITS) -> tuple[Ball, Ball]:
     """Certified (cos 2 pi t, sin 2 pi t) for a rational t.
 
     Fixed-point Taylor evaluation after quadrant reduction, wrapped into
@@ -283,7 +285,7 @@ class _PowerSums:
         return self.balls[m - 1]
 
 
-def weyl_sum_abs(ps: PointSet, m: int, bits: int = 72) -> Ball:
+def weyl_sum_abs(ps: PointSet, m: int, bits: int = WEYL_BITS) -> Ball:
     """Certified |S_m| where S_m = sum of e(m x) over the rational point set.
 
     The sums come from `_PowerSums`: one Taylor evaluation per point, then
@@ -329,13 +331,7 @@ class ETReport:
     holds: bool
 
 
-def erdos_turan_check(
-    ps: PointSet,
-    a: Fraction,
-    b: Fraction,
-    order: int,
-    bits: int = 72,
-) -> ETReport:
+def erdos_turan_check(ps: PointSet, a: Fraction, b: Fraction, order: int) -> ETReport:
     """Check |#{x in [a,b] mod 1} - N delta| <= N/(L+1) + E with
     E = 2 (1/(L+1) + delta) * sum_{m<=L} |S_m| (the compact upper form)."""
     a, b = Fraction(a), Fraction(b)
@@ -344,9 +340,6 @@ def erdos_turan_check(
         raise ValueError("need an interval of length strictly between 0 and 1")
     if order < 1:
         raise ValueError("order L must be >= 1")
-    if bits < 8:
-        # the cap 4*bits must reach the 32-bit minimum for any attempt to run
-        raise ValueError("bits must be >= 8")
     n = len(ps)
     count = _count_in_window(ps.points, a, delta)
     lhs = abs(count - n * delta)
@@ -361,7 +354,7 @@ def erdos_turan_check(
         return None if decided is None else ETReport(n, count, delta, order, lhs, rhs, bool(decided))
 
     try:
-        return escalating(attempt, start=bits, cap=4 * bits, what="inequality comparison")
+        return escalating(attempt, start=WEYL_BITS, cap=4 * WEYL_BITS, what="inequality comparison")
     finally:
         # the powers take about 0.3 KB per point, and no later check needs them
         ps.__dict__.pop(_MEMO, None)
@@ -552,20 +545,22 @@ def _attempt_hit(av: Ball, exponent: Fraction, n: int, a_m: int, b_m: int):
     m = a_m + b_m * int(j)
     if m <= 0:
         return None
-    err_scaled = abs(v - Ball.from_fraction(m, prec))  # |alpha n^2 - m|
-    threshold = Ball.from_fraction(n, prec).pow_frac(2 - exponent, prec)
-    decided = err_scaled.decide_lt(threshold)
+    err_scaled, decided = _within(v, m, n, exponent)
     if decided is None:
         return "skip"
     if not decided:
         return None
-    err = err_scaled / Ball.from_fraction(n * n, prec)
-    return ApproxHit(m, n, err)
+    return ApproxHit(m, n, err_scaled / Ball.from_fraction(n * n, prec))
+
+
+def _within(v: Ball, m: int, n: int, exponent: Fraction) -> tuple[Ball, bool | None]:
+    """(|v - m|, whether it is below n^(2 - exponent)) for v = alpha n^2,
+    both at v's precision."""
+    err = abs(v - Ball.from_fraction(m, v.prec))
+    return err, err.decide_lt(Ball.from_fraction(n, v.prec).pow_frac(2 - exponent, v.prec))
 
 
 def verify_hit(alpha: Callable[[int], Ball], exponent: Fraction, hit: ApproxHit, prec: int) -> bool:
     """Re-verify an accepted pair at alpha(prec), typically at doubled precision."""
-    av = alpha(prec)
-    err = abs(av * Ball.from_fraction(hit.n * hit.n, prec) - Ball.from_fraction(hit.m, prec))
-    threshold = Ball.from_fraction(hit.n, prec).pow_frac(2 - Fraction(exponent), prec)
-    return err.decide_lt(threshold) is True
+    v = alpha(prec) * Ball.from_fraction(hit.n * hit.n, prec)
+    return _within(v, hit.m, hit.n, Fraction(exponent))[1] is True

@@ -241,9 +241,7 @@ class Ball:
         s = self.lo + self.hi
         return Dyadic(s.man, s.exp - 1)
 
-    def contains(self, v: Fraction | int | Dyadic) -> bool:
-        if isinstance(v, Dyadic):
-            return self.lo <= v and v <= self.hi
+    def contains(self, v: Fraction | int) -> bool:
         fr = Fraction(v)
         return self.lo.cmp_fraction(fr) <= 0 and self.hi.cmp_fraction(fr) >= 0
 
@@ -571,9 +569,6 @@ def const_sinh1(prec: int = DEFAULT_PREC) -> Ball:
 class Constants:
     """The recurring certified constants, all at a common precision."""
 
-    prec: int
-    e: Ball
-    sinh1: Ball
     critical_offset: Ball  # sinh(1)/12: the offset nulling the n^-2 error term
     gap_target: Ball       # sinh(1)/6: what the scaled gap must approach
     three_over_sinh1: Ball
@@ -581,15 +576,11 @@ class Constants:
 
 @lru_cache(maxsize=None)
 def _constants_cached(prec: int) -> Constants:
-    e = const_e(prec + 16)
     sinh1 = const_sinh1(prec + 16)
     twelve = Ball.from_fraction(12, prec + 16)
     six = Ball.from_fraction(6, prec + 16)
     three = Ball.from_fraction(3, prec + 16)
     return Constants(
-        prec=prec,
-        e=e.at(prec),
-        sinh1=sinh1.at(prec),
         critical_offset=(sinh1 / twelve).at(prec),
         gap_target=(sinh1 / six).at(prec),
         three_over_sinh1=(three / sinh1).at(prec),

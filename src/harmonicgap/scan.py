@@ -94,12 +94,8 @@ class RecordRow:
     is_convergent: bool
 
     def csv(self) -> str:
-        eps, scaled = self.overshoot, self.scaled
-        return (
-            f"{self.n},{self.t},{decimal_str(eps.numerator)},{decimal_str(eps.denominator)},"
-            f"{decimal_str(scaled.numerator)},{decimal_str(scaled.denominator)},"
-            f"{self.reduced_p},{self.reduced_q},{self.d},{str(self.is_convergent).lower()}"
-        )
+        # every value is a decimal integer or a bool, so lower() only touches the bools
+        return ",".join(str(v).lower() for v in self.json_obj().values())
 
     def json_obj(self) -> dict:
         return {
@@ -139,12 +135,13 @@ class RecordTable:
             "exact_hits": [list(pair) for pair in self.exact_hits],
         }
 
-    def profile(self, delta: Fraction, prec: int = 96) -> list[tuple[int, str, str]]:
-        """n^(2+delta) * overshoot per record: the conjectured-divergence view."""
+    def profile(self, delta: Fraction) -> list[tuple[int, str, str]]:
+        """n^(2+delta) * overshoot per record, at 96 bits: the
+        conjectured-divergence view."""
         out = []
         for r in self.records:
-            power = Ball.from_fraction(r.n, prec).pow_frac(2 + Fraction(delta), prec)
-            v = power * Ball.from_fraction(r.overshoot, prec)
+            power = Ball.from_fraction(r.n, 96).pow_frac(2 + Fraction(delta), 96)
+            v = power * Ball.from_fraction(r.overshoot, 96)
             lo, hi = v.interval_str(20)
             out.append((r.n, lo, hi))
         return out

@@ -1,5 +1,6 @@
 """Command-line surface: flags, exit codes, output contracts."""
 
+import argparse
 import dataclasses
 import json
 import os
@@ -9,12 +10,13 @@ import subprocess
 import sys
 import time
 from fractions import Fraction
+from pathlib import Path
 
 import pytest
 
 from harmonicgap import construct, counting, scan
 from harmonicgap._pool import ordered_map
-from harmonicgap.cli import main
+from harmonicgap.cli import build_parser, main
 from harmonicgap.harmonic import exact_sum
 
 from conftest import int_str_limit
@@ -199,6 +201,8 @@ class TestScan:
         assert first[0] == "2" and first[1] == "4"
         assert (first[2], first[3]) == ("1", "12")
         assert (first[4], first[5]) == ("1", "3")
+        assert first[6:] == ["3", "1", "3", "true"]
+        assert [line.split(",")[-1] for line in lines[2:]] == ["false", "false", "true"]
 
     def test_thread_invariance_bytes(self, capsys, monkeypatch):
         monkeypatch.setattr(scan, "DEFAULT_BLOCK_SIZE", 2048)
@@ -214,6 +218,17 @@ class TestScan:
         obj = json.loads(out1)
         assert obj["wall_time_s"] is None
         assert obj["horizon"] == 500
+
+    def test_json_timing(self, capsys):
+        code, out, _ = run(capsys, "scan", "--n-max", "500", "--format", "json", "--timing")
+        assert code == 0
+        timed = json.loads(out)
+        wall = timed.pop("wall_time_s")
+        assert type(wall) is float and wall >= 0
+        _, out, _ = run(capsys, "scan", "--n-max", "500", "--format", "json")
+        plain = json.loads(out)
+        assert plain.pop("wall_time_s") is None
+        assert timed == plain
 
     def test_n_max_1_exit_2(self, capsys):
         code, _, _ = run(capsys, "scan", "--n-max", "1")
@@ -410,6 +425,16 @@ class TestApprox:
         obj = json.loads(out)
         assert ("16", "2") in {(h["m"], h["n"]) for h in obj["hits"]}
 
+    def test_half_integer_targets_skipped(self, capsys):
+        # alpha n^2 = n^2/2 is a half-integer at odd n, where no nearest m exists
+        code, out, _ = run(capsys, "approx", "--alpha", "1/2", "--exponent", "2", "--n-max", "10")
+        assert code == 0
+        obj = json.loads(out)
+        assert obj["skipped_undecidable"] == 4
+        assert [(h["m"], h["n"]) for h in obj["hits"]] == [
+            (str(n * n // 2), str(n)) for n in (2, 4, 6, 8, 10)
+        ]
+
     def test_failed_recheck_exit_1(self, capsys, monkeypatch):
         monkeypatch.setattr(counting, "verify_hit", lambda *args: False)
         code, out, err = run(
@@ -433,15 +458,10 @@ class TestEt:
         _, out2, _ = run(capsys, "et", "--seed", "3", "--trials", "5")
         assert out1 == out2
 
-    @pytest.mark.parametrize("bits", ["-5", "0"])
-    def test_bits_without_attempt_exit_2(self, capsys, bits):
-        # below 8 bits the precision cap 4*bits leaves no 32-bit attempt
-        code, _, err = run(capsys, "et", "--seed", "1", "--trials", "2", "--bits", bits)
-        assert code == 2
-        assert "bits must be >= 8" in err
-
-    def test_smallest_bits(self, capsys):
-        code, out, _ = run(capsys, "et", "--seed", "1", "--trials", "2", "--bits", "8")
+    def test_smallest_bits(self, capsys, monkeypatch):
+        # 8 bits is the smallest start whose cap, 4 x 8, reaches the 32-bit minimum
+        monkeypatch.setattr(counting, "WEYL_BITS", 8)
+        code, out, _ = run(capsys, "et", "--seed", "1", "--trials", "2")
         assert code == 0
         assert out.strip() == "2/2 hold"
 
@@ -530,6 +550,12 @@ class TestRemovedSurface:
             main(["bench"])
         assert exc.value.code == 2
 
+    def test_et_bits_exit_2(self):
+        # the Weyl sums start at counting.WEYL_BITS; no caller chose another width
+        with pytest.raises(SystemExit) as exc:
+            main(["et", "--seed", "1", "--trials", "2", "--bits", "8"])
+        assert exc.value.code == 2
+
     def test_center_shifted_exit_2(self):
         # the joint search centres its windows on the ideal multiplier only
         with pytest.raises(SystemExit) as exc:
@@ -548,6 +574,21 @@ class TestRemovedSurface:
         env = dict(os.environ, HARMONICGAP_PREC="abc")
         bad = subprocess.run(cmd, capture_output=True, text=True, env=env)
         assert (bad.returncode, bad.stdout) == (plain.returncode, plain.stdout) == (0, "2/1\n3/1\n8/3\n")
+
+
+class TestReadme:
+    def test_names_every_option(self):
+        readme = (Path(__file__).resolve().parent.parent / "README.md").read_text(encoding="utf-8")
+        sub = next(a for a in build_parser()._actions if isinstance(a, argparse._SubParsersAction))
+        unnamed = [
+            (command, opt)
+            for command, parser in sub.choices.items()
+            for action in parser._actions
+            if not isinstance(action, argparse._HelpAction)
+            for opt in action.option_strings
+            if not re.search(re.escape(opt) + r"(?![\w-])", readme)
+        ]
+        assert unnamed == []
 
 
 class TestEntryPoint:

@@ -32,7 +32,7 @@ from harmonicgap.counting import (
     verify_hit,
     weyl_sum_abs,
 )
-from harmonicgap.exactnum import Ball, constants
+from harmonicgap.exactnum import Ball, const_sinh1, constants
 
 
 class TestTrig:
@@ -145,13 +145,14 @@ class TestWeylSum:
                     assert abs(mpmath.mpc(c, s) - u * one) <= sums.err, (m, x)
         assert sums.err == 51401  # the figure in the _PowerSums docstring
 
-    def test_inequality_at_smallest_bits(self):
-        # L = 50 at bits = 8: one attempt at 32 bits, the largest radii
+    def test_inequality_at_smallest_bits(self, monkeypatch):
+        # L = 50 from 8 bits: one attempt at 32 bits, the largest radii
         # erdos_turan_check can meet
+        monkeypatch.setattr(counting, "WEYL_BITS", 8)
         rng = random.Random(7)
         for _ in range(20):
             ps, a, b, _ = random_et_instance(rng)
-            assert erdos_turan_check(ps, a, b, 50, bits=8).holds
+            assert erdos_turan_check(ps, a, b, 50).holds
 
     def test_memo_leaves_identity_alone(self):
         pts = [Fraction(k * k % 101, 101) for k in range(50)]
@@ -280,11 +281,13 @@ class TestWeylKernel:
 
     @pytest.mark.parametrize("bits", [8, 72, 120])
     def test_reports_same_with_kernel_hidden_and_shown(self, weyl_c, monkeypatch, bits):
+        monkeypatch.setattr(counting, "WEYL_BITS", bits)
+
         def reports():
             rng = random.Random(bits)
             out = []
             for _ in range(6):
-                rep = erdos_turan_check(*random_et_instance(rng), bits=bits)
+                rep = erdos_turan_check(*random_et_instance(rng))
                 out.append((rep.count, rep.lhs, _ball_key(rep.rhs), rep.holds))
             return out
 
@@ -508,6 +511,20 @@ class TestSquareDenominatorSearch:
         with pytest.raises(ValueError):
             square_denominator_search(lambda prec: Ball.from_fraction(4, prec), Fraction(3), 10)
 
+    def test_nearest_m_zero_is_no_hit(self):
+        # alpha n^2 < 1/2 for n <= 3, so the nearest m is 0
+        hits, skipped = square_denominator_search(
+            lambda prec: Ball.from_fraction(Fraction(1, 1000), prec), Fraction(2), 3
+        )
+        assert (hits, skipped) == ([], 0)
+
+    def test_tie_with_threshold_skipped(self):
+        # at n = 81, alpha n^2 = 4/3 lies exactly 81^(-1/4) = 1/3 from m = 1
+        hits, skipped = square_denominator_search(
+            lambda prec: Ball.from_fraction(Fraction(4, 19683), prec), Fraction(9, 4), 81, n_mod=(81, 100)
+        )
+        assert (hits, skipped) == ([], 1)
+
     def test_hits_connect_to_subsequence_remainders(self):
         # accepted (m, n) with m = 3 (mod 4), n odd translate to even
         # k = (m-3)/2 and multiplier d = n with r_{3k+2} d^2 close to
@@ -519,7 +536,7 @@ class TestSquareDenominatorSearch:
             alpha, Fraction(9, 4), 25, n_mod=(1, 2), m_mod=(3, 4)
         )
         checked = 0
-        target = constants(160).sinh1 / 3
+        target = const_sinh1(160) / 3
         for h in hits:
             k = (h.m - 3) // 2
             if k > 200:

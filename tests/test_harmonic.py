@@ -9,7 +9,7 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from harmonicgap.construct import certify, pair_from
-from harmonicgap.exactnum import Ball, constants
+from harmonicgap.exactnum import Ball, const_e, constants
 from harmonicgap.harmonic import (
     _walk,
     ball_sum,
@@ -145,7 +145,7 @@ class TestCrossing:
 
     def test_crossing_location_envelope(self):
         # |t(n) - e n + (1+e)/2| <= 1.1 empirically on 10 <= n <= 10^4
-        e = constants(96).e
+        e = const_e(128)
         for rec in iter_crossings(10, 10**4):
             loc = Ball.from_fraction(rec.t, 96) - Ball.from_fraction(rec.n, 96) * e + (
                 1 + e
@@ -174,7 +174,7 @@ class TestOffset:
             assert pair_offset(n, m).sign() in (-1, 1)
 
 
-E = constants(128).e.midpoint().as_fraction()  # e to 2^-120, to place pairs
+E = const_e(128).midpoint().as_fraction()  # e to 2^-120, to place pairs
 
 
 def _em(n: int, m: int, w: int = 192) -> Ball:

@@ -2,6 +2,7 @@
 here starts a process."""
 
 import concurrent.futures
+import os
 
 import pytest
 
@@ -23,6 +24,8 @@ class _InlinePool:
 
 @pytest.fixture
 def pool_sizes(monkeypatch):
+    # more cores than any test asks workers for, so items and workers set the size
+    monkeypatch.setattr(os, "cpu_count", lambda: 1 << 20)
     sizes = []
     monkeypatch.setattr(
         concurrent.futures, "ProcessPoolExecutor", lambda *a, **kw: _InlinePool(sizes, *a, **kw)
@@ -36,6 +39,15 @@ def test_no_more_workers_than_items(pool_sizes):
     with _pool.ordered_map(str, [3, 1, 2], 2) as results:
         assert list(results) == ["3", "1", "2"]
     assert pool_sizes == [3, 2]
+
+
+@pytest.mark.parametrize("cores", [2, None])
+def test_no_more_workers_than_cores(pool_sizes, monkeypatch, cores):
+    # os.cpu_count() is None where the count is unknown: then one process
+    monkeypatch.setattr(os, "cpu_count", lambda: cores)
+    with _pool.ordered_map(str, [3, 1, 2, 5], 1000) as results:
+        assert list(results) == ["3", "1", "2", "5"]
+    assert pool_sizes == [cores or 1]
 
 
 def test_scan_pool_sized_by_blocks(pool_sizes, tmp_path):
