@@ -169,9 +169,9 @@ _DECIMAL_LEAF = 2048  # bits; str() of one such leaf is cheap
 _EXACT = Context(prec=MAX_PREC, Emax=MAX_EMAX, Emin=MIN_EMIN, traps=[Inexact, Rounded])
 
 
-def decimal_str(n: int) -> str:
-    """str(n) in subquadratic time and regardless of the interpreter's
-    int-string limit.
+def decimal(n: int) -> Decimal:
+    """n as an exact Decimal, in subquadratic time and regardless of the
+    interpreter's int-string limit.
 
     CPython 3.11 converts an int to decimal in quadratic time, and so does a
     split by divmod(n, 10**k), since its long division is schoolbook.  So n is
@@ -180,11 +180,13 @@ def decimal_str(n: int) -> str:
     (Brent & Zimmermann, Modern Computer Arithmetic, section 1.7).
     """
     if n < 0:
-        return "-" + decimal_str(-n)
-    bits = n.bit_length()
-    if bits <= _DECIMAL_LEAF:
-        return str(n)
-    return str(_to_decimal(n, ((bits - 1) // _DECIMAL_LEAF).bit_length() - 1))
+        return decimal(-n).copy_negate()
+    return _to_decimal(n, ((n.bit_length() - 1) // _DECIMAL_LEAF).bit_length() - 1)
+
+
+def decimal_str(n: int) -> str:
+    """str(n), by `decimal` past _DECIMAL_LEAF bits."""
+    return str(n) if abs(n).bit_length() <= _DECIMAL_LEAF else str(decimal(n))
 
 
 def _to_decimal(x: int, j: int) -> Decimal:

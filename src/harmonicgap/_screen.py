@@ -1,23 +1,41 @@
-"""Selects the record-scan screening kernel for each block.
+"""The record scan's screen: the n >= N0 that can hold a record or a row
+below the connection threshold.
 
-The compiled kernel (`_screen_c`, the hand-written C file `_screen_c.c`,
-built whenever a C compiler is present) is used when it is importable and
-the block fits its 128-bit accumulator: `frac_bits` <= 126 and `n_end` <=
-2^31.  Otherwise the pure-Python twin (`_screen_py`) screens the block; both
-produce bit-identical candidate lists.
+With z(n) = e n - (1+e)/2, the crossing is t(n) = z + y/n for an offset y,
+and n^2 eps = n^2 (S(n, t) - 1) is `harmonic.scaled_overshoot` at (y, 1/n).
+For real m the sum S(n, m) = psi(m+1) - psi(n) increases in m, so an upper
+bound at a real m holds at every integer below it and a lower bound at every
+integer above, and one ball over every h in [0, 1/N0] covers every n >= N0.
+`certificate` checks two such balls:
 
-The window a block ends with depends only on its end and `frac_bits`, so
-this process keeps the last one, and a block that starts where the previous
-one ended goes on from it instead of rebuilding it (about 1.72 n_start
-divisions); either way the flags are the same.
+- at y = 0, S(n, floor z) <= S(n, z) < 1, so t(n) >= ceil z;
+- at y = Y = 17/16, n^2 (S(n, z + Y/n) - 1) >= 1/3.  So if ceil z - z >= Y/n,
+  then t(n) >= z + Y/n and n^2 eps >= 1/3: no record after n = 2 (whose
+  n^2 eps is 1/3) and no row below tau ~ 0.00996.
+
+The screen therefore only has to find the n with n (ceil z - z) < Y.  A
+block walks F = frac(z(n)) 2^128 by one wrapping u128 addition of
+floor(e 2^128) per n.  It starts from floor(frac(z(n_start)) 2^128), so F
+is less than n - n_start + 1 units below the true value.  On each stretch
+[a, b) of the block, with b <= 9a/8, it flags n when
+2^128 - F <= ceil(Y 2^128 / a) + (b - n_start): every n with
+n (ceil z - z) < Y, and a few more.  Y = 1 would not do, since
+1/e - (1 - e^-2)/24 < 1/3.
+
+The kernel ships twice: `_screen_c` (the hand-written C file `_screen_c.c`,
+built whenever a C compiler is present), used whenever it imports, and the
+pure-Python twin `_screen_py`; both give the same flags for any n below 2^63.
 """
 
 from __future__ import annotations
 
-from . import _screen_py
+import math
+from fractions import Fraction
+from functools import lru_cache
 
-KIND_RECORD = _screen_py.KIND_RECORD
-KIND_TAU = _screen_py.KIND_TAU
+from . import _screen_py
+from .exactnum import Ball, const_e, escalating
+from .harmonic import scaled_overshoot
 
 try:
     from . import _screen_c  # type: ignore[attr-defined]
@@ -27,32 +45,64 @@ except ImportError:  # pragma: no cover
     _screen_c = None
     HAVE_COMPILED = False
 
-# the compiled accumulator is u128: frac_bits <= 126 keeps acc < 2^127
-_COMPILED_FRAC_LIMIT = 126
+Y = Fraction(17, 16)
+N0 = 64  # the scan walks every n below N0 exactly
+_ONE = 1 << 128
 
 
-def frac_bits_for(n_max: int) -> int:
-    return 64 + 2 * max(1, n_max.bit_length())
+def kernel_name() -> str:
+    """The kernel that screens every block: `compiled` whenever the C extension imports."""
+    return "compiled" if HAVE_COMPILED else "pure-python"
 
 
-def kernel_name(frac_bits: int = 0, n_end: int = 0) -> str:
-    """The kernel that screens a block with these bounds (with none: whether C is importable)."""
-    fits = HAVE_COMPILED and frac_bits <= _COMPILED_FRAC_LIMIT and n_end <= 1 << 31
-    return "compiled" if fits else "pure-python"
+def certificate() -> bool:
+    """Whether both inequalities of the module docstring hold for every
+    n >= N0, from two balls over h in [0, 1/N0]."""
+    h = Ball.from_endpoints(Fraction(0), Fraction(1, N0), 96)
+    below = scaled_overshoot(0, h, 64).hi.man < 0
+    return below and scaled_overshoot(Y, h, 64).lo.cmp_fraction(Fraction(1, 3)) >= 0
 
 
-# ((n, frac_bits), (t, acc)): the window for n that the last block ended with.
-# Per process, so each pool worker keeps its own; key and window are stored
-# and read as one tuple, so a window is never seen under another key.
-_last_window: tuple[tuple[int, int], tuple[int, int]] | None = None
+def _fixed(a: int, b: int) -> int:
+    """floor((a e + b) 2^127) for an integer a >= 1, from an e tight enough to decide it."""
+
+    def attempt(w: int) -> int | None:
+        x = (const_e(w) * a + b) * (1 << 127)
+        lo = math.floor(x.lo.as_fraction())
+        return lo if lo == math.floor(x.hi.as_fraction()) else None
+
+    return escalating(attempt, start=160 + a.bit_length(), what=f"fixed point of {a} e + {b}")
 
 
-def screen_block(n_start: int, n_end: int, frac_bits: int, tau_hi_fp: int):
-    """(flags, m_run) for n in [n_start, n_end): see `_screen_py.screen_block`."""
-    global _last_window
-    kernel = _screen_c if kernel_name(frac_bits, n_end) == "compiled" else _screen_py
-    last = _last_window
-    window = last[1] if last is not None and last[0] == (n_start, frac_bits) else None
-    flags, m_run, t, acc = kernel.screen_block(n_start, n_end, frac_bits, tau_hi_fp, window)
-    _last_window = ((max(n_start, n_end), frac_bits), (t, acc))
-    return flags, m_run
+@lru_cache(maxsize=None)
+def _step() -> int:
+    """floor(e 2^128) mod 2^128, built on the first screen once the certificate holds."""
+    if not certificate():  # pragma: no cover
+        raise ArithmeticError("the screen's certificate does not hold")
+    return _fixed(2, 0) % _ONE
+
+
+def ceil_z(n: int) -> int:
+    """ceil(e n - (1+e)/2), the least crossing the certificate allows for n >= N0."""
+    return (_fixed(2 * n - 1, -1) >> 128) + 1
+
+
+def screen_block(n_start: int, n_end: int) -> list[int]:
+    """Every n in [n_start, n_end) with n (ceil z - z) < Y, and a few more;
+    n_start >= N0.  One walk from n_start, carried from stretch to stretch,
+    whose threshold is set afresh on each, so that it stays within 9/8 of
+    Y 2^128 / n."""
+    if n_start < N0:
+        raise ValueError(f"the screen starts at n = {N0}")
+    step = _step()
+    frac = _fixed(2 * n_start - 1, -1) % _ONE
+    kernel = _screen_c if HAVE_COMPILED else _screen_py
+    flags: list[int] = []
+    lo = n_start
+    while lo < n_end:
+        hi = min(n_end, lo + lo // 8)
+        bound = -(-(Y.numerator << 128) // (Y.denominator * lo)) + (hi - n_start)
+        found, frac = kernel.screen_block(lo, hi, frac, step, _ONE - bound)
+        flags += found
+        lo = hi
+    return flags

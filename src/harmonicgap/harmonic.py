@@ -17,6 +17,20 @@ the order-1/n terms combined free of cancellation, S(n, m) = H_m - H_N has
 
 em_overshoot evaluates it from any enclosure of delta; ball_sum, its slow
 twin, takes ln(m/N) directly.
+
+For real m > 0 the sum is S(n, m) = psi(m+1) - psi(n), which increases in m,
+and H_x = psi(x+1) + gamma keeps the expansion and the bounds on r_x (DLMF
+5.11), so the identity holds for real m too.  In the variables y and h = 1/n,
+with hN = 1 - h, hm = e - (1+e)h/2 + y h^2, hP = hm + e(1 - h) and v = a/hP
+(so u = hv), it reads
+
+    n^2 (S - 1) = [4 e y (1-h)^2 + (4a^2 - (3e-1) a)(1-h) - a^2 h] / (2 hm (1-h) hP)
+                  + h v^3 sum_{j>=1} 2 u^(2j-2)/(2j+1)
+                  + (1/(1-h)^2 - 1/hm^2)/12 + n^2 R,
+    n^2 R in (-h^2/(120 (1-h)^4), h^2/(120 hm^4)),
+
+which is y/e - (1 - e^-2)/24 at h = 0.  scaled_overshoot evaluates it for
+balls y and h, so one ball covers every n with 1/n in h.
 """
 
 from __future__ import annotations
@@ -26,13 +40,14 @@ from fractions import Fraction
 from typing import Iterator
 
 from ._intops import fraction_from, harmonic_pair
-from .exactnum import Ball, _operand, _two_atanh, const_e, escalating
+from .exactnum import Ball, Dyadic, _operand, _two_atanh, const_e, escalating
 
 __all__ = [
     "Crossing",
     "exact_sum",
     "ball_sum",
     "em_overshoot",
+    "scaled_overshoot",
     "pair_delta",
     "crossing",
     "iter_crossings",
@@ -165,6 +180,38 @@ def em_overshoot(n: int, m: int, delta: Ball, w: int) -> Ball:
     lead = (4 * e * delta * n2 + (4 * a * a - (3 * e - 1) * a) * nb - a * a) / (2 * mb * nb * men)
     out = lead + _two_atanh(u, ell, w) + 1 / (12 * n2) - 1 / (12 * m2)
     return out + Ball(-(1 / (120 * n2 * n2)).hi, (1 / (120 * m2 * m2)).hi, W)
+
+
+def scaled_overshoot(y: Ball | Fraction | int, h: Ball, w: int) -> Ball:
+    """n^2 (S(n, m) - 1) for m = e n - (1+e)/2 + y/n and h = 1/n, by the
+    identity in (y, h) of the module docstring, for any ball y and any ball h
+    inside [0, 1/2], h = 0 included, every term a ball 32 bits above w.
+    ValueError outside that domain or |u| < 1/2."""
+    if h.lo.man < 0 or h.hi.cmp_fraction(Fraction(1, 2)) > 0:
+        raise ValueError("scaled_overshoot needs h inside [0, 1/2]")
+    W = w + 32
+    e = const_e(W)
+    g = 1 - h
+    a = (e - 1) / 2 + y * h
+    hm = e - (1 + e) * h / 2 + y * h * h
+    hp = hm + e * g
+    v = a / hp
+    u = h * v
+    top = abs(u).hi
+    ell = -top.bit_magnitude() if top.man else w + 8  # |u| < 2^-ell
+    if ell < 1:
+        raise ValueError("scaled_overshoot outside |u| < 1/2")
+    # the series in u^2 to a tail under 2^-(2 T ell), with T its number of terms
+    terms = (w + 8) // (2 * ell) + 1
+    u2, power, series = u * u, Ball.from_fraction(2, W), Ball.from_fraction(0, W)
+    for j in range(1, terms + 1):
+        series = series + power / (2 * j + 1)
+        power = power * u2
+    series = series.widen_by(Dyadic(1, -2 * terms * ell))
+    g2, hm2, h2 = g * g, hm * hm, h * h
+    lead = (4 * e * y * g2 + (4 * a * a - (3 * e - 1) * a) * g - a * a * h) / (2 * hm * g * hp)
+    out = lead + h * v * v * v * series + (1 / g2 - 1 / hm2) / 12
+    return out + Ball(-(h2 / (120 * g2 * g2)).hi, (h2 / (120 * hm2 * hm2)).hi, W)
 
 
 def pair_delta(n: int, m: int, w: int) -> Ball:

@@ -1,11 +1,16 @@
 """Exhaustive record scan for the scaled overshoot n^2 * (H_t - H_{n-1} - 1).
 
-A fixed-point screen (compiled kernel when available) walks every n up to
-the horizon, flagging candidates that might improve the running record or
-fall below the connection threshold, each with a certified lower bound on
-its scaled overshoot.  The merge confirms in exact rationals only the flags
-whose bound still beats the running record or the threshold, and every
-emitted record is re-verified with pure rational arithmetic.
+Every n below N0 = 64 is walked exactly.  From N0 on, the screen of
+`_screen` (one u128 addition per n) flags the n with n (ceil z - z) < 17/16,
+z = e n - (1+e)/2.  Its certificate shows that t(n) >= ceil z, and that
+every other n has n^2 eps >= 1/3, so holds no record after n = 2 and no row
+below the connection threshold.  Each flag is certified at m = ceil z by
+`em_overshoot`: where S >= 1, t(n) = ceil z and the flag carries n^2 times
+the ball's lower end; where S < 1, y >= n and the flag is dropped; where the
+sign is undecided, the flag carries 0.  The merge confirms in exact
+rationals only the flags whose bound still beats the running record or the
+threshold, and every emitted record is re-verified with pure rational
+arithmetic.
 
 The connection threshold tau = (3/e + 1/e^2 - 1)/24 is the scaled quality
 below which (asymptotically) the offset y must drop under 1/8, forcing the
@@ -15,10 +20,13 @@ records its reduced fraction and whether that is a convergent; a
 non-convergent there would be a release-blocking finding.
 
 Scan results are a pure function of the horizon: block bounds do not depend
-on the worker count, a block's flags depend only on its bounds (a process
-that screens consecutive blocks carries the screen's window from one to the
-next instead of rebuilding it, with the same flags), and the merge is
-sequential and deterministic.
+on the worker count, a block's flags depend only on its bounds (each block
+starts its walk from e at a fixed cost), and the merge is sequential and
+deterministic.  The screen runs for any n below 2^63, so the exact
+confirmation of records sets the horizon.  With the C kernels (2-core
+machine, Python 3.11.7), `scan --n-max` takes 0.2-0.3 s at 10^6 and 10^7,
+mostly start-up, and about 100 s at 10^8, nearly all of it the exact sum
+of the row at n = 15,586,535.
 """
 
 from __future__ import annotations
@@ -30,16 +38,17 @@ import time
 from contextlib import suppress
 from dataclasses import dataclass, field
 from fractions import Fraction
+from functools import lru_cache
 from math import gcd
 
-from . import __version__
-from ._intops import decimal_str
+from . import __version__, _screen
+from ._intops import _EXACT, decimal
 from ._pool import ordered_map
-from ._screen import KIND_RECORD, KIND_TAU, frac_bits_for, kernel_name, screen_block
+from ._screen import N0, ceil_z, kernel_name
 from .contfrac import is_e_convergent
 from .errors import CheckpointError
 from .exactnum import Ball, escalating
-from .harmonic import _scaled_prediction, _walk, exact_sum
+from .harmonic import _scaled_prediction, _walk, em_overshoot, exact_sum, iter_crossings, pair_delta
 
 __all__ = [
     "RecordRow",
@@ -51,6 +60,8 @@ __all__ = [
 ]
 
 DEFAULT_BLOCK_SIZE = 1 << 16
+KIND_RECORD = 1  # a flag the merge compares with the running record
+KIND_TAU = 2  # a flag that may lie below the connection threshold
 CSV_HEADER = "n,t,eps_num,eps_den,scaled_num,scaled_den,reduced_p,reduced_q,d,is_convergent"
 
 
@@ -98,13 +109,18 @@ class RecordRow:
         return ",".join(str(v).lower() for v in self.json_obj().values())
 
     def json_obj(self) -> dict:
+        # scaled = n^2 eps in lowest terms is eps_num (n^2/g) / (eps_den/g) with
+        # g = gcd(n^2, eps_den), so only eps's two big integers go to decimal
+        num, den = self.overshoot.numerator, self.overshoot.denominator
+        g = gcd(self.n * self.n, den)
+        num_dec, den_dec = decimal(num), decimal(den)
         return {
             "n": self.n,
             "t": self.t,
-            "eps_num": decimal_str(self.overshoot.numerator),
-            "eps_den": decimal_str(self.overshoot.denominator),
-            "scaled_num": decimal_str(self.scaled.numerator),
-            "scaled_den": decimal_str(self.scaled.denominator),
+            "eps_num": str(num_dec),
+            "eps_den": str(den_dec),
+            "scaled_num": str(_EXACT.multiply(num_dec, self.n * self.n // g)),
+            "scaled_den": str(_EXACT.divide_int(den_dec, g)),
             "reduced_p": str(self.reduced_p),
             "reduced_q": str(self.reduced_q),
             "d": self.d,
@@ -213,17 +229,15 @@ class _Merger:
             self.below.append(row or self._row(n, t, eps, scaled))
 
 
-def _screen_args(n_max: int, start: int, frac_bits: int, tau_fp: int):
-    # a block that cannot carry the window of the block before (the first,
-    # a resume's first, most blocks of a pool worker) rebuilds it from
-    # ~1.72 * lo terms, so spans grow with the position to keep that
-    # amortized; boundaries depend only on (start, n_max), never on the
-    # worker count
+def _screen_args(n_max: int, start: int):
+    # spans grow with the position, so a scan to N > 2^19 has about
+    # 8 + 8.5 ln(N / 2^19) blocks, each with one checkpoint save; boundaries
+    # depend only on (start, n_max), never on the worker count
     lo = start
     while lo <= n_max:
         span = max(DEFAULT_BLOCK_SIZE, lo // 8)
         hi = min(lo + span, n_max + 1)
-        yield (lo, hi, frac_bits, tau_fp)
+        yield (lo, hi)
         lo = hi
 
 
@@ -231,13 +245,35 @@ def _run_screen(args):
     return screen_block(*args)
 
 
-def _tau_fp_bound(frac_bits: int) -> int:
-    tau = quality_threshold(160)
-    hi = tau.hi
-    shift = frac_bits - 32 + hi.exp
-    if shift >= 0:
-        return (hi.man << shift) + 1
-    return -((-hi.man) >> -shift) + 1
+@lru_cache(maxsize=None)
+def _tau_hi() -> Fraction:
+    return quality_threshold(160).hi.as_fraction()
+
+
+def _flag(n: int, t: int, lo: Fraction) -> tuple[int, int, int, Fraction]:
+    """The flag for t = t(n) and a lower bound lo on n^2 eps: a record
+    candidate, and a threshold candidate unless lo rules that out."""
+    below = n > 10 and lo * n < _tau_hi() * (n - 10)
+    return n, t, KIND_RECORD | (KIND_TAU if below else 0), lo
+
+
+def screen_block(n_start: int, n_end: int) -> tuple[list[tuple[int, int, int, Fraction]], int]:
+    """(flags, screened) for n in [n_start, n_end): the n below N0 from the
+    exact walk, then each n that the fixed-point screen flags (screened of
+    them), certified at m = ceil z as in the module docstring.  Each flag is
+    (n, t, kind, lo), with lo <= n^2 eps at the crossing t = t(n), or
+    t = ceil z and lo = 0 where the sign there is undecided."""
+    flags = [_flag(c.n, c.t, c.scaled) for c in iter_crossings(n_start, min(n_end, N0) - 1)]
+    screened = _screen.screen_block(max(n_start, N0), n_end)
+    for n in screened:
+        m = ceil_z(n)
+        eps = em_overshoot(n, m, pair_delta(n, m, 64), 64)
+        sign = eps.sign()
+        if sign is None:
+            flags.append((n, m, KIND_RECORD | KIND_TAU, Fraction(0)))
+        elif sign >= 0:
+            flags.append(_flag(n, m, n * n * eps.lo.as_fraction()))
+    return flags, len(screened)
 
 
 # ----------------------------------------------------------------------
@@ -351,10 +387,6 @@ def scan_records(n_max: int, threads: int = 1, checkpoint_path: str | None = Non
     if threads < 1:
         raise ValueError("threads must be >= 1")
     started = time.monotonic()
-    frac_bits = frac_bits_for(n_max)
-    tau_fp = _tau_fp_bound(frac_bits)
-    unit = 1 << (frac_bits - 32)
-
     start = 2
     merger = _Merger()
     payload = None if checkpoint_path is None else _load_checkpoint(checkpoint_path, n_max)
@@ -362,11 +394,11 @@ def scan_records(n_max: int, threads: int = 1, checkpoint_path: str | None = Non
         merger = _replay_merger(payload)
         start = payload["next_start"]
 
-    args = list(_screen_args(n_max, start, frac_bits, tau_fp))
+    args = list(_screen_args(n_max, start))
     with ordered_map(_run_screen, args, threads) as screened:
-        for (_lo, hi, _, _), (flags, _m) in zip(args, screened):
-            for n, t, kind, scaled_lo in flags:
-                merger.feed(n, t, kind, Fraction(scaled_lo, unit))
+        for (_lo, hi), (flags, _screened) in zip(args, screened):
+            for flag in flags:
+                merger.feed(*flag)
             if checkpoint_path is not None:
                 _save_checkpoint(checkpoint_path, _checkpoint_payload(n_max, hi, merger))
 
@@ -375,6 +407,6 @@ def scan_records(n_max: int, threads: int = 1, checkpoint_path: str | None = Non
         records=merger.records,
         below_threshold=merger.below,
         exact_hits=merger.exact_hits,
-        kernel=kernel_name(frac_bits, n_max + 1),
+        kernel=kernel_name(),
         wall_time_s=time.monotonic() - started,
     )

@@ -33,8 +33,7 @@ construct._joint_one_k((200, 5))
 assert tracer.counters.get("exactnum.escalations", 0) == 0, tracer.counters
 
 table = scan.scan_records(5000, checkpoint_path=sys.argv[3])
-fb = scan.frac_bits_for(5000)
-flags = sum(len(screen(*args)[0]) for args in scan._screen_args(5000, 2, fb, scan._tau_fp_bound(fb)))
+flags = sum(len(screen(*args)[0]) for args in scan._screen_args(5000, 2))
 assert flags > 0 and tracer.counters["screen.flags"] == flags, (flags, tracer.counters)
 called = [span[0] for span in tracer.spans]
 assert {"scan.confirm_exact", "scan.checkpoint", "scan.connection"} <= set(called), set(called)

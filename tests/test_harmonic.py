@@ -4,6 +4,7 @@ import math
 import random
 from fractions import Fraction
 
+import mpmath
 import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
@@ -20,6 +21,7 @@ from harmonicgap.harmonic import (
     pair_delta,
     pair_offset,
     predicted_overshoot,
+    scaled_overshoot,
 )
 
 from conftest import overshoot_by_ball_sum
@@ -241,6 +243,39 @@ class TestEmOvershoot:
         assert scaled.overlaps(certify(6, 3).quality)
         lo, hi = Fraction("0.01902982094775"), Fraction("0.01902982094776")
         assert scaled.overlaps(Ball.from_endpoints(lo, hi, 128))
+
+
+class TestScaledOvershoot:
+    """scaled_overshoot in (y, h): its limit at h = 0, and at h = 1/n the
+    pair's em_overshoot and exact sum."""
+
+    @pytest.mark.parametrize("y", [Fraction(0), Fraction(1, 8), Fraction(17, 16), Fraction(-3, 7), Fraction(5)])
+    def test_limit_at_h_0(self, y):
+        ball = scaled_overshoot(y, Ball.from_fraction(0, 96), 64)
+        with mpmath.workdps(60):
+            e = mpmath.e
+            ref = Fraction(mpmath.nstr(mpmath.mpf(y.numerator) / y.denominator / e - (1 - e**-2) / 24, 58))
+        slack = Fraction(1, 10**50)  # mpmath's own rounding at 60 digits
+        assert ball.lo.cmp_fraction(ref + slack) <= 0 and ball.hi.cmp_fraction(ref - slack) >= 0
+        assert ball.width_leq(-80)
+
+    @settings(max_examples=25, deadline=None)
+    @given(nm=_near_crossing(30, 10**5))
+    @example(nm=(2, 4))
+    @example(nm=(8, 20))
+    @example(nm=(29, 77))
+    @example(nm=(27134, 73756))
+    def test_overlaps_em_overshoot_and_exact_sum(self, nm):
+        n, m = nm
+        w = 96
+        ball = scaled_overshoot(pair_delta(n, m, w) * n, Ball.from_fraction(Fraction(1, n), w + 32), w)
+        assert ball.overlaps(_em(n, m, w) * (n * n))
+        assert ball.contains(n * n * (exact_sum(n, m) - 1))
+
+    @pytest.mark.parametrize("h", [Fraction(-1, 100), Fraction(3, 5)])
+    def test_domain(self, h):
+        with pytest.raises(ValueError):
+            scaled_overshoot(0, Ball.from_endpoints(min(h, 0), max(h, 0), 64), 64)
 
 
 class TestPrediction:

@@ -52,8 +52,8 @@ def test_no_more_workers_than_cores(pool_sizes, monkeypatch, cores):
 
 def test_scan_pool_sized_by_blocks(pool_sizes, tmp_path):
     n_max = 1_000_000
-    fb = scan.frac_bits_for(n_max)
-    blocks = len(list(scan._screen_args(n_max, 2, fb, scan._tau_fp_bound(fb))))
+    blocks = len(list(scan._screen_args(n_max, 2)))
+    assert blocks == 14  # spans grow to lo // 8 past the fixed block size
     tables = {}
     for threads in (1, 1000):
         ckpt = tmp_path / f"t{threads}.ckpt"

@@ -1,17 +1,20 @@
 """Record scan: exactness, determinism, checkpoints, connection reports."""
 
+import hashlib
 import json
 import math
+import random
 from fractions import Fraction
 
 import mpmath
 import pytest
-from hypothesis import example, given, settings
+from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from harmonicgap import _screen, _screen_py, scan
+from harmonicgap import _screen, _screen_py, cli, scan
 from harmonicgap.errors import CheckpointError
-from harmonicgap.harmonic import crossing, exact_sum, iter_crossings
+from harmonicgap.exactnum import Ball
+from harmonicgap.harmonic import crossing, exact_sum, iter_crossings, scaled_overshoot
 from harmonicgap.scan import (
     ConnectionReport,
     quality_threshold,
@@ -34,6 +37,44 @@ def _oracle_records(n_max: int):
             out.append((rec.n, rec.t, rec.scaled))
             best = rec.scaled
     return out
+
+
+def _summed_rows(n_max: int, bits: int = 192) -> tuple[list, list]:
+    """(records, below_threshold) as (n, t) for 2 <= n <= n_max, from a walk
+    of the window [n, t] in fixed point, the slow twin that reaches 10^5:
+    acc is the sum of floor(2^bits / k) over the window, so
+    acc <= 2^bits S(n, t) < acc + (t - n + 1).  Every crossing and every
+    comparison is decided from these brackets (asserted), with tau from
+    mpmath.  (_oracle_records' exact fractions take about 1.3 s to 10^4 and
+    grow faster than quadratically.)"""
+    one = 1 << bits
+    with mpmath.workdps(80):
+        e = mpmath.e
+        tau = int(mpmath.floor((3 / e + 1 / (e * e) - 1) / 24 * 2**bits))  # tau in [tau, tau + 1) / 2^bits
+    t, acc = 1, 0  # the empty window for n = 2, whose sum is below 1
+    best = None  # [lo, hi) of the running minimum of n^2 eps, times 2^bits
+    records, below = [], []
+    for n in range(2, n_max + 1):
+        cnt = t - n + 1
+        while acc + cnt < one:  # S(n, t) < 1 for certain
+            t += 1
+            acc += one // t
+            cnt += 1
+        assert acc >= one, n  # and S(n, t - 1) < 1: t = t(n)
+        lo, hi = n * n * (acc - one), n * n * (acc + cnt - one)
+        if best is None or hi <= best[0]:
+            records.append((n, t))
+            best = (lo, hi)
+        else:
+            assert lo >= best[1], n
+        if n > 10:
+            # n^2 eps < tau (1 - 10/n), decided
+            if n * hi <= tau * (n - 10):
+                below.append((n, t))
+            else:
+                assert n * lo >= (tau + 1) * (n - 10), n
+        acc -= one // n
+    return records, below
 
 
 class TestThreshold:
@@ -134,6 +175,29 @@ class TestScan:
         for row, (_, _, scaled) in zip(table.records, oracle):
             assert row.scaled == scaled
 
+    def test_rows_to_10000_match_exact_oracle(self):
+        table = scan_records(10**4)
+        oracle = _oracle_records(10**4)
+        assert [(r.n, r.t, r.scaled) for r in table.records] == oracle
+        assert table.below_threshold == []
+
+    def test_rows_to_100000_match_summed_twin(self):
+        table = scan_records(10**5)
+        records, below = _summed_rows(10**5)
+        assert [(r.n, r.t) for r in table.records] == records == RECORDS_TO_100000
+        assert [(r.n, r.t) for r in table.below_threshold] == below == []
+
+    def test_pinned_bytes_at_a_million(self, tmp_path):
+        # sha256 of the CSV and checkpoint that `scan --n-max 1000000` wrote
+        # with the window screen this screen replaced
+        csv, ck = tmp_path / "scan.csv", tmp_path / "scan.ckpt"
+        assert cli.main(["scan", "--n-max", "1000000", "--checkpoint", str(ck), "--output", str(csv)]) == 0
+        digests = [hashlib.sha256(f.read_bytes()).hexdigest() for f in (csv, ck)]
+        assert digests == [
+            "80bb937314e3196dbfcc3afa0f02e800183ce52e665d211c901890f9062c24f0",
+            "d2598824aced3b5d810e51e346bf8b5b243eed8712484675420241614bd73094",
+        ]
+
     def test_exactness_of_rows(self):
         table = scan_records(300)
         for row in table.records:
@@ -209,25 +273,86 @@ class TestScan:
         assert confirmed == [r.n for r in table.records]
 
 
+def _scaled_gap(n: int) -> Fraction:
+    """n (ceil z - z) for z = e n - (1+e)/2, from mpmath's e at 60 digits."""
+    with mpmath.workdps(60):
+        z = mpmath.e * n - (1 + mpmath.e) / 2
+        return Fraction(mpmath.nstr(n * (mpmath.ceil(z) - z), 40))
+
+
+class TestScreen:
+    """The fixed-point screen: its certificate, its flags and their certification."""
+
+    def test_certificate_holds_at_the_chosen_constants(self):
+        h = Ball.from_endpoints(Fraction(0), Fraction(1, _screen.N0), 96)
+        assert scaled_overshoot(0, h, 64).hi.cmp_fraction(Fraction(0)) < 0
+        assert scaled_overshoot(_screen.Y, h, 64).lo.cmp_fraction(Fraction(1, 3)) >= 0
+        assert _screen.certificate()
+
+    @pytest.mark.parametrize("n0", [_screen.N0, 10**9])
+    def test_certificate_fails_at_y_1(self, n0):
+        # 1/e - (1 - e^-2)/24 < 1/3, already at h = 0
+        h = Ball.from_endpoints(Fraction(0), Fraction(1, n0), 96)
+        assert scaled_overshoot(1, h, 64).lo.cmp_fraction(Fraction(1, 3)) < 0
+
+    def test_ceil_z(self):
+        with mpmath.workdps(60):
+            for n in (64, 65, 1000, 27134, 15586535, 2**40 + 7, 10**15 + 3):
+                z = mpmath.e * n - (1 + mpmath.e) / 2
+                assert _screen.ceil_z(n) == int(mpmath.ceil(z))
+
+    def test_starts_at_n0(self):
+        with pytest.raises(ValueError):
+            _screen.screen_block(_screen.N0 - 1, 1000)
+
+    def test_flags_every_n_below_y(self, monkeypatch):
+        monkeypatch.setattr(_screen, "HAVE_COMPILED", False)
+        flags = set(_screen.screen_block(_screen.N0, 30000))
+        must = {n for n in range(_screen.N0, 30000) if _scaled_gap(n) < _screen.Y}
+        # and no flag is far from it: stretches keep the threshold within 9/8
+        assert all(_scaled_gap(n) < 2 * _screen.Y for n in flags)
+        assert must <= flags and len(must) >= 5
+
+    def test_unflagged_rows_are_above_a_third(self):
+        # every n the block does not flag has n^2 eps >= 1/3; every flag has t = t(n)
+        # and a lower bound, or the bound 0 where its sign was undecided
+        by_n = {n: (t, kind, lo) for n, t, kind, lo in scan.screen_block(2, 3000)[0]}
+        for rec in iter_crossings(2, 2999):
+            if rec.n not in by_n:
+                assert rec.scaled >= Fraction(1, 3), rec.n
+                continue
+            t, kind, lo = by_n[rec.n]
+            assert kind & scan.KIND_RECORD and lo <= rec.scaled
+            assert t == rec.t or lo == 0
+
+    def test_flag_with_s_below_1_at_ceil_z_is_dropped(self):
+        # the fixed-point screen passes n = 9045, but S(n, ceil z) < 1 there:
+        # t(n) = ceil z + 1, so y >= n and n^2 eps is far above 1/3
+        flags, screened = scan.screen_block(9000, 9100)
+        assert (flags, screened) == ([], 1)
+        rec = crossing(9045)
+        assert rec.t == _screen.ceil_z(9045) + 1 and rec.scaled >= Fraction(1, 3)
+
+    def test_undecided_signs_are_confirmed_exactly(self, monkeypatch):
+        # a ball that never decides its sign turns every flag from N0 on into
+        # an ambiguous one, which the merge confirms in exact rationals
+        expected = scan_records(30000).csv_lines()
+        monkeypatch.setattr(scan, "em_overshoot", lambda n, m, delta, w: Ball.from_endpoints(-1, 1, 64))
+        flags = scan.screen_block(_screen.N0, 30000)[0]
+        assert flags and all(kind == scan.KIND_RECORD | scan.KIND_TAU and lo == 0 for _, _, kind, lo in flags)
+        assert scan_records(30000).csv_lines() == expected
+
+
 class TestScreenBound:
-    @settings(max_examples=60, deadline=None)
-    @given(
-        lo=st.integers(2, 6000),
-        length=st.integers(1, 120),
-        coarse=st.integers(0, 30),
-        tau_bits=st.integers(0, 52),
-    )
-    def test_flag_bounds_are_certified(self, lo, length, coarse, tau_bits):
-        # coarse < frac_bits_for lowers the resolution so ambiguous
-        # crossings (scaled_lo = 0) occur too
-        fb = max(40, scan.frac_bits_for(lo + length) - coarse)
-        tau = 1 << max(0, fb - 32 - 40 + tau_bits)
-        flags = _screen_py.screen_block(lo, lo + length, fb, tau)[0]
-        for n, t, _kind, scaled_lo in flags:
+    @settings(max_examples=40, deadline=None)
+    @given(lo=st.integers(2, 20000), length=st.integers(1, 3000))
+    def test_flag_bounds_are_certified(self, lo, length):
+        for n, t, kind, scaled_lo in scan.screen_block(lo, lo + length)[0]:
             rec = crossing(n)
-            assert Fraction(scaled_lo, 1 << (fb - 32)) <= rec.scaled
-            if scaled_lo > 0:
-                assert t == rec.t
+            assert scaled_lo <= rec.scaled
+            assert t == rec.t or scaled_lo == 0
+            if n > 10 and rec.scaled * n < scan.quality_threshold(128).lo.as_fraction() * (n - 10):
+                assert kind & scan.KIND_TAU
 
 
 class TestCheckpoints:
@@ -324,142 +449,108 @@ class TestCheckpoints:
             scan_records(4000, checkpoint_path=str(ck))
 
 
-# windows a block from n = 100 at frac_bits 126 must refuse: t below n - 1,
-# acc of 2^127 or more, negative values, acc + cnt = 2^frac_bits
-BAD_WINDOWS = [(98, 0), (99, 1 << 127), (-5, 0), (99, -1), (109, (1 << 126) - 10)]
-BAD_WINDOW_IDS = ["t<n_start-1", "acc>=2^127", "t<0", "acc<0", "acc+cnt=one"]
-N_TOP = (1 << 31) - 64
-ONE_126 = 1 << 126
+def _kernel_args(lo: int, hi: int, y: Fraction = _screen.Y) -> tuple:
+    """The arguments _screen.screen_block hands a kernel for a block [lo, hi)
+    short enough to be one stretch."""
+    bound = -(-(y.numerator << 128) // (y.denominator * lo)) + (hi - lo)
+    return lo, hi, _screen._fixed(2 * lo - 1, -1) % (1 << 128), _screen._step(), (1 << 128) - bound
 
 
 class TestKernelCrossValidation:
     """The C kernel (built by the `screen_c` fixture) against the pure one."""
 
-    def test_compiled_matches_pure(self, screen_c):
-        fb = _screen.frac_bits_for(50000)
-        tau = 1 << (fb - 39)
-        c = screen_c.screen_block(2, 50001, fb, tau)
-        p = _screen_py.screen_block(2, 50001, fb, tau)
-        assert c == p
+    def test_compiled_matches_pure(self, screen_c, monkeypatch):
+        monkeypatch.setattr(_screen, "_screen_c", screen_c)
+        runs = {}
+        for compiled in (True, False):
+            monkeypatch.setattr(_screen, "HAVE_COMPILED", compiled)
+            runs[compiled] = _screen.screen_block(_screen.N0, 50001)
+        assert runs[True] == runs[False] == [68, 107, 178, 572, 1037, 8044, 9045, 17589, 27134, 45223]
+
+    @pytest.mark.parametrize(
+        "lo, length, y",
+        [
+            (_screen.N0, 20000, Fraction(16)),
+            ((1 << 31) - 3000, 3000, Fraction(1 << 27)),
+            ((1 << 40) + 12345, 3000, Fraction(1 << 36)),
+        ],
+        ids=["from-n0", "ending-at-2^31", "near-2^40"],
+    )
+    def test_real_blocks(self, screen_c, monkeypatch, lo, length, y):
+        # a y far above Y makes flags common enough to compare; the flags
+        # must still hold every n with n (ceil z - z) < y
+        monkeypatch.setattr(_screen, "Y", y)
+        monkeypatch.setattr(_screen, "_screen_c", screen_c)
+        runs = {}
+        for compiled in (True, False):
+            monkeypatch.setattr(_screen, "HAVE_COMPILED", compiled)
+            runs[compiled] = _screen.screen_block(lo, lo + length)
+        assert runs[True] == runs[False]
+        must = [n for n in range(lo, lo + length) if _scaled_gap(n) < y]
+        assert set(must) <= set(runs[True]) and len(must) > 10
 
     def test_random_windows(self, screen_c):
-        import random
-
-        rng = random.Random(42)
-        for _ in range(8):
-            lo = rng.randint(2, 200000)
-            hi = lo + rng.randint(1, 5000)
-            fb = _screen.frac_bits_for(hi)
-            tau = rng.randint(0, 1 << (fb - 32))
-            assert screen_c.screen_block(lo, hi, fb, tau) == _screen_py.screen_block(
-                lo, hi, fb, tau
-            )
+        # random blocks, and arguments at the ends of their ranges
+        rng = random.Random(31)
+        top = (1 << 128) - 1
+        for _ in range(60):
+            lo = rng.choice([1, rng.randrange(1, 1 << 31), rng.randrange(1, 1 << 62)])
+            args = (lo, lo + rng.randrange(2000), rng.randrange(1 << 128), rng.randrange(1 << 128), rng.randrange(1 << 128))
+            assert screen_c.screen_block(*args) == _screen_py.screen_block(*args)
+        edge = (1 << 63) - 1000
+        for args in [(5, 900, top, top, top), (5, 900, 0, 1, 0), (5, 900, top, 1, 0), (edge, edge + 999, 0, top // 7, 1 << 127)]:
+            assert screen_c.screen_block(*args) == _screen_py.screen_block(*args)
 
     @settings(max_examples=80, deadline=None)
-    @given(
-        lo=st.integers(1, 60000),
-        length=st.integers(0, 400),
-        fb=st.integers(40, 126),
-        data=st.data(),
-    )
-    @example(lo=1, length=400, fb=126, data=None)
-    def test_windows_property(self, screen_c, lo, length, fb, data):
-        # the example is the top of the range: fb = 126 and tau = 2^(fb - 32)
-        cap = 1 << (fb - 32)
-        tau = cap if data is None else data.draw(st.integers(0, cap))
-        assert screen_c.screen_block(lo, lo + length, fb, tau) == _screen_py.screen_block(
-            lo, lo + length, fb, tau
-        )
-
-    def test_low_resolution_windows(self, screen_c):
-        # at low frac_bits most crossings are ambiguous (acc < 2^fb <= acc + cnt);
-        # in a one-n window m_run is that n's upper bound, so a changed bound shows
-        for n in (2, 10, 11, 107, 1000, 27134):
-            for fb in (0, 8, 16, 24, 32):
-                for hi in (n + 1, n + 64):
-                    assert screen_c.screen_block(n, hi, fb, 0) == _screen_py.screen_block(n, hi, fb, 0)
+    @given(lo=st.integers(1, 1 << 40), length=st.integers(0, 400), data=st.data())
+    def test_windows_property(self, screen_c, lo, length, data):
+        u128 = st.integers(0, (1 << 128) - 1)
+        args = (lo, lo + length, data.draw(u128), data.draw(u128), data.draw(u128))
+        assert screen_c.screen_block(*args) == _screen_py.screen_block(*args)
 
     @pytest.mark.parametrize("n", [11, 107, 1000, 27134])
     def test_threshold_edge(self, screen_c, n):
-        fb = scan.frac_bits_for(n)
-        [(_, _, _, lo)] = _screen_py.screen_block(n, n + 1, fb, 0)[0]
-        assert lo > 1
-        edge = -(-(lo - 1) * n // (n - 10))  # tau * (n - 10) // n + 1 == lo
-        for tau in (0, lo - 1, lo, edge - 1, edge, edge + 1):
-            c = screen_c.screen_block(n, n + 1, fb, tau)
-            assert c == _screen_py.screen_block(n, n + 1, fb, tau)
-            # the division-free test is the division form it replaced
-            [(_, _, kind, _)] = c[0]
-            assert bool(kind & _screen.KIND_TAU) == (lo < tau * (n - 10) // n + 1)
+        # a one-n block is flagged exactly when F >= cut, at the edge of cut
+        _, _, frac, step, cut = _kernel_args(n, n + 1)
+        for c in (0, frac - 1, frac, frac + 1, cut, (1 << 128) - 1):
+            if 0 <= c < 1 << 128:
+                result = screen_c.screen_block(n, n + 1, frac, step, c)
+                assert result == _screen_py.screen_block(n, n + 1, frac, step, c)
+                assert result[0] == ([n] if frac >= c else [])
 
     @pytest.mark.parametrize(
         "args",
-        [
-            (2, 100, 127, 0),
-            (2, (1 << 31) + 1, 126, 0),
-            (2, 100, 126, 1 << 96),
-            (0, 100, 126, 0),
-            (-1, 100, 126, 0),
-        ]
-        + [(100, 200, 126, 0, window) for window in BAD_WINDOWS + [[99, 0]]],
-        ids=["frac_bits=127", "n_end=2^31+1", "tau=2^96", "n_start=0", "n_start=-1"]
-        + [f"window:{name}" for name in BAD_WINDOW_IDS + ["list"]],
+        [(0, 10, 0, 0, 0), (-1, 10, 0, 0, 0), (2, 10, 1 << 128, 0, 0), (2, 10, 0, -1, 0), (2, 10, 0, 0, 1 << 128)],
+        ids=["n_start=0", "n_start=-1", "frac=2^128", "step<0", "cut=2^128"],
     )
     def test_out_of_range_raises(self, screen_c, args):
-        with pytest.raises((ValueError, OverflowError, TypeError)):
+        with pytest.raises((ValueError, OverflowError)):
             screen_c.screen_block(*args)
+        with pytest.raises(ValueError):
+            _screen_py.screen_block(*args)
 
-    @pytest.mark.parametrize(
-        "window",
-        [(N_TOP - 1, ONE_126 - 1), (N_TOP - 1, ONE_126 - ONE_126 // N_TOP + (1 << 66)), (3 * N_TOP, ONE_126 - 2 * N_TOP - 2)],
-        ids=["t=n-1,acc=one-1", "scaled_lo~2^96", "t=3n"],
-    )
-    @pytest.mark.parametrize("tau", [0, 1 << 90, (1 << 96) - 1])
-    def test_block_ending_at_2_31(self, screen_c, window, tau):
-        # synthetic windows just below the crossing: every scaled bound is
-        # near n * 2^94, or near 2^96 where the connection products reach 2^127
-        args = (N_TOP, 1 << 31, 126, tau, window)
-        c = screen_c.screen_block(*args)
-        assert c == _screen_py.screen_block(*args)
-        assert c[0] and c[2] > N_TOP
+    def test_past_2_63_raises(self, screen_c):
+        with pytest.raises(OverflowError):
+            screen_c.screen_block(2, 1 << 63, 0, 0, 0)
 
-    def test_selector_sends_out_of_range_blocks_to_pure(self, monkeypatch):
-        # stubs stand in for both kernels, so nothing near 2^31 is screened
-        calls = []
-
-        class StubC:
-            @staticmethod
-            def screen_block(*args):
-                calls.append(("compiled", args))
-                return [], 0, 0, 0
-
-        monkeypatch.setattr(_screen, "HAVE_COMPILED", True)
-        monkeypatch.setattr(_screen, "_screen_c", StubC)
-        monkeypatch.setattr(_screen, "_last_window", None)
-        monkeypatch.setattr(_screen_py, "screen_block", lambda *args: calls.append(("pure", args)) or ([], 0, 0, 0))
-        edge = 1 << 31
-        for args in [(2, 100, 126, 0), (2, 100, 127, 0), (edge - 1, edge, 126, 0), (edge, edge + 1, 126, 0)]:
-            _screen.screen_block(*args)
-        assert [kind for kind, _ in calls] == ["compiled", "pure", "compiled", "pure"]
-
-    @pytest.mark.parametrize("n_max, kernel", [((1 << 31) - 1, "compiled"), (1 << 31, "pure-python")])
+    @pytest.mark.parametrize("n_max, kernel", [((1 << 31) - 1, "compiled"), (1 << 31, "compiled")])
     def test_kernel_field_names_the_kernel_that_ran(self, monkeypatch, n_max, kernel):
-        # stub kernels flag nothing, so a scan to 2^31 takes milliseconds
-        ran = []
+        # a stub kernel flags nothing, so a scan to 2^31 takes milliseconds;
+        # the compiled kernel has no cap at 2^31 any more
+        ends = []
 
         class StubC:
             @staticmethod
-            def screen_block(*args):
-                ran.append("compiled")
-                return [], 0, 0, 0
+            def screen_block(n_start, n_end, frac, step, cut):
+                ends.append(n_end)
+                return [], frac
 
         monkeypatch.setattr(_screen, "HAVE_COMPILED", True)
         monkeypatch.setattr(_screen, "_screen_c", StubC)
-        monkeypatch.setattr(_screen, "_last_window", None)
-        monkeypatch.setattr(_screen_py, "screen_block", lambda *args: ran.append("pure-python") or ([], 0, 0, 0))
         assert scan_records(n_max).kernel == kernel
-        assert set(ran) == {kernel}
-        assert _screen.kernel_name() == "compiled"
+        assert max(ends) == n_max + 1
+        monkeypatch.setattr(_screen, "HAVE_COMPILED", False)
+        assert _screen.kernel_name() == "pure-python"
 
 
 @pytest.fixture(scope="module", params=["pure-python", "compiled"])
@@ -468,62 +559,35 @@ def kernel(request):
 
 
 class TestCarriedWindow:
-    """A block started from the window the previous block returned screens
-    exactly as one that rebuilds its window."""
+    """The walk carried across a split point is one walk, and a block's own
+    start from e lies within the block's error margin of the walk carried
+    from the block before: F is at most hi - lo + 1 units below the truth."""
 
     @pytest.mark.parametrize("n_max", [10**5, 10**6])
     def test_scan_blocks_match_rebuilds(self, kernel, n_max):
         # at 10^6 the spans grow to lo // 8 past the fixed block size
-        fb = scan.frac_bits_for(n_max)
-        args = list(scan._screen_args(n_max, 2, fb, scan._tau_fp_bound(fb)))
-        window = None
-        for block in args:
-            carried = kernel.screen_block(*block, window)
-            assert carried == kernel.screen_block(*block)
-            window = carried[2:]
-        assert len(args) == (2 if n_max == 10**5 else 14)
+        blocks = list(scan._screen_args(n_max, 2))
+        assert len(blocks) == (2 if n_max == 10**5 else 14)
+        step = _screen._step()
+        for lo, hi in blocks:
+            lo = max(lo, _screen.N0)  # the screen's part of the first block
+            _, _, frac, _, cut = _kernel_args(lo, hi)
+            _, carried = kernel.screen_block(lo, hi, frac, step, cut)
+            rebuilt = _screen._fixed(2 * hi - 1, -1) % (1 << 128)
+            assert 0 <= (rebuilt - carried) % (1 << 128) <= hi - lo
 
     @settings(max_examples=60, deadline=None)
     @given(
-        lo=st.integers(1, 50000),
+        lo=st.integers(1, 1 << 40),
         first=st.integers(0, 300),
         second=st.integers(0, 300),
-        fb=st.integers(0, 126),
-        tau_bits=st.integers(0, 96),
+        data=st.data(),
     )
-    def test_split_points(self, kernel, lo, first, second, fb, tau_bits):
+    def test_split_points(self, kernel, lo, first, second, data):
         mid, hi = lo + first, lo + first + second
-        tau = (1 << tau_bits) - 1
-        whole = kernel.screen_block(lo, hi, fb, tau)
-        head = kernel.screen_block(lo, mid, fb, tau)
-        tail = kernel.screen_block(mid, hi, fb, tau, head[2:])
-        # (an empty block returns the window it was given, so compare windows with whole)
-        assert tail[:2] == kernel.screen_block(mid, hi, fb, tau)[:2]
-        assert tail[2:] == whole[2:]
-        # m_run restarts with each block, so only the connection flags carry over
-        def tau_flags(flags):
-            return [(n, t, scaled_lo) for n, t, kind, scaled_lo in flags if kind & _screen.KIND_TAU]
-
-        assert tau_flags(head[0] + tail[0]) == tau_flags(whole[0])
-
-    @pytest.mark.parametrize("window", BAD_WINDOWS, ids=BAD_WINDOW_IDS)
-    def test_pure_refuses_bad_windows(self, window):
-        with pytest.raises(ValueError):
-            _screen_py.screen_block(100, 200, 126, 0, window)
-
-    def test_selector_carries_only_from_where_the_last_block_ended(self, monkeypatch):
-        passed = []
-        pure = _screen_py.screen_block
-
-        def spy(*args):
-            passed.append(args[4])
-            return pure(*args)
-
-        monkeypatch.setattr(_screen, "HAVE_COMPILED", False)
-        monkeypatch.setattr(_screen, "_last_window", None)
-        monkeypatch.setattr(_screen_py, "screen_block", spy)
-        for block in [(2, 500, 80), (500, 900, 80), (1000, 1200, 80), (1200, 1300, 90), (1300, 1400, 90)]:
-            _screen.screen_block(*block, 0)
-        after_500, after_1300 = pure(2, 500, 80, 0)[2:], pure(1200, 1300, 90, 0)[2:]
-        assert passed == [None, after_500, None, None, after_1300]
-        assert _screen._last_window == ((1400, 90), pure(1200, 1400, 90, 0)[2:])
+        u128 = st.integers(0, (1 << 128) - 1)
+        frac, step, cut = data.draw(u128), data.draw(u128), data.draw(u128)
+        whole = kernel.screen_block(lo, hi, frac, step, cut)
+        head = kernel.screen_block(lo, mid, frac, step, cut)
+        tail = kernel.screen_block(mid, hi, head[1], step, cut)
+        assert (head[0] + tail[0], tail[1]) == whole
