@@ -1,7 +1,7 @@
 """Pure-Python screening kernel for the record scan.
 
 The twin of the hand-written C kernel `_screen_c`, operation for operation:
-both return the same list for the same arguments, and the test suite builds
+both return the same result for the same arguments, and the test suite builds
 the C kernel and compares the two.  It runs wherever the C kernel is not
 built.  `_screen` says what the arguments mean.
 """
