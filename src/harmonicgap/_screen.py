@@ -24,7 +24,9 @@ n (ceil z - z) < Y, and a few more.  Y = 1 would not do, since
 
 The kernel ships twice: `_screen_c` (the hand-written C file `_screen_c.c`,
 built whenever a C compiler is present), used whenever it imports, and the
-pure-Python twin `_screen_py`; both give the same flags for any n below 2^63.
+pure-Python twin `_screen_py`; both give the same flags for any n below 2^63,
+and the stretches that reach 2^63, past the C kernel's signed 64-bit n, go
+to the pure twin.
 """
 
 from __future__ import annotations
@@ -96,12 +98,12 @@ def screen_block(n_start: int, n_end: int) -> list[int]:
         raise ValueError(f"the screen starts at n = {N0}")
     step = _step()
     frac = _fixed(2 * n_start - 1, -1) % _ONE
-    kernel = _screen_c if HAVE_COMPILED else _screen_py
     flags: list[int] = []
     lo = n_start
     while lo < n_end:
         hi = min(n_end, lo + lo // 8)
         bound = -(-(Y.numerator << 128) // (Y.denominator * lo)) + (hi - n_start)
+        kernel = _screen_c if HAVE_COMPILED and hi < 1 << 63 else _screen_py
         found, frac = kernel.screen_block(lo, hi, frac, step, _ONE - bound)
         flags += found
         lo = hi

@@ -22,7 +22,7 @@ non-convergent there would be a release-blocking finding.
 Scan results are a pure function of the horizon: block bounds do not depend
 on the worker count, a block's flags depend only on its bounds (each block
 starts its walk from e at a fixed cost), and the merge is sequential and
-deterministic.  The screen runs for any n below 2^63, so the exact
+deterministic.  The screen runs for any n, so the exact
 confirmation of records sets the horizon.  With the C kernels (2-core
 machine, Python 3.11.7), `scan --n-max` takes 0.2-0.3 s at 10^6 and 10^7,
 mostly start-up, and about 100 s at 10^8, nearly all of it the exact sum

@@ -449,6 +449,19 @@ class TestCheckpoints:
             scan_records(4000, checkpoint_path=str(ck))
 
 
+OUT_OF_RANGE = [(0, 10, 0, 0, 0), (-1, 10, 0, 0, 0), (2, 10, 1 << 128, 0, 0), (2, 10, 0, -1, 0), (2, 10, 0, 0, 1 << 128)]
+OUT_OF_RANGE_IDS = ["n_start=0", "n_start=-1", "frac=2^128", "step<0", "cut=2^128"]
+# the window kernel's (n_start, n_end, frac_bits, tau[, window]) calls, named
+# for what was out of range in them: none has an int cut, so neither kernel
+# may read one as (n_start, n_end, frac, step, cut)
+WINDOW_ARGS = [(2, 100, 127, 0), (2, (1 << 31) + 1, 126, 0), (2, 100, 126, 1 << 96)] + [
+    (100, 200, 126, 0, window) for window in [(98, 0), (99, 1 << 127), (-5, 0), (99, -1), (109, (1 << 126) - 10), [99, 0]]
+]
+WINDOW_IDS = ["frac_bits=127", "n_end=2^31+1", "tau=2^96"] + [
+    f"window:{name}" for name in ["t<n_start-1", "acc>=2^127", "t<0", "acc<0", "acc+cnt=one", "list"]
+]
+
+
 def _kernel_args(lo: int, hi: int, y: Fraction = _screen.Y) -> tuple:
     """The arguments _screen.screen_block hands a kernel for a block [lo, hi)
     short enough to be one stretch."""
@@ -508,6 +521,23 @@ class TestKernelCrossValidation:
         args = (lo, lo + length, data.draw(u128), data.draw(u128), data.draw(u128))
         assert screen_c.screen_block(*args) == _screen_py.screen_block(*args)
 
+    def test_low_resolution_windows(self, screen_c):
+        # frac, step and cut cut down to their top fb bits, so that F meets cut
+        # exactly now and then and the edge of the comparison shows; at fb = 0
+        # all three are 0 and every n is flagged
+        ties = 0
+        for n in (2, 10, 11, 107, 1000, 27134):
+            for fb in (0, 8, 16, 24, 32):
+                drop = 128 - fb
+                for hi in (n + 1, n + 64):
+                    frac, step, cut = (v >> drop << drop for v in _kernel_args(n, hi)[2:])
+                    result = screen_c.screen_block(n, hi, frac, step, cut)
+                    assert result == _screen_py.screen_block(n, hi, frac, step, cut)
+                    if fb == 0:
+                        assert result == (list(range(n, hi)), 0)
+                    ties += fb > 0 and any((frac + k * step) % (1 << 128) == cut for k in range(hi - n))
+        assert ties
+
     @pytest.mark.parametrize("n", [11, 107, 1000, 27134])
     def test_threshold_edge(self, screen_c, n):
         # a one-n block is flagged exactly when F >= cut, at the edge of cut
@@ -519,38 +549,74 @@ class TestKernelCrossValidation:
                 assert result[0] == ([n] if frac >= c else [])
 
     @pytest.mark.parametrize(
-        "args",
-        [(0, 10, 0, 0, 0), (-1, 10, 0, 0, 0), (2, 10, 1 << 128, 0, 0), (2, 10, 0, -1, 0), (2, 10, 0, 0, 1 << 128)],
-        ids=["n_start=0", "n_start=-1", "frac=2^128", "step<0", "cut=2^128"],
+        "args, c_error, py_error",
+        [(args, (ValueError, OverflowError), ValueError) for args in OUT_OF_RANGE]
+        + [(args, TypeError, TypeError) for args in WINDOW_ARGS],
+        ids=OUT_OF_RANGE_IDS + WINDOW_IDS,
     )
-    def test_out_of_range_raises(self, screen_c, args):
-        with pytest.raises((ValueError, OverflowError)):
+    def test_out_of_range_raises(self, screen_c, args, c_error, py_error):
+        with pytest.raises(c_error):
             screen_c.screen_block(*args)
-        with pytest.raises(ValueError):
+        with pytest.raises(py_error):
             _screen_py.screen_block(*args)
 
     def test_past_2_63_raises(self, screen_c):
         with pytest.raises(OverflowError):
             screen_c.screen_block(2, 1 << 63, 0, 0, 0)
 
-    @pytest.mark.parametrize("n_max, kernel", [((1 << 31) - 1, "compiled"), (1 << 31, "compiled")])
-    def test_kernel_field_names_the_kernel_that_ran(self, monkeypatch, n_max, kernel):
-        # a stub kernel flags nothing, so a scan to 2^31 takes milliseconds;
-        # the compiled kernel has no cap at 2^31 any more
-        ends = []
+    def test_selector_sends_out_of_range_blocks_to_pure(self, screen_c, monkeypatch):
+        # the C kernel's n is a signed 64-bit integer, so a stretch that
+        # reaches 2^63 goes to the pure twin; a y far above Y makes flags
+        # common enough to check that each block still holds every n with
+        # n (ceil z - z) < y
+        _screen._step()  # the certificate, at the real Y
+        y = Fraction(1 << 59)
+        monkeypatch.setattr(_screen, "Y", y)
+        ran = []
 
-        class StubC:
-            @staticmethod
-            def screen_block(n_start, n_end, frac, step, cut):
-                ends.append(n_end)
-                return [], frac
+        def spy(name, kernel):
+            class Spy:
+                @staticmethod
+                def screen_block(*args):
+                    ran.append(name)
+                    return kernel.screen_block(*args)
+
+            return Spy
 
         monkeypatch.setattr(_screen, "HAVE_COMPILED", True)
-        monkeypatch.setattr(_screen, "_screen_c", StubC)
-        assert scan_records(n_max).kernel == kernel
-        assert max(ends) == n_max + 1
-        monkeypatch.setattr(_screen, "HAVE_COMPILED", False)
-        assert _screen.kernel_name() == "pure-python"
+        monkeypatch.setattr(_screen, "_screen_c", spy("compiled", screen_c))
+        monkeypatch.setattr(_screen, "_screen_py", spy("pure", _screen_py))
+        top = 1 << 63
+        for hi in (top - 1, top + 900):
+            flags = _screen.screen_block(top - 900, hi)
+            must = [n for n in range(top - 900, hi) if _scaled_gap(n) < y]
+            assert set(must) <= set(flags) and len(must) > 10
+        assert ran == ["compiled", "pure"]
+
+    @pytest.mark.parametrize(
+        "n_max, kernel", [((1 << 31) - 1, "compiled"), (1 << 31, "compiled"), (1 << 31, "pure-python")]
+    )
+    def test_kernel_field_names_the_kernel_that_ran(self, monkeypatch, n_max, kernel):
+        # stub kernels flag nothing, so a scan to 2^31 takes milliseconds; the
+        # compiled kernel has no cap at 2^31 any more, and the pure one runs
+        # where the compiled one does not import
+        ran = []
+
+        def stub(name):
+            class Stub:
+                @staticmethod
+                def screen_block(n_start, n_end, frac, step, cut):
+                    ran.append((name, n_end))
+                    return [], frac
+
+            return Stub
+
+        monkeypatch.setattr(_screen, "HAVE_COMPILED", kernel == "compiled")
+        monkeypatch.setattr(_screen, "_screen_c", stub("compiled"))
+        monkeypatch.setattr(_screen, "_screen_py", stub("pure-python"))
+        assert scan_records(n_max).kernel == kernel == _screen.kernel_name()
+        assert {name for name, _ in ran} == {kernel}
+        assert max(end for _, end in ran) == n_max + 1
 
 
 @pytest.fixture(scope="module", params=["pure-python", "compiled"])
