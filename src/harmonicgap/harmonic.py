@@ -1,52 +1,48 @@
 """Harmonic-number differences: exact, certified, and asymptotic.
 
-The central quantities: the segment sum 1/n + 1/(n+1) + ... + 1/m, the least
-crossing index t(n) where the segment starting at n first reaches 1, the
-exact overshoot at the crossing, and the second-order prediction of the
-overshoot in terms of the offset y defined by m = e*n - (1+e)/2 + y/n.
+The central quantities: the segment sum S(n, m) = 1/n + 1/(n+1) + ... + 1/m,
+the least crossing index t(n) where the segment starting at n first reaches
+1, and the exact overshoot S(n, t(n)) - 1 at the crossing.
 
-Both certified routes stand on H_N = ln N + gamma + 1/(2N) - 1/(12N^2) + r_N,
-r_N in (0, 1/(120 N^4)); gamma cancels in a difference.  For n <= m write
-N = n - 1, delta = m - e*n + (1+e)/2 (so y = n*delta), a = m - eN =
-(e-1)/2 + delta and u = a/(m + eN), so ln(m/N) = 1 + 2 atanh u and, with
-the order-1/n terms combined free of cancellation, S(n, m) = H_m - H_N has
-
-    S - 1 = [4 e delta N^2 + (4a^2 - (3e-1) a) N - a^2] / (2 m N (m + eN))
-            + (2 atanh u - 2u) + 1/(12N^2) - 1/(12m^2) + R,
-    R = r_m - r_N in (-1/(120 N^4), 1/(120 m^4)).
-
-em_overshoot evaluates it from any enclosure of delta; ball_sum, its slow
-twin, takes ln(m/N) directly.
-
-For real m > 0 the sum is S(n, m) = psi(m+1) - psi(n), which increases in m,
-and H_x = psi(x+1) + gamma keeps the expansion and the bounds on r_x (DLMF
-5.11), so the identity holds for real m too.  In the variables y and h = 1/n,
-with hN = 1 - h, hm = e - (1+e)h/2 + y h^2, hP = hm + e(1 - h) and v = a/hP
-(so u = hv), it reads
+Every certified overshoot stands on one Euler-Maclaurin identity.  For real
+x > 0, H_x = psi(x+1) + gamma = ln x + gamma + 1/(2x) - 1/(12x^2) + r_x with
+r_x in (0, 1/(120 x^4)) (DLMF 5.11); gamma cancels in a difference.  So for
+n >= 2 and real m > 0 the sum S(n, m) = H_m - H_N, N = n - 1, is
+psi(m+1) - psi(n), which increases in m.  Write m = e*n - (1+e)/2 + y/n, so
+y = n*delta for delta = m - e*n + (1+e)/2, and h = 1/n.  With
+a = m - eN = (e-1)/2 + y h, hm = h m = e - (1+e)h/2 + y h^2,
+hP = h(m + eN) = hm + e(1 - h) and v = a/hP, so that u = hv = a/(m + eN)
+gives ln(m/N) = 1 + 2 atanh u, and the order-1/n terms combined free of
+cancellation,
 
     n^2 (S - 1) = [4 e y (1-h)^2 + (4a^2 - (3e-1) a)(1-h) - a^2 h] / (2 hm (1-h) hP)
                   + h v^3 sum_{j>=1} 2 u^(2j-2)/(2j+1)
                   + (1/(1-h)^2 - 1/hm^2)/12 + n^2 R,
-    n^2 R in (-h^2/(120 (1-h)^4), h^2/(120 hm^4)),
+    n^2 R = n^2 (r_m - r_N) in (-h^2/(120 (1-h)^4), h^2/(120 hm^4)).
 
-which is y/e - (1 - e^-2)/24 at h = 0.  scaled_overshoot evaluates it for
-balls y and h, so one ball covers every n with 1/n in h.
+At h = 0 it is y/e - (1 - e^-2)/24, the second-order prediction of
+n^2 (S - 1), which at y = 1/8 is the scan's connection threshold tau.
+scaled_overshoot evaluates it for any balls y and h inside [0, 1/2] with
+|u| < 1/2.  Since S increases in m, an upper bound at a real m holds at
+every integer below it and a lower bound at every integer above, and one
+ball over a range of h covers every n with 1/n in it.  ball_sum, the slow
+twin, takes ln(m/N) directly.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
+from functools import lru_cache
 from typing import Iterator
 
 from ._intops import fraction_from, harmonic_pair
-from .exactnum import Ball, Dyadic, _operand, _two_atanh, const_e, escalating
+from .exactnum import Ball, Dyadic, _operand, const_e, escalating
 
 __all__ = [
     "Crossing",
     "exact_sum",
     "ball_sum",
-    "em_overshoot",
     "scaled_overshoot",
     "pair_delta",
     "crossing",
@@ -161,39 +157,29 @@ def iter_crossings(n_lo: int, n_hi: int) -> Iterator[Crossing]:
         yield Crossing(n, t, total - 1)
 
 
-def em_overshoot(n: int, m: int, delta: Ball, w: int) -> Ball:
-    """S(n, m) - 1 by the identity of the module docstring, for any
-    enclosure delta of m - e*n + (1+e)/2, every term a ball 32 bits above w.
-    ValueError outside its domain: n >= 2 and |u| < 1/2 (m < 3e(n-1) or so)."""
-    if n < 2:
-        raise ValueError("need n >= 2")
-    W = w + 32
+@lru_cache(maxsize=None)
+def _e_balls(W: int) -> tuple[Ball, Ball, Ball, Ball, Ball]:
+    """e, (e-1)/2, (1+e)/2, 3e-1 and 4e at W bits: the terms of
+    scaled_overshoot that do not depend on y or h."""
     e = const_e(W)
-    nb, mb = Ball.from_fraction(n - 1, W).at(W), Ball.from_fraction(m, W).at(W)
-    a = (e - 1) / 2 + delta
-    men = mb + e * nb
-    u = a / men
-    ell = -abs(u).hi.bit_magnitude()  # |u| < 2^-ell
-    if ell < 1:
-        raise ValueError(f"pair ({_operand(n)}, {_operand(m)}) outside |u| < 1/2")
-    n2, m2 = nb * nb, mb * mb
-    lead = (4 * e * delta * n2 + (4 * a * a - (3 * e - 1) * a) * nb - a * a) / (2 * mb * nb * men)
-    out = lead + _two_atanh(u, ell, w) + 1 / (12 * n2) - 1 / (12 * m2)
-    return out + Ball(-(1 / (120 * n2 * n2)).hi, (1 / (120 * m2 * m2)).hi, W)
+    return e, (e - 1) / 2, (1 + e) / 2, 3 * e - 1, 4 * e
 
 
-def scaled_overshoot(y: Ball | Fraction | int, h: Ball, w: int) -> Ball:
+def scaled_overshoot(y: Ball | Fraction | int, h: Ball | Fraction | int, w: int) -> Ball:
     """n^2 (S(n, m) - 1) for m = e n - (1+e)/2 + y/n and h = 1/n, by the
-    identity in (y, h) of the module docstring, for any ball y and any ball h
-    inside [0, 1/2], h = 0 included, every term a ball 32 bits above w.
+    identity of the module docstring, for any ball y and any ball h inside
+    [0, 1/2], h = 0 included, every term a ball 32 bits above w.
     ValueError outside that domain or |u| < 1/2."""
+    W = w + 32
+    if not isinstance(h, Ball):
+        h = Ball.from_fraction(h, W)
     if h.lo.man < 0 or h.hi.cmp_fraction(Fraction(1, 2)) > 0:
         raise ValueError("scaled_overshoot needs h inside [0, 1/2]")
-    W = w + 32
-    e = const_e(W)
+    e, a0, b0, e31, e4 = _e_balls(W)
     g = 1 - h
-    a = (e - 1) / 2 + y * h
-    hm = e - (1 + e) * h / 2 + y * h * h
+    yh = y * h
+    a = a0 + yh
+    hm = e - h * (b0 - yh)
     hp = hm + e * g
     v = a / hp
     u = h * v
@@ -201,22 +187,25 @@ def scaled_overshoot(y: Ball | Fraction | int, h: Ball, w: int) -> Ball:
     ell = -top.bit_magnitude() if top.man else w + 8  # |u| < 2^-ell
     if ell < 1:
         raise ValueError("scaled_overshoot outside |u| < 1/2")
-    # the series in u^2 to a tail under 2^-(2 T ell), with T its number of terms
+    # the series in u^2 by Horner, to a tail under 2^-(2 T ell) for T terms
     terms = (w + 8) // (2 * ell) + 1
-    u2, power, series = u * u, Ball.from_fraction(2, W), Ball.from_fraction(0, W)
-    for j in range(1, terms + 1):
-        series = series + power / (2 * j + 1)
-        power = power * u2
+    series = Ball.from_fraction(Fraction(2, 2 * terms + 1), W)
+    if terms > 1:
+        u2 = u * u
+        for j in range(terms - 1, 0, -1):
+            series = series * u2 + Fraction(2, 2 * j + 1)
     series = series.widen_by(Dyadic(1, -2 * terms * ell))
-    g2, hm2, h2 = g * g, hm * hm, h * h
-    lead = (4 * e * y * g2 + (4 * a * a - (3 * e - 1) * a) * g - a * a * h) / (2 * hm * g * hp)
-    out = lead + h * v * v * v * series + (1 / g2 - 1 / hm2) / 12
-    return out + Ball(-(h2 / (120 * g2 * g2)).hi, (h2 / (120 * hm2 * hm2)).hi, W)
+    aa, g2, hm2 = a * a, g * g, hm * hm
+    lead = (e4 * y * g2 + (4 * aa - e31 * a) * g - aa * h) / ((hm + hm) * g * hp)
+    out = lead + u * v * (v * series) + (1 / g2 - 1 / hm2) / 12
+    # n^2 R, with h^2/(120 x^4) = (h/x^2)^2/120
+    r_lo, r_hi = h / g2, h / hm2
+    return out + Ball(-(r_lo * r_lo / 120).hi, (r_hi * r_hi / 120).hi, W)
 
 
 def pair_delta(n: int, m: int, w: int) -> Ball:
     """delta = m - e*n + (1+e)/2 from e at w + 2 bitlen(m) bits, rounded to
-    w + 32 bits like em_overshoot's terms."""
+    w + 32 bits like scaled_overshoot's terms."""
     W = w + 2 * m.bit_length()
     e = const_e(W)
     return (Ball.from_fraction(m, W) - e * Ball.from_fraction(n, W) + (1 + e) / 2).at(w + 32)
@@ -238,21 +227,12 @@ def pair_offset(n: int, m: int, prec: int = 0) -> Ball:
     return escalating(attempt, start=max(prec, 64), what=f"pair offset ({_operand(n)}, {_operand(m)})")
 
 
-def _scaled_prediction(offset: Ball, w: int) -> Ball:
-    """(24 y/e + e^-2 - 1)/24 for y in offset: n^2 times the second-order
-    prediction.  At y = 1/8 this is the scan's connection threshold tau."""
-    inv = Ball.from_fraction(1, w + 16) / const_e(w + 16)
-    numer = Ball.from_fraction(24, w) * inv * offset + inv * inv - 1
-    return numer / Ball.from_fraction(24, w)
-
-
 def predicted_overshoot(n: int, offset: Ball, prec: int = 128) -> Ball:
     """Second-order prediction (24 y/e + e^-2 - 1) / (24 n^2) of the
-    overshoot of the segment sum over 1.
+    overshoot of the segment sum over 1: scaled_overshoot at h = 0, over n^2.
 
     At offset = sinh(1)/12 the numerator vanishes identically.
     """
     if n < 2:
         raise ValueError("n must be >= 2")
-    w = max(prec, 64)
-    return _scaled_prediction(offset, w) / Ball.from_fraction(n * n, w)
+    return scaled_overshoot(offset, 0, max(prec, 64)) / (n * n)

@@ -5,9 +5,10 @@ Every n below N0 = 64 is walked exactly.  From N0 on, the screen of
 z = e n - (1+e)/2.  Its certificate shows that t(n) >= ceil z, and that
 every other n has n^2 eps >= 1/3, so holds no record after n = 2 and no row
 below the connection threshold.  Each flag is certified at m = ceil z by
-`em_overshoot`: where S >= 1, t(n) = ceil z and the flag carries n^2 times
-the ball's lower end; where S < 1, y >= n and the flag is dropped; where the
-sign is undecided, the flag carries 0.  The merge confirms in exact
+`harmonic.scaled_overshoot` at y = n delta and h = 1/n: where S >= 1,
+t(n) = ceil z and the flag carries the ball's lower end, a lower bound on
+n^2 eps; where S < 1, y >= n and the flag is dropped; where the sign is
+undecided, the flag carries 0.  The merge confirms in exact
 rationals only the flags whose bound still beats the running record or the
 threshold, and every emitted record is re-verified with pure rational
 arithmetic.
@@ -48,7 +49,7 @@ from ._screen import N0, ceil_z, kernel_name
 from .contfrac import is_e_convergent
 from .errors import CheckpointError
 from .exactnum import Ball, escalating
-from .harmonic import _scaled_prediction, _walk, em_overshoot, exact_sum, iter_crossings, pair_delta
+from .harmonic import _walk, exact_sum, iter_crossings, pair_delta, scaled_overshoot
 
 __all__ = [
     "RecordRow",
@@ -65,10 +66,11 @@ KIND_TAU = 2  # a flag that may lie below the connection threshold
 CSV_HEADER = "n,t,eps_num,eps_den,scaled_num,scaled_den,reduced_p,reduced_q,d,is_convergent"
 
 
+@lru_cache(maxsize=None)
 def quality_threshold(prec: int = 128) -> Ball:
     """tau = (3/e + e^-2 - 1)/24, the scaled-quality connection threshold:
-    n^2 times the second-order prediction at offset exactly 1/8."""
-    return _scaled_prediction(Ball.from_fraction(Fraction(1, 8), prec), prec).at(prec)
+    harmonic.scaled_overshoot at y = 1/8 and h = 0, once per precision."""
+    return scaled_overshoot(Fraction(1, 8), 0, prec).at(prec)
 
 
 @dataclass(frozen=True)
@@ -267,12 +269,12 @@ def screen_block(n_start: int, n_end: int) -> tuple[list[tuple[int, int, int, Fr
     screened = _screen.screen_block(max(n_start, N0), n_end)
     for n in screened:
         m = ceil_z(n)
-        eps = em_overshoot(n, m, pair_delta(n, m, 64), 64)
-        sign = eps.sign()
+        scaled = scaled_overshoot(pair_delta(n, m, 64) * n, Ball.from_fraction(Fraction(1, n), 96), 64)
+        sign = scaled.sign()
         if sign is None:
             flags.append((n, m, KIND_RECORD | KIND_TAU, Fraction(0)))
         elif sign >= 0:
-            flags.append(_flag(n, m, n * n * eps.lo.as_fraction()))
+            flags.append(_flag(n, m, scaled.lo.as_fraction()))
     return flags, len(screened)
 
 

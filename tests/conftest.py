@@ -15,8 +15,9 @@ from pathlib import Path
 import mpmath
 import pytest
 
-from harmonicgap.contfrac import e_convergent
-from harmonicgap.exactnum import Ball, const_e, escalating
+from harmonicgap.construct import WORK_PREC, ideal_multiplier, pair_from, pick_multiplier
+from harmonicgap.contfrac import e_convergent, odd_convergent
+from harmonicgap.exactnum import Ball, const_e, constants, escalating
 from harmonicgap.harmonic import ball_sum, pair_offset, predicted_overshoot
 
 ROOT = Path(__file__).resolve().parents[1]
@@ -84,14 +85,27 @@ def multiplier_from_mpmath(k: int) -> tuple[Fraction, int]:
 
 
 def overshoot_by_ball_sum(n: int, m: int) -> Ball:
-    """Slow twin of harmonic.em_overshoot: the segment sum minus 1 by
-    ball_sum, whose ln(m/(n-1)) runs at about 2 log2(n) bits, to a width of
-    a quarter of the second-order prediction from pair_offset plus twice
-    the Euler-Maclaurin floor."""
+    """Slow twin of harmonic.scaled_overshoot at h = 1/n, unscaled: the
+    segment sum minus 1 by ball_sum, whose ln(m/(n-1)) runs at about
+    2 log2(n) bits, to a width of a quarter of the second-order prediction
+    from pair_offset plus twice the Euler-Maclaurin floor."""
     pred = predicted_overshoot(n, pair_offset(n, m), prec=64)
     mag = max(abs(pred.lo.as_fraction()), abs(pred.hi.as_fraction()))
     floor = Fraction(1, 15 * (n - 1) ** 4)
     return ball_sum(n, m, mag / 4 + 2 * floor) - 1
+
+
+def gap_bracket(k: int) -> tuple[Ball, Ball, Ball]:
+    """(lhs, gap, rhs) of construct's multiplier-choice bracket for the
+    canonical d, from the remainder at WORK_PREC:
+
+        (1/2) ideal * r  <=  r d^2 n/(2n-1) - sinh(1)/6  <=  7 ideal * r
+    """
+    d = pick_multiplier(k)
+    _, n = pair_from(k, d)
+    r, ideal = odd_convergent(k, WORK_PREC).remainder, ideal_multiplier(k)
+    gap = r * Ball.from_fraction(Fraction(d * d * n, 2 * n - 1), WORK_PREC) - constants(WORK_PREC).gap_target
+    return Ball.from_fraction(Fraction(1, 2), WORK_PREC) * ideal * r, gap, 7 * ideal * r
 
 
 def harmonic_pair_lcm_split(lo: int, hi: int) -> tuple[int, int]:

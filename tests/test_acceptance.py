@@ -16,7 +16,7 @@ from fractions import Fraction
 
 import pytest
 
-from harmonicgap.construct import certify, gap_bracket, joint_search, pick_multiplier
+from harmonicgap.construct import certify, joint_search, pick_multiplier
 from harmonicgap.contfrac import (
     convergents,
     e_partial_quotient,
@@ -34,7 +34,7 @@ from harmonicgap.exactnum import Ball, constants
 from harmonicgap.harmonic import iter_crossings, pair_offset, predicted_overshoot
 from harmonicgap.scan import scan_records
 
-from conftest import ratio_from_walk, remainder_from_e
+from conftest import gap_bracket, ratio_from_walk, remainder_from_e
 
 
 def _report(num: int, name: str, ok: bool, detail: str = "") -> None:

@@ -2,6 +2,7 @@
 
 import argparse
 import dataclasses
+import hashlib
 import json
 import os
 import re
@@ -178,6 +179,20 @@ class TestConstruct:
         assert code == 0
         assert out == run(capsys, "construct", "--k-max", "2", "--window", "5")[1]
         assert json.loads(out)["window"] == 5
+
+    def test_pinned_bytes(self, capsys):
+        # sha256 of the stdout of `construct --k-max 60 --window 5` and of
+        # `construct --k 100` as printed before the ball route's overshoot
+        # moved from the (delta, n) form of the identity to scaled_overshoot
+        digests = []
+        for argv in (("--k-max", "60", "--window", "5"), ("--k", "100")):
+            code, out, _ = run(capsys, "construct", *argv)
+            assert code == 0
+            digests.append(hashlib.sha256(out.encode()).hexdigest())
+        assert digests == [
+            "6ede01e4541bee0be57f5a5085194943f11bca1fb9c38bd412534d8c9817ab6c",
+            "776f3d508e0910eb64e6eaa3a07605a7d48631186f2eb6c9a45bc346ecc65dc5",
+        ]
 
     def test_window_mode_matches_joint_search(self, capsys):
         from harmonicgap.cli import _pair_obj

@@ -11,7 +11,6 @@ from harmonicgap import construct, contfrac
 from harmonicgap.construct import (
     certify,
     closest_odd,
-    gap_bracket,
     ideal_multiplier,
     joint_search,
     pair_from,
@@ -21,7 +20,7 @@ from harmonicgap.errors import PrecisionError
 from harmonicgap.exactnum import Ball, const_sinh1, constants, escalating
 from harmonicgap.harmonic import pair_offset
 
-from conftest import multiplier_from_mpmath, overshoot_by_ball_sum
+from conftest import gap_bracket, multiplier_from_mpmath, overshoot_by_ball_sum
 
 
 def _naive_overshoot(n: int, m: int) -> Fraction:
@@ -207,7 +206,11 @@ class TestCertify:
         assert pair.bound_ok is False
 
     def test_interval_route_matches_exact(self, monkeypatch):
-        exact = {(k, d): certify(k, d) for k, d in ((2, 1), (2, 3), (2, 9), (4, 5), (4, 7))}
+        # every pair of the k <= 60 joint search on the exact route (k = 2
+        # with d = 1, 3, 5 and k = 4 with d = 1, 3, 5, 7), and (2, 9)
+        exact = {(p.k, p.d): p for p in joint_search(60)[0] if p.m <= construct.EXACT_ROUTE_CAP}
+        assert len(exact) == 7
+        exact[2, 9] = certify(2, 9)
         # force the ball route by shrinking the exact-route cap; its ball is
         # about as wide as the Euler-Maclaurin remainder, so leaving out the
         # atanh term or the remainder would exclude the exact value
@@ -215,7 +218,9 @@ class TestCertify:
         for (k, d), ex in exact.items():
             pair = certify(k, d)
             assert pair.overshoot_exact is None and ex.overshoot_exact is not None
+            assert pair.overshoot.prec == construct.WORK_PREC + 32, (k, d)  # decided at WORK_PREC
             assert pair.overshoot.contains(ex.overshoot_exact), (k, d)
+            assert pair.quality.contains(pair.n**2 * ex.overshoot_exact), (k, d)
             assert pair.bound_ok == ex.bound_ok, (k, d)
 
     def test_k1000_certified(self):

@@ -15,7 +15,6 @@ from harmonicgap.harmonic import (
     _walk,
     ball_sum,
     crossing,
-    em_overshoot,
     exact_sum,
     iter_crossings,
     pair_delta,
@@ -179,8 +178,10 @@ class TestOffset:
 E = const_e(128).midpoint().as_fraction()  # e to 2^-120, to place pairs
 
 
-def _em(n: int, m: int, w: int = 192) -> Ball:
-    return em_overshoot(n, m, pair_delta(n, m, w), w)
+def _scaled(n: int, m: int, w: int = 192) -> Ball:
+    """scaled_overshoot at the pair's offset y = n delta, from the generic
+    pair_delta, and h = 1/n."""
+    return scaled_overshoot(pair_delta(n, m, w) * n, Ball.from_fraction(Fraction(1, n), w + 32), w)
 
 
 @st.composite
@@ -191,8 +192,8 @@ def _near_crossing(draw, n_lo: int, n_hi: int) -> tuple[int, int]:
 
 
 class TestEmOvershoot:
-    """em_overshoot from the generic pair_delta, against exact_sum up to
-    n = 10^5 and against ball_sum's ln route beyond."""
+    """The Euler-Maclaurin overshoot n^2 (S - 1), scaled_overshoot at h = 1/n,
+    against exact_sum up to n = 10^5 and against ball_sum's ln route beyond."""
 
     @settings(max_examples=40, deadline=None)
     @given(nm=_near_crossing(4, 10**5), w=st.sampled_from([64, 192]))
@@ -203,51 +204,51 @@ class TestEmOvershoot:
     @example(nm=(9045, 24585), w=160)
     def test_contains_exact_sum(self, nm, w):
         n, m = nm
-        eps = exact_sum(n, m) - 1
-        ball = _em(n, m, w)
-        assert ball.contains(eps)
-        # R's interval is 1/(120 N^4) + 1/(120 m^4) wide: under 1/(15 n^4) from n = 4
-        assert abs(ball - Ball.from_fraction(eps, w)).hi.cmp_fraction(Fraction(1, 15 * n**4)) < 0
+        scaled = n * n * (exact_sum(n, m) - 1)
+        ball = _scaled(n, m, w)
+        assert ball.contains(scaled)
+        # n^2 R's interval is n^2 (1/(120 N^4) + 1/(120 m^4)) wide: under 1/(15 n^2) from n = 4
+        assert abs(ball - Ball.from_fraction(scaled, w)).hi.cmp_fraction(Fraction(1, 15 * n**2)) < 0
 
     @settings(max_examples=25, deadline=None)
     @given(nm=_near_crossing(10**5, 10**15))
     def test_overlaps_ball_sum_twin(self, nm):
         n, m = nm
-        assert _em(n, m).overlaps(overshoot_by_ball_sum(n, m))
+        assert _scaled(n, m).overlaps(overshoot_by_ball_sum(n, m) * (n * n))
 
     def test_domain(self):
-        # n >= 2, and |u| < 1/2 for u = (m - eN)/(m + eN): eN/3 < m < 3eN
+        # h = 1/n <= 1/2, and |u| < 1/2 for u = (m - eN)/(m + eN): eN/3 < m < 3eN
         for n, m in ((1, 5), (3, 20), (10, 100)):
             with pytest.raises(ValueError):
-                _em(n, m)
+                _scaled(n, m)
         for n, m in ((2, 2), (1000, 1000)):
-            assert _em(n, m).contains(exact_sum(n, m) - 1)
+            assert _scaled(n, m).contains(n * n * (exact_sum(n, m) - 1))
         for n in (2, 3, 10, 1000):
             top = math.floor(3 * E * (n - 1))
-            assert _em(n, top).contains(exact_sum(n, top) - 1)
+            assert _scaled(n, top).contains(n * n * (exact_sum(n, top) - 1))
             with pytest.raises(ValueError):
-                _em(n, top + 1)
+                _scaled(n, top + 1)
         # below n the identity gives H_m - H_N - 1, a sum taken away
         bottom = math.ceil(E * 999 / 3)
-        assert _em(1000, bottom).contains(-exact_sum(bottom + 1, 999) - 1)
+        assert _scaled(1000, bottom).contains(1000**2 * (-exact_sum(bottom + 1, 999) - 1))
         with pytest.raises(ValueError):
-            _em(1000, bottom - 1)
+            _scaled(1000, bottom - 1)
 
     def test_record_past_the_exact_frontier(self):
         # the scan's row n = 15,586,535 is pair_from(6, 3): the signs at t and
         # t - 1 certify t(n), and n^2 eps matches certify(6, 3)
         n, t = 15586535, 42368593
         assert pair_from(6, 3) == (t, n)
-        assert (_em(n, t).sign(), _em(n, t - 1).sign()) == (1, -1)
-        scaled = _em(n, t) * (n * n)
+        scaled = _scaled(n, t)
+        assert (scaled.sign(), _scaled(n, t - 1).sign()) == (1, -1)
         assert scaled.overlaps(certify(6, 3).quality)
         lo, hi = Fraction("0.01902982094775"), Fraction("0.01902982094776")
         assert scaled.overlaps(Ball.from_endpoints(lo, hi, 128))
 
 
 class TestScaledOvershoot:
-    """scaled_overshoot in (y, h): its limit at h = 0, and at h = 1/n the
-    pair's em_overshoot and exact sum."""
+    """scaled_overshoot in (y, h): its limit at h = 0, its exact sum at
+    h = 1/n, and its domain in h."""
 
     @pytest.mark.parametrize("y", [Fraction(0), Fraction(1, 8), Fraction(17, 16), Fraction(-3, 7), Fraction(5)])
     def test_limit_at_h_0(self, y):
@@ -266,11 +267,10 @@ class TestScaledOvershoot:
     @example(nm=(29, 77))
     @example(nm=(27134, 73756))
     def test_overlaps_em_overshoot_and_exact_sum(self, nm):
+        # the Euler-Maclaurin overshoot at h = 1/n, here at the records below
+        # 10^5, against the exact sum
         n, m = nm
-        w = 96
-        ball = scaled_overshoot(pair_delta(n, m, w) * n, Ball.from_fraction(Fraction(1, n), w + 32), w)
-        assert ball.overlaps(_em(n, m, w) * (n * n))
-        assert ball.contains(n * n * (exact_sum(n, m) - 1))
+        assert _scaled(n, m, 96).contains(n * n * (exact_sum(n, m) - 1))
 
     @pytest.mark.parametrize("h", [Fraction(-1, 100), Fraction(3, 5)])
     def test_domain(self, h):

@@ -337,7 +337,7 @@ class TestScreen:
         # a ball that never decides its sign turns every flag from N0 on into
         # an ambiguous one, which the merge confirms in exact rationals
         expected = scan_records(30000).csv_lines()
-        monkeypatch.setattr(scan, "em_overshoot", lambda n, m, delta, w: Ball.from_endpoints(-1, 1, 64))
+        monkeypatch.setattr(scan, "scaled_overshoot", lambda y, h, w: Ball.from_endpoints(-1, 1, 64))
         flags = scan.screen_block(_screen.N0, 30000)[0]
         assert flags and all(kind == scan.KIND_RECORD | scan.KIND_TAU and lo == 0 for _, _, kind, lo in flags)
         assert scan_records(30000).csv_lines() == expected
