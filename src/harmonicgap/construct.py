@@ -140,10 +140,12 @@ class CandidatePair:
         return abs(self.quality) * logn.pow_frac(Fraction(5, 4), 128)
 
 
+@lru_cache(maxsize=1)
 def _delta(k: int, d: int, w: int) -> Ball:
     """delta = d(p - e q)/2 = -sign d r/(2q) at w + 32 bits, from the
     remainder r at w bits: the pair (k, d) has m - e(n-1) = (e-1)/2 + delta
-    and offset y = n delta."""
+    and offset y = n delta.  The last one is kept, so certify's offset reuses
+    the delta of _overshoot_ball's first attempt."""
     s = odd_convergent(k, w)
     W = w + 32
     return s.remainder * Ball.from_fraction(-s.sign * d, W) / Ball.from_fraction(2 * s.q, W).at(W)

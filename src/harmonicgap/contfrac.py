@@ -1,18 +1,20 @@
 """Continued-fraction engine for e and e^(1/k).
 
-Partial quotients; convergents from one three-term recurrence, walked from
-the start on every call; the odd-numerator/odd-denominator subsequence at
-indices 3k+2 with certified normalized remainders; exact convergent
-membership; and the remainder identity 1/r = c + w behind the
-r^(-1) = 2k + 3 + O(1/k) refinement.
+Partial quotients; convergents from one three-term recurrence, whose walk
+over e is kept as one cursor that later requests resume; the
+odd-numerator/odd-denominator subsequence at indices 3k+2 with certified
+normalized remainders; exact convergent membership; and the remainder
+identity 1/r = c + w behind the r^(-1) = 2k + 3 + O(1/k) refinement.
 
 Indexing is 1-based with a_1 = 2, so the subsequence index k = 0 lands on
 the convergent 3/1.  Entry k's remainder comes from that identity and the
 partial quotients alone: c = q_{3k+1}/q_{3k+2} = [0; a_{3k+2}, ..., a_2] and
 w = [2k+2; 1, 1, 2k+4, ...] are enclosed by their own convergents, with no
-e, no division of q-sized integers and no precision that grows with q.  So
-entry k costs the walk to index 3k+2, which holds two convergents at a time,
-and a listing of entries 0..K shares one walk to index 3K+2.
+e, no division of q-sized integers and no precision that grows with q.  The
+walk holds two convergents at a time and stops at the cursor: a request at
+or past it walks on from there, one below it starts afresh.  So an ascending
+run of entries, or a listing of entries 0..K, costs one walk to its last
+index.
 """
 
 from __future__ import annotations
@@ -22,6 +24,7 @@ from fractions import Fraction
 from functools import lru_cache, partial
 from itertools import islice
 from math import gcd
+from threading import Lock
 
 from .exactnum import Ball
 
@@ -94,11 +97,32 @@ def convergents(quotient, count: int) -> list[Convergent]:
     return [Convergent(i, quotient(i), p, q) for i, (_, _, p, q) in enumerate(walk, 1)]
 
 
+# the one walk over e's convergents: its index i, (p_{i-1}, q_{i-1}, p_i, q_i)
+# there and the _walk generator, which a request at or past i resumes
+_cursor: tuple = (0, None, None)
+_cursor_lock = Lock()
+
+
+def _e_walked(i: int) -> tuple[int, int, int, int]:
+    """(p_{i-1}, q_{i-1}, p_i, q_i) of e for i >= 1, walked on from the cursor,
+    or by a fresh walk when i lies below it; the cursor then rests at i."""
+    global _cursor
+    with _cursor_lock:
+        at, walked, walk = _cursor
+        if i < at or walk is None:
+            at, walk = 0, _walk(e_partial_quotient)
+        if i > at:
+            _cursor = (0, None, None)  # so that an interrupted walk is not resumed
+            walked = next(islice(walk, i - at - 1, None))
+        _cursor = (i, walked, walk)
+        return walked
+
+
 def e_convergent(i: int) -> Convergent:
-    """Convergent i of e, walked from the start."""
+    """Convergent i of e, from the cursor."""
     if i < 1:
         raise IndexError("convergent index starts at 1")
-    _, _, p, q = next(islice(_walk(e_partial_quotient), i - 1, None))
+    _, _, p, q = _e_walked(i)
     return Convergent(i, e_partial_quotient(i), p, q)
 
 
@@ -124,20 +148,21 @@ def odd_convergent(k: int, prec: int = 36) -> OddConvergent:
 
     The remainder is r = 1/(w_k + c_k) at a fixed working precision: its
     width is at most 2^(4 - prec) at any k.  Cached, so construct computes
-    one remainder per index.
+    one remainder per index.  p and q come from the cursor, so ascending
+    indices share one walk.
     """
     if k < 0:
         raise IndexError("subsequence index starts at 0")
-    return _odd_entry(k, prec, next(islice(_walk(e_partial_quotient), 3 * k + 1, None)))
+    return _odd_entry(k, prec, _e_walked(3 * k + 2))
 
 
 def odd_convergents(k_max: int, prec: int = 36) -> list[OddConvergent]:
     """Entries 0..k_max of the subsequence, as odd_convergent gives them, from
-    one walk that hands every third convergent to the entry's checks."""
+    one pass of the cursor that hands every third convergent to the entry's
+    checks."""
     if k_max < 0:
         raise IndexError("subsequence index starts at 0")
-    walk = islice(_walk(e_partial_quotient), 1, 3 * k_max + 2, 3)
-    return [_odd_entry(k, prec, walked) for k, walked in enumerate(walk)]
+    return [_odd_entry(k, prec, _e_walked(3 * k + 2)) for k in range(k_max + 1)]
 
 
 def _odd_entry(k: int, prec: int, walked: tuple[int, int, int, int]) -> OddConvergent:

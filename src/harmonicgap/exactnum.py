@@ -79,8 +79,17 @@ class Dyadic:
         return Dyadic(self.man * other.man, self.exp + other.exp)
 
     def _cmp(self, other: "Dyadic") -> int:
-        e = min(self.exp, other.exp)
-        a, b = self.man << (self.exp - e), other.man << (other.exp - e)
+        # by sign, then by bit magnitude; only equal magnitudes align the
+        # mantissas, by their length difference, which is then the exponent gap
+        a, b = self.man, other.man
+        sa, sb = (a > 0) - (a < 0), (b > 0) - (b < 0)
+        if sa != sb or not sa:
+            return (sa > sb) - (sa < sb)
+        la, lb = abs(a).bit_length() + self.exp, abs(b).bit_length() + other.exp
+        if la != lb:
+            return sa if la > lb else -sa
+        gap = self.exp - other.exp
+        a, b = (a << gap, b) if gap > 0 else (a, b << -gap)
         return (a > b) - (a < b)
 
     def __lt__(self, other):
@@ -318,8 +327,17 @@ class Ball:
     def __mul__(self, other) -> "Ball":
         other = self._coerce(other)
         p = max(self.prec, other.prec)
-        cands = [self.lo * other.lo, self.lo * other.hi, self.hi * other.lo, self.hi * other.hi]
-        return Ball(min(cands).round_down(p), max(cands).round_up(p), p)
+        # by the signs: x, an operand that does not straddle zero if there is
+        # one, pairs each end of y with the end of x that pushes it outward
+        x, y = (self, other) if self.lo.man >= 0 or self.hi.man <= 0 else (other, self)
+        a, b, c, d = x.lo, x.hi, y.lo, y.hi
+        if a.man >= 0:
+            lo, hi = (a if c.man >= 0 else b) * c, (b if d.man >= 0 else a) * d
+        elif b.man <= 0:
+            lo, hi = (a if d.man >= 0 else b) * d, (b if c.man >= 0 else a) * c
+        else:  # both straddle zero
+            lo, hi = min(a * d, b * c), max(a * c, b * d)
+        return Ball(lo.round_down(p), hi.round_up(p), p)
 
     __rmul__ = __mul__
 

@@ -108,6 +108,14 @@ def gap_bracket(k: int) -> tuple[Ball, Ball, Ball]:
     return Ball.from_fraction(Fraction(1, 2), WORK_PREC) * ideal * r, gap, 7 * ideal * r
 
 
+def ball_mul_four(x: Ball, y: Ball) -> Ball:
+    """Slow twin of Ball.__mul__: all four end products, the least rounded
+    down and the greatest up, whatever the operands' signs."""
+    p = max(x.prec, y.prec)
+    cands = [x.lo * y.lo, x.lo * y.hi, x.hi * y.lo, x.hi * y.hi]
+    return Ball(min(cands).round_down(p), max(cands).round_up(p), p)
+
+
 def harmonic_pair_lcm_split(lo: int, hi: int) -> tuple[int, int]:
     """Slow twin of _intops.harmonic_pair: balanced splitting whose nodes add
     their halves over lcm(d1, d2), by a gcd and two exact divisions each, then

@@ -103,6 +103,7 @@ class TestConvergents:
             return walk(quotient)
 
         monkeypatch.setattr(contfrac, "_walk", spy)
+        monkeypatch.setattr(contfrac, "_cursor", (0, None, None))  # no walk to resume
         code, out, _ = run(capsys, "convergents", "--subseq", "--k-max", "40", "--format", "csv")
         assert code == 0
         assert len(out.splitlines()) == 42

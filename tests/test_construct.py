@@ -144,6 +144,16 @@ class TestOneRemainderPerIndex:
         assert contfrac.odd_convergent.cache_info().misses == 1
         assert nested == []
 
+    @pytest.mark.parametrize("k", [100, 250])
+    def test_offset_reuses_the_overshoot_delta(self, k):
+        # on the ball route, the offset reads the delta of the overshoot's
+        # first attempt instead of computing it again
+        construct._delta.cache_clear()
+        pair = certify(k)
+        assert pair.overshoot_exact is None
+        info = construct._delta.cache_info()
+        assert (info.misses, info.hits) == (1, 1)
+
 
 class TestPairFrom:
     def test_k2_d3(self):

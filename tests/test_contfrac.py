@@ -1,9 +1,12 @@
 """Continued-fraction engine tests, including the subsequence lemma suite."""
 
 import os
+import random
 import subprocess
 import sys
+import threading
 from fractions import Fraction
+from itertools import islice
 from math import gcd
 from pathlib import Path
 
@@ -202,14 +205,16 @@ class TestDeterminantCheck:
     keep both parities and p q_{i-1} mod q, and a corrupted q_{i-1}, which
     the remainder does not read."""
 
-    @pytest.mark.parametrize(
+    corruptions = pytest.mark.parametrize(
         "corrupt",
         [
             pytest.param(lambda pp, qp, p, q: (pp, qp, p + 2 * q, q), id="p-plus-2q"),
             pytest.param(lambda pp, qp, p, q: (pp, qp + 2, p, q), id="q-prev"),
         ],
     )
-    def test_corrupted_entry_raises(self, monkeypatch, corrupt):
+
+    @staticmethod
+    def _corrupt_entry_10(monkeypatch, corrupt):
         # entry k = 10 is convergent 32, walked as (p_31, q_31, p_32, q_32)
         entry = contfrac._odd_entry
 
@@ -218,8 +223,25 @@ class TestDeterminantCheck:
 
         monkeypatch.setattr(contfrac, "_odd_entry", corrupted)
         contfrac.odd_convergent.cache_clear()
+
+    @corruptions
+    def test_corrupted_entry_raises(self, monkeypatch, corrupt):
+        self._corrupt_entry_10(monkeypatch, corrupt)
         with pytest.raises(AssertionError, match="determinant"):
             contfrac.odd_convergent(10)
+        with pytest.raises(AssertionError, match="determinant"):
+            contfrac.odd_convergents(12)
+
+    @corruptions
+    def test_corrupted_entry_raises_when_resumed(self, monkeypatch, corrupt):
+        # the cursor rests at entry 5 (convergent 17), so entry 10 resumes it
+        self._corrupt_entry_10(monkeypatch, corrupt)
+        contfrac.odd_convergent(5)
+        assert contfrac._cursor[0] == 17
+        with pytest.raises(AssertionError, match="determinant"):
+            contfrac.odd_convergent(10)
+        assert contfrac._cursor[0] == 32
+        contfrac.odd_convergents(8)
         with pytest.raises(AssertionError, match="determinant"):
             contfrac.odd_convergents(12)
 
@@ -240,6 +262,97 @@ class TestOddConvergentListing:
         assert [_entry_key(s) for s in odd_convergents(0)] == [_entry_key(odd_convergent(0))]
         with pytest.raises(IndexError):
             odd_convergents(-1)
+
+
+def _fresh_walked(i):
+    # the slow twin of the cursor: convergent i of e by a walk from the start
+    return next(islice(contfrac._walk(e_partial_quotient), i - 1, None))
+
+
+class TestCursor:
+    """Every request through the cursor, resumed or started afresh, gives
+    what a walk from the start gives."""
+
+    _requests = st.lists(
+        st.one_of(
+            st.tuples(st.just("entry"), st.integers(0, 300), st.sampled_from([36, 192])),
+            st.tuples(st.just("listing"), st.integers(0, 60), st.just(36)),
+            st.tuples(st.just("convergent"), st.integers(1, 900), st.just(0)),
+        ),
+        min_size=1,
+        max_size=8,
+    )
+
+    @settings(max_examples=60, deadline=None)
+    @given(requests=_requests)
+    @example(requests=[("entry", k, 36) for k in (3, 50, 120, 300)])  # ascending
+    @example(requests=[("entry", k, 36) for k in (300, 120, 50, 3, 0)])  # descending
+    @example(requests=[("entry", 40, 36), ("entry", 40, 192), ("convergent", 122, 0)])  # repeated
+    @example(requests=[("entry", 90, 36), ("listing", 30, 36), ("convergent", 1, 0), ("entry", 31, 36)])
+    def test_matches_fresh_walk(self, requests):
+        for kind, n, prec in requests:
+            contfrac.odd_convergent.cache_clear()
+            if kind == "entry":
+                want = contfrac._odd_entry(n, prec, _fresh_walked(3 * n + 2))
+                assert _entry_key(odd_convergent(n, prec)) == _entry_key(want)
+            elif kind == "listing":
+                want = [contfrac._odd_entry(k, prec, _fresh_walked(3 * k + 2)) for k in range(n + 1)]
+                assert [_entry_key(s) for s in odd_convergents(n, prec)] == [_entry_key(s) for s in want]
+            else:
+                _, _, p, q = _fresh_walked(n)
+                assert e_convergent(n) == contfrac.Convergent(n, e_partial_quotient(n), p, q)
+
+    def test_threads_share_the_cursor(self):
+        # four threads move one cursor up and down at a short switch
+        # interval; a resume from another thread's index would give a wrong
+        # convergent
+        want = [(p, q) for _, _, p, q in islice(contfrac._walk(e_partial_quotient), 2000)]
+        wrong = []
+
+        def requests(seed):
+            rng = random.Random(seed)
+            for _ in range(100):
+                i = rng.randrange(1, 2001)
+                try:
+                    c = e_convergent(i)
+                except Exception as exc:  # a generator entered twice raises ValueError
+                    wrong.append((i, repr(exc)))
+                else:
+                    if (c.p, c.q) != want[i - 1]:
+                        wrong.append(i)
+
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-6)
+        try:
+            threads = [threading.Thread(target=requests, args=(seed,)) for seed in range(4)]
+            for t in threads:
+                t.start()
+            for t in threads:
+                t.join(timeout=60)
+        finally:
+            sys.setswitchinterval(interval)
+        assert not any(t.is_alive() for t in threads)
+        assert wrong == []
+
+    def test_ladder_walks_once(self):
+        # the certify ladder k = 100, 110, ..., 250 asks for p and q in
+        # ascending order: 1,468 partial quotients with the cursor (752 of
+        # them the walk to index 752, the rest the ratio enclosures) against
+        # 9,148 when every index was walked from the start
+        script = (
+            "from harmonicgap import construct, contfrac\n"
+            "calls, quotient = [], contfrac.e_partial_quotient\n"
+            "contfrac.e_partial_quotient = lambda i: calls.append(i) or quotient(i)\n"
+            "for k in range(100, 251, 10):\n"
+            "    construct.certify(k)\n"
+            "print(len(calls))\n"
+        )
+        proc = subprocess.run(
+            [sys.executable, "-c", script], capture_output=True, text=True, timeout=120,
+            env=dict(os.environ, PYTHONPATH=str(SRC)),
+        )
+        assert proc.returncode == 0, proc.stderr
+        assert int(proc.stdout) < 3000
 
 
 class TestRatioEnclosure:
@@ -346,13 +459,15 @@ class TestRefinement:
 class TestMemory:
     def test_walk_keeps_no_table(self):
         # the walk to index 15,002 holds two convergents at a time, not
-        # every p_i, q_i (a table of them peaks at 117 MB of allocations);
+        # every p_i, q_i (a table of them peaks at 117 MB of allocations),
+        # and the fresh walk back to index 32 keeps no more;
         # a fresh interpreter keeps earlier tests' caches out of the count
         script = (
             "import tracemalloc\n"
             "from harmonicgap.contfrac import odd_convergent\n"
             "tracemalloc.start()\n"
             "odd_convergent(5000)\n"
+            "odd_convergent(10)\n"
             "print(tracemalloc.get_traced_memory()[1])\n"
         )
         proc = subprocess.run(

@@ -27,7 +27,7 @@ from harmonicgap.exactnum import (
     ln_ball,
 )
 
-from conftest import int_str_limit
+from conftest import ball_mul_four, int_str_limit
 
 # independent oracle: ln via exact-rational atanh series with geometric tail
 def _ln_oracle(x: Fraction) -> tuple[Fraction, Fraction]:
@@ -103,6 +103,99 @@ class TestDyadic:
         third_down = Ball.from_fraction(Fraction(1, 3), 64).lo
         s = third_down.decimal_str(6, round_up=False)
         assert s.startswith("0.333333")
+
+
+# a dyadic of either sign, or zero, with a mantissa of up to 200 bits
+_dyadics = st.builds(Dyadic, st.integers(-(2**200), 2**200), st.integers(-(10**5), 10**5))
+
+
+class TestDyadicCmp:
+    """_cmp decides by sign and bit magnitude and aligns mantissas only at
+    equal magnitudes; Fraction comparison is its twin."""
+
+    @staticmethod
+    def _check(a: Dyadic, b: Dyadic):
+        x, y = a.as_fraction(), b.as_fraction()
+        assert a._cmp(b) == (x > y) - (x < y)
+        assert b._cmp(a) == (y > x) - (y < x)
+
+    @settings(max_examples=300, deadline=None)
+    @given(a=_dyadics, b=_dyadics)
+    @example(a=Dyadic(0, 9), b=Dyadic(0, -9))
+    @example(a=Dyadic(0), b=Dyadic(-1, -(10**5)))
+    @example(a=Dyadic(1, 10**5), b=Dyadic(1, -(10**5)))  # a gap of 2 * 10^5 bits
+    def test_matches_fractions(self, a, b):
+        self._check(a, b)
+
+    @settings(max_examples=300, deadline=None)
+    @given(
+        man=st.integers(1, 2**200),
+        other=st.integers(1, 2**200),
+        exp=st.integers(-(10**5), 10**5),
+        signs=st.sampled_from([(1, 1), (1, -1), (-1, 1), (-1, -1)]),
+    )
+    def test_equal_exponents(self, man, other, exp, signs):
+        self._check(Dyadic(signs[0] * man, exp), Dyadic(signs[1] * other, exp))
+
+    @settings(max_examples=300, deadline=None)
+    @given(
+        man=st.integers(1, 2**200),
+        other=st.integers(1, 2**200),
+        exp=st.integers(-(10**5), 10**5),
+        sign=st.sampled_from([1, -1]),
+        same=st.booleans(),
+    )
+    @example(man=5, other=5, exp=0, sign=1, same=True)
+    @example(man=1, other=2**199, exp=-(10**5), sign=-1, same=False)
+    def test_equal_bit_magnitudes(self, man, other, exp, sign, same):
+        # b gets a's bit magnitude at another exponent (the same value when
+        # `same`), so only the aligned mantissas decide
+        if same:
+            other = man
+        gap = man.bit_length() - other.bit_length()
+        a, b = Dyadic(sign * man, exp), Dyadic(sign * other, exp + gap)
+        assert a.bit_magnitude() == b.bit_magnitude()
+        self._check(a, b)
+        if same:
+            assert a._cmp(Dyadic(sign * (man << 7), exp - 7)) == 0
+
+
+class TestBallMul:
+    """The sign-dispatched product against the four-product twin, on every
+    pair of sign classes."""
+
+    # (lo, hi) bit patterns: negative, ending at zero, the zero point,
+    # straddling, starting at zero, positive; a point ball when equal
+    _classes = {
+        "neg": (st.integers(-(2**90), -1), st.integers(-(2**90), -1)),
+        "nonpos": (st.integers(-(2**90), -1), st.just(0)),
+        "zero": (st.just(0), st.just(0)),
+        "straddle": (st.integers(-(2**90), -1), st.integers(1, 2**90)),
+        "nonneg": (st.just(0), st.integers(1, 2**90)),
+        "pos": (st.integers(1, 2**90), st.integers(1, 2**90)),
+    }
+
+    @classmethod
+    def _balls(cls, kind):
+        lo, hi = cls._classes[kind]
+        return st.builds(
+            lambda a, b, e, f, point, prec: Ball(
+                *sorted((Dyadic(a, e), Dyadic(a if point else b, f)), key=Dyadic.as_fraction), prec
+            ),
+            lo, hi, st.integers(-120, 120), st.integers(-120, 120), st.booleans(), st.sampled_from([32, 64, 200]),
+        )
+
+    @pytest.mark.parametrize("left", sorted(_classes))
+    @pytest.mark.parametrize("right", sorted(_classes))
+    @settings(max_examples=25, deadline=None)
+    @given(data=st.data())
+    def test_matches_four_products(self, left, right, data):
+        x, y = data.draw(self._balls(left)), data.draw(self._balls(right))
+        for got in (x * y, y * x):
+            want = ball_mul_four(x, y)
+            assert got.lo.as_fraction() == want.lo.as_fraction()
+            assert got.hi.as_fraction() == want.hi.as_fraction()
+            assert got.prec == want.prec
 
 
 def _decimal_str_reference(d: Dyadic, digits: int, round_up: bool) -> str:
