@@ -15,9 +15,9 @@ only to force positivity), ranking pairs by |n^2 * overshoot|.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache
+from typing import NamedTuple
 
 from ._pool import ordered_map
 from .contfrac import OddConvergent, odd_convergent
@@ -119,8 +119,7 @@ def pick_multiplier(k: int) -> int:
     return closest_odd(ideal_multiplier(k) + 2)
 
 
-@dataclass(frozen=True)
-class CandidatePair:
+class CandidatePair(NamedTuple):
     """A constructed (m, n) pair with its certification artifacts."""
 
     k: int

@@ -19,12 +19,12 @@ index.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache, partial
 from itertools import islice
 from math import gcd
 from threading import Lock
+from typing import NamedTuple
 
 from .exactnum import Ball
 
@@ -66,8 +66,7 @@ def exp_recip_partial_quotient(kdenom: int, i: int) -> int:
     return (kdenom - 1) + 2 * kdenom * m if pos == 1 else 1
 
 
-@dataclass(frozen=True)
-class Convergent:
+class Convergent(NamedTuple):
     i: int
     a: int
     p: int
@@ -126,8 +125,7 @@ def e_convergent(i: int) -> Convergent:
     return Convergent(i, e_partial_quotient(i), p, q)
 
 
-@dataclass(frozen=True)
-class OddConvergent:
+class OddConvergent(NamedTuple):
     """Entry k of the subsequence p_{3k+2}/q_{3k+2}, both odd, with the
     certified normalized remainder r = |e - p/q| * q^2 and the sign of
     e - p/q, which is (-1)^(k+1)."""

@@ -20,11 +20,10 @@ compute the same integers, so every ball is the same either way.
 from __future__ import annotations
 
 import sys
-from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache
 from math import gcd, isqrt
-from typing import Callable
+from typing import Callable, NamedTuple
 
 from .exactnum import Ball, Dyadic, const_pi, escalating, ln_ball
 
@@ -158,22 +157,34 @@ def cos_sin_2pi(t: Fraction, bits: int = WEYL_BITS) -> tuple[Ball, Ball]:
 # Point sets and exponential sums
 # ----------------------------------------------------------------------
 
-@dataclass(frozen=True)
 class PointSet:
     """Finite list of rationals mod 1, each stored as a Fraction in [0, 1).
 
     A point that already is a Fraction in [0, 1) is kept as it is.
-    `weyl_sum_abs` keeps a memo in the instance's `__dict__`; it is not a
-    field, so equality, hash and repr ignore it.
+    Immutable: equality, hash and repr go by `points` alone.
+    `weyl_sum_abs` keeps a memo in the instance's `__dict__`, which they
+    ignore.
     """
 
-    points: tuple
-
-    def __post_init__(self):
+    def __init__(self, points):
         object.__setattr__(self, "points", tuple(
             x if type(x) is Fraction and 0 <= x.numerator < x.denominator else Fraction(x) % 1
-            for x in self.points
+            for x in points
         ))
+
+    def __setattr__(self, name, value=None):
+        raise AttributeError(f"cannot assign to or delete field {name!r}")
+
+    __delattr__ = __setattr__
+
+    def __eq__(self, other):
+        return self.points == other.points if type(other) is PointSet else NotImplemented
+
+    def __hash__(self) -> int:
+        return hash(self.points)
+
+    def __repr__(self) -> str:
+        return f"PointSet(points={self.points!r})"
 
     def __len__(self) -> int:
         return len(self.points)
@@ -320,8 +331,7 @@ def _count_in_window(points, a: Fraction, delta: Fraction) -> int:
     return count
 
 
-@dataclass(frozen=True)
-class ETReport:
+class ETReport(NamedTuple):
     n_points: int
     count: int
     delta: Fraction
@@ -375,8 +385,7 @@ def random_et_instance(rng) -> tuple[PointSet, Fraction, Fraction, int]:
 # Quadratic counting
 # ----------------------------------------------------------------------
 
-@dataclass(frozen=True)
-class CountReport:
+class CountReport(NamedTuple):
     p: int
     q: int
     shift: Fraction          # the target r
@@ -486,8 +495,7 @@ def _error_expression(q: int, delta: Fraction, n_max: int, eta: Fraction) -> Bal
 # Approximation by fractions with square denominators
 # ----------------------------------------------------------------------
 
-@dataclass(frozen=True)
-class ApproxHit:
+class ApproxHit(NamedTuple):
     m: int
     n: int
     error: Ball  # |alpha - m/n^2|

@@ -21,9 +21,9 @@ fixed 224 bits, at any size of n.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache
+from typing import NamedTuple
 
 from ._intops import decimal_str, iroot
 from .errors import PrecisionError
@@ -583,8 +583,7 @@ def const_sinh1(prec: int = DEFAULT_PREC) -> Ball:
     return ((e - Ball.from_fraction(1, w) / e) * half).at(prec)
 
 
-@dataclass(frozen=True)
-class Constants:
+class Constants(NamedTuple):
     """The recurring certified constants, all at a common precision."""
 
     critical_offset: Ball  # sinh(1)/12: the offset nulling the n^-2 error term

@@ -31,10 +31,9 @@ twin, takes ln(m/N) directly.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache
-from typing import Iterator
+from typing import Iterator, NamedTuple
 
 from ._intops import fraction_from, harmonic_pair
 from .exactnum import Ball, Dyadic, _operand, const_e, escalating
@@ -95,8 +94,7 @@ def _width_bits(w: Fraction) -> int:
     return max(1, w.denominator.bit_length() - w.numerator.bit_length() + 2)
 
 
-@dataclass(frozen=True)
-class Crossing:
+class Crossing(NamedTuple):
     """Least t with 1/n + ... + 1/t >= 1, and the exact overshoot."""
 
     n: int

@@ -37,10 +37,10 @@ import json
 import os
 import time
 from contextlib import suppress
-from dataclasses import dataclass, field
 from fractions import Fraction
 from functools import lru_cache
 from math import gcd
+from typing import NamedTuple
 
 from . import __version__, _screen
 from ._intops import _EXACT, decimal
@@ -73,8 +73,7 @@ def quality_threshold(prec: int = 128) -> Ball:
     return scaled_overshoot(Fraction(1, 8), 0, prec).at(prec)
 
 
-@dataclass(frozen=True)
-class ConnectionReport:
+class ConnectionReport(NamedTuple):
     """Reduction of (2m+1)/(2n-1) and its convergent membership: the scan's
     one classifier, built once for every emitted row."""
 
@@ -95,8 +94,7 @@ class ConnectionReport:
         return ConnectionReport(n=n, m=m, d=d, reduced_p=p, reduced_q=q, is_convergent=is_e_convergent(p, q))
 
 
-@dataclass(frozen=True)
-class RecordRow:
+class RecordRow(NamedTuple):
     n: int
     t: int
     overshoot: Fraction
@@ -130,14 +128,22 @@ class RecordRow:
         }
 
 
-@dataclass
 class RecordTable:
-    horizon: int
-    records: list[RecordRow] = field(default_factory=list)
-    below_threshold: list[RecordRow] = field(default_factory=list)
-    exact_hits: list[tuple[int, int]] = field(default_factory=list)  # (n, t) with overshoot exactly 0
-    kernel: str = ""
-    wall_time_s: float | None = None
+    def __init__(
+        self,
+        horizon: int,
+        records: list[RecordRow],
+        below_threshold: list[RecordRow],
+        exact_hits: list[tuple[int, int]],  # (n, t) with overshoot exactly 0
+        kernel: str,
+        wall_time_s: float | None,
+    ):
+        self.horizon = horizon
+        self.records = records
+        self.below_threshold = below_threshold
+        self.exact_hits = exact_hits
+        self.kernel = kernel
+        self.wall_time_s = wall_time_s
 
     def csv_lines(self) -> list[str]:
         return [CSV_HEADER] + [r.csv() for r in self.records]

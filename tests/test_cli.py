@@ -1,7 +1,6 @@
 """Command-line surface: flags, exit codes, output contracts."""
 
 import argparse
-import dataclasses
 import hashlib
 import json
 import os
@@ -487,7 +486,7 @@ class TestEt:
 
         def second_fails(*args, **kwargs):
             calls.append(None)
-            return dataclasses.replace(check(*args, **kwargs), holds=len(calls) != 2)
+            return check(*args, **kwargs)._replace(holds=len(calls) != 2)
 
         monkeypatch.setattr(counting, "erdos_turan_check", second_fails)
         code, out, err = run(capsys, "et", "--seed", "7", "--trials", "3")
