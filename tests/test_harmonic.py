@@ -186,9 +186,11 @@ def _scaled(n: int, m: int, w: int = 192) -> Ball:
 
 @st.composite
 def _near_crossing(draw, n_lo: int, n_hi: int) -> tuple[int, int]:
-    """(n, m) with m within 20 of e*n - (1+e)/2, the crossing's location."""
+    """(n, m) with m within 20 of e*n - (1+e)/2, the crossing's location,
+    kept below 3e(n-1), the top of scaled_overshoot's domain (n = 4 reaches it)."""
     n = draw(st.integers(n_lo, n_hi))
-    return n, max(n, math.floor(E * n - (1 + E) / 2) + draw(st.integers(-20, 20)))
+    m = max(n, math.floor(E * n - (1 + E) / 2) + draw(st.integers(-20, 20)))
+    return n, min(m, math.floor(3 * E * (n - 1)))
 
 
 class TestEmOvershoot:
